@@ -40,11 +40,11 @@ class EigenDecomposition(NamedTuple):
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a fresh 2-D complex128 array with finite entries."""
-    a = np.array(m, dtype=np.complex128)
+    """Coerce to a fresh C-ordered 2-D complex128 array with finite entries."""
+    a = np.array(m, dtype=np.complex128, order="C")
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise ShapeError(f"expected a nonempty 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
     return a
 
@@ -55,8 +55,9 @@ def _require_square(a: np.ndarray, what: str = "matrix") -> None:
 
 
 def frobenius(m) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(m)))
+    """Frobenius norm, as one dot product (np.linalg.norm costs more on small inputs)."""
+    a = np.asarray(m)
+    return math.sqrt(np.vdot(a, a).real)
 
 
 def identity(n: int) -> np.ndarray:
@@ -89,86 +90,168 @@ def trace(m) -> complex:
     return complex(np.trace(m))
 
 
+def _scale_exponent(m: np.ndarray) -> int:
+    """Exponent e that puts the largest real or imaginary part of m * 2**-e in [0.5, 1).
+
+    Rescaling by a power of two is exact, so norms of the rescaled matrix can
+    neither overflow nor underflow and ordinary inputs give bit-identical
+    results. A zero matrix gets e = 0.
+    """
+    return math.frexp(float(np.abs(m.view(np.float64)).max()))[1]
+
+
+def _check_hermitian(m: np.ndarray, rtol: float, what: str) -> float:
+    """Raise DomainError unless ||m - m†||_F <= rtol * ||m||_F; return ||m||_F.
+
+    m must already be rescaled by ``_scale_exponent``.
+    """
+    norm = frobenius(m)
+    defect = frobenius(m - m.conj().T)
+    if defect > rtol * norm:
+        raise DomainError(
+            f"{what} is not Hermitian: ||m - m†||_F / ||m||_F = {defect / norm:.3e} "
+            f"exceeds {rtol:g}"
+        )
+    return norm
+
+
 def require_hermitian(m, *, rtol: float = HERMITICITY_RTOL, what: str = "matrix") -> np.ndarray:
-    """Validate ||m - m†||_F <= rtol * ||m||_F and return m as a fresh array."""
+    """Validate ||m - m†||_F <= rtol * ||m||_F and return m as a fresh array.
+
+    Both norms are taken after a power-of-two rescaling, so the test means the
+    same at any magnitude of the entries.
+    """
     m = as_matrix(m)
     _require_square(m, what)
-    defect = frobenius(m - m.conj().T)
-    if defect > rtol * frobenius(m):
-        raise DomainError(
-            f"{what} is not Hermitian: ||m - m†||_F = {defect:.3e} "
-            f"exceeds {rtol:g} * ||m||_F"
-        )
+    scaled = np.ldexp(m.view(np.float64), -_scale_exponent(m)).view(np.complex128)
+    _check_hermitian(scaled, rtol, what)
     return m
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diagonal(a))
-    return float(np.linalg.norm(off))
+def _round_shift(m: int) -> np.ndarray:
+    """Slot gather that moves a Brent-Luk tournament table of even m indices on one round.
+
+    The table has two rows, top and bottom, of k = m // 2 indices; its
+    columns are a round's pairs, and slots 2i, 2i + 1 hold top[i], bottom[i].
+    Index top[0] stays put and every other index moves one place around the
+    ring top[1], ..., top[k-1], bottom[k-1], ..., bottom[0]. With the layout
+    of slots as an index array, ``layout[shift]`` is the next round's layout.
+    """
+    ring = [*range(2, m, 2), *range(m - 1, 0, -2)]
+    shift = list(range(m))
+    for here, there in zip(ring, ring[1:] + ring[:1]):
+        shift[there] = here
+    return np.array(shift)
+
+
+def jacobi_schedule(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """One Jacobi sweep over n indices in the parallel ordering of Brent & Luk (1985).
+
+    Returns the rounds of the sweep; each round is a tuple of disjoint pairs
+    (p, q), p < q, sorted, and every pair of distinct indices appears in
+    exactly one round. Even n gives n - 1 rounds of n/2 pairs. Odd n is padded
+    with a phantom index n, which gives n rounds of (n - 1)/2 pairs with one
+    index left out of each. Round 0 is (0, 1), (2, 3), ... and each later
+    round follows by ``_round_shift``, as in ``hermitian_eig``. The result
+    depends on n alone.
+    """
+    m = n + n % 2
+    layout, shift = np.arange(m), _round_shift(m)
+    rounds = []
+    for _ in range(m - 1):
+        pairs = (sorted(map(int, layout[i : i + 2])) for i in range(0, m, 2))
+        rounds.append(tuple(sorted((p, q) for p, q in pairs if q < n)))
+        layout = layout[shift]
+    return tuple(rounds)
 
 
 def hermitian_eig(h) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
-    Pairs (p, q), p < q, are visited in fixed row-major order; each visit
-    annihilates the (p, q) entry with a complex plane rotation. Sweeping
-    repeats until the off-diagonal Frobenius norm is at most
-    ``JACOBI_OFF_TOL * ||h||_F``, raising ConvergenceError after
-    ``JACOBI_MAX_SWEEPS`` sweeps. O(n^3) per sweep; intended for the dense,
-    desk-scale matrices this package works with (n <= ~128).
+    A sweep follows ``jacobi_schedule``, the round-robin ordering of Brent &
+    Luk (1985): each round annihilates n // 2 disjoint off-diagonal entries
+    (p, q), p < q, at once with complex plane rotations, so one sweep still
+    visits every pair exactly once. Sweeping repeats until the off-diagonal
+    Frobenius norm is at most ``JACOBI_OFF_TOL * ||h||_F``, raising
+    ConvergenceError after ``JACOBI_MAX_SWEEPS`` sweeps. The input is first
+    rescaled by a power of two near its largest entry, so the result is
+    correct at any magnitude of the entries. O(n^3) per sweep; intended for
+    the dense, desk-scale matrices this package works with (n <= ~128).
     """
-    h = require_hermitian(h, what="eigensolver input")
+    h = as_matrix(h)
+    _require_square(h, "eigensolver input")
     n = h.shape[0]
-    a = h.copy()
-    v = identity(n)
-    tol = JACOBI_OFF_TOL * frobenius(h)
+    m = n + n % 2  # odd n gets a phantom zero row and column
+    k = m // 2
+    e = _scale_exponent(h)
+    # Working storage [A; V]: A is the working matrix and V the product of the
+    # rotations so far, both held in the current round's slot layout, where
+    # slots (2i, 2i + 1) hold the round's i-th pair (in either order). A
+    # sweep's m - 1 shifts take the ring once around, so every sweep starts
+    # and ends in the identity layout.
+    s = np.zeros((2 * m, m), dtype=np.complex128)
+    a = s[:m]
+    np.ldexp(h.view(np.float64), -e, out=a[:n, :n].view(np.float64))
+    tol = JACOBI_OFF_TOL * _check_hermitian(a[:n, :n], HERMITICITY_RTOL, "eigensolver input")
+    s[m:].ravel()[:: m + 1] = 1.0
+    flat = a.ravel()
+    diag = flat[:: m + 1]
+    # Row i of this view is flat[1 + i(m + 1) : (i + 1)(m + 1)], the m entries
+    # strictly between two diagonal ones; together they are A's off-diagonal part.
+    off_diag = flat[1:].reshape(m - 1, m + 1)[:, :m]
+    # Entries (2i, 2i), (2i + 1, 2i + 1), (2i, 2i + 1) and (2i + 1, 2i) of A.
+    step = 2 * (m + 1)
+    a_pp = flat[::step].real
+    a_qq = flat[m + 1 :: step].real
+    a_pq = flat[1::step]
+    a_qp = flat[m::step]
+    rows = a.reshape(k, 2, m)  # rows (2i, 2i + 1) of A
+    cols = s.T.reshape(k, 2, 2 * m)  # columns (2i, 2i + 1) of A and V, as rows of the transpose
+    rot = np.empty((k, 2, 2), dtype=np.complex128)
+    rot_diag = rot.reshape(k, 4)[:, ::3]
+    shift = _round_shift(m)
 
     sweeps = 0
-    while _offdiag_norm(a) > tol:
+    while frobenius(off_diag) > tol:
         if sweeps >= JACOBI_MAX_SWEEPS:
             raise ConvergenceError(
                 f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
             )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                u = apq / r  # phase of the off-diagonal entry
-                tau = (a[p, p].real - a[q, q].real) / (2.0 * r)
-                # Smaller-magnitude root of t^2 - 2*tau*t - 1 = 0.
-                if tau >= 0.0:
-                    t = -1.0 / (tau + math.hypot(1.0, tau))
-                else:
-                    t = 1.0 / (-tau + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * u * rowq
-                a[q, :] = s * np.conj(u) * rowp + c * rowq
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * np.conj(u) * colq
-                a[:, q] = s * u * colp + c * colq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(u) * vq
-                v[:, q] = s * u * vp + c * vq
+        for _ in range(m - 1):
+            r = np.abs(a_pq)
+            if r.any():  # else every pair of the round is already zero
+                dead = r == 0.0  # a pair that is already zero gets the identity
+                r += dead
+                tau = (a_pp - a_qq) / (r + r)
+                # Smaller-magnitude root of t^2 - 2*tau*t - 1 = 0, which is
+                # -sign(tau) / (|tau| + sqrt(1 + tau^2)).
+                t = -1.0 / (tau + np.copysign(np.hypot(1.0, tau), tau))
+                t[dead] = 0.0
+                c = 1.0 / np.hypot(1.0, t)  # 1 / sqrt(1 + t^2)
+                su = t * c * (a_pq / r)  # s times the phase of a_pq
+                # rot[i] = [[c, -s u], [s conj(u), c]] = J_i†, the adjoint of pair i's rotation.
+                rot_diag[...] = c[:, None]
+                np.negative(su, out=rot[:, 0, 1])
+                np.conjugate(su, out=rot[:, 1, 0])
+                rows[...] = rot @ rows  # A <- J† A
+                cols[...] = rot.conj() @ cols  # A <- A J and V <- V J
+                a_pq[...] = 0.0
+                a_qp[...] = 0.0
+            if m > 2:  # for m = 2 the shift changes nothing
+                a[...] = a[shift]
+                s[...] = s[:, shift]
         sweeps += 1
 
-    w = np.diagonal(a).real.copy()
-    order = np.argsort(w, kind="stable")
+    w = diag.real[:n]
+    order = w.argsort(kind="stable")
     w = w[order]
-    v = v[:, order]
-    for k in range(n):
-        pivot = v[int(np.argmax(np.abs(v[:, k]))), k]
-        v[:, k] *= np.conj(pivot) / abs(pivot)
+    if e + math.frexp(max(-w[0], w[-1]))[1] > 1024:
+        raise DomainError("eigenvalues exceed the float64 range")
+    w = np.ldexp(w, e)
+    v = s[m : m + n, order]
+    # Make each column's largest component (lowest index on ties) real and positive.
+    pivots = v[np.abs(v).argmax(axis=0), np.arange(n)]
+    v *= pivots.conj() / np.abs(pivots)
     return EigenDecomposition(w, v)
 
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entrodyn.errors import DomainError, ShapeError
+from entrodyn import linalg
+from entrodyn.errors import ConvergenceError, DomainError, ShapeError
 from entrodyn.linalg import (
     EigenDecomposition,
     adjoint,
@@ -19,13 +20,15 @@ from entrodyn.linalg import (
     frobenius,
     hermitian_eig,
     identity,
+    jacobi_schedule,
     kron,
     matmul,
     partial_trace,
+    require_hermitian,
     trace,
 )
 from entrodyn.sampling import random_hermitian, rng_for
-from entrodyn.systems import pauli
+from entrodyn.systems import LatticeFreeParticle, lattice_hamiltonian, pauli
 
 SX, SY, SZ = pauli()
 
@@ -169,12 +172,86 @@ class TestHermitianEig:
         out = hermitian_eig(SZ)
         assert isinstance(out, EigenDecomposition)
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5, 8, 16, 32]))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 5, 7, 8, 16, 32]))
     def test_reconstruction_property(self, seed, dim):
         h = random_hermitian(rng_for(seed), dim)
         w, v = hermitian_eig(h)
         assert frobenius((v * w) @ v.conj().T - h) <= 1e-10 * frobenius(h)
         assert frobenius(v.conj().T @ v - identity(dim)) <= 1e-10 * dim
+
+    def test_one_by_one(self):
+        w, v = hermitian_eig(np.array([[-2.5]]))
+        assert w.shape == (1,) and v.shape == (1, 1)
+        assert w[0] == -2.5
+        assert v[0, 0] == 1.0
+
+    def test_degenerate_lattice_matches_lapack(self):
+        # 64 sites: every eigenvalue but p = 0 and p = -pi n / length is a ±p pair
+        h = lattice_hamiltonian(LatticeFreeParticle(64, 2 * np.pi, 1.0))
+        norm = frobenius(h)
+        w, v = hermitian_eig(h)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(h), rtol=0, atol=1e-13 * norm)
+        assert frobenius((v * w) @ v.conj().T - h) <= 1e-10 * norm
+
+    @pytest.mark.parametrize("scale", [1e200, 1e160, 1e-160, 1e-200])
+    def test_extreme_scales_match_lapack(self, scale):
+        # np.linalg.norm overflows or underflows at these scales; the spectrum must not care
+        base = random_hermitian(rng_for(13), 6)
+        for unit in (np.array([[1, 2], [2, -1]], dtype=complex), base):
+            h = scale * unit
+            w, v = hermitian_eig(h)
+            np.testing.assert_allclose(
+                w / scale, np.linalg.eigvalsh(h) / scale, rtol=0, atol=1e-13 * frobenius(unit)
+            )
+            assert frobenius((v * (w / scale)) @ v.conj().T - unit) <= 1e-10 * frobenius(unit)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scale_non_hermitian_rejected(self, scale):
+        raising = scale * np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(DomainError):
+            require_hermitian(raising)
+        with pytest.raises(DomainError):
+            hermitian_eig(raising)
+
+    def test_spectrum_beyond_float64_rejected(self):
+        # eigenvalues 0 and 2e308: the entries are finite, the spectrum is not
+        with pytest.raises(DomainError):
+            hermitian_eig(1e308 * np.ones((2, 2)))
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_fortran_ordered_input(self, dim):
+        h = random_hermitian(rng_for(21), dim)
+        for transposed in (h.T, np.asfortranarray(h.conj())):
+            w, v = hermitian_eig(transposed)
+            w_ref, v_ref = hermitian_eig(h.conj())
+            np.testing.assert_array_equal(w, w_ref)
+            np.testing.assert_array_equal(v, v_ref)
+        np.testing.assert_array_equal(require_hermitian(np.asfortranarray(h)), h)
+        with pytest.raises(DomainError):
+            require_hermitian(np.triu(h).T)
+
+    def test_sweep_budget_exhausted(self, monkeypatch):
+        h = random_hermitian(rng_for(8), 8)  # needs 5-6 sweeps
+        hermitian_eig(h)
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError):
+            hermitian_eig(h)
+
+
+class TestJacobiSchedule:
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_sweep_covers_every_pair_once(self, n):
+        rounds = jacobi_schedule(n)
+        assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+        visited = [pair for rnd in rounds for pair in rnd]
+        expected = [(p, q) for p in range(n) for q in range(p + 1, n)]
+        assert sorted(visited) == expected
+        for rnd in rounds:
+            assert len(rnd) == n // 2
+            members = [i for pair in rnd for i in pair]
+            assert len(set(members)) == len(members)
+            assert all(p < q for p, q in rnd)
+        assert jacobi_schedule(n) == rounds
 
 
 class TestExpmHermitian:
