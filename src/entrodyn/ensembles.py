@@ -102,7 +102,14 @@ def shannon_entropy(p) -> float:
 def von_neumann_entropy(rho) -> float:
     """S = -tr(rho ln rho) in nats; the Shannon entropy of the spectrum."""
     r = as_density_matrix(rho, check_psd=False)
-    w = hermitian_eig(r).eigenvalues
+    return spectrum_entropy(hermitian_eig(r).eigenvalues)
+
+
+def spectrum_entropy(w) -> float:
+    """Shannon entropy in nats of an ascending density-matrix spectrum.
+
+    Eigenvalues in [EIGENVALUE_CLAMP, 0) count as zero; a lower one raises.
+    """
     if w[0] < EIGENVALUE_CLAMP:
         raise DomainError(
             f"not a density matrix: eigenvalue {w[0]:.3e} below {EIGENVALUE_CLAMP:g}"

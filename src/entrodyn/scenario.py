@@ -20,13 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .dynamics import EXPECTATION_IMAG_ATOL
 from .ensembles import (
     as_probability_vector,
     as_pure_state,
     pure_density,
-    von_neumann_entropy,
+    spectrum_entropy,
 )
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NumericalError, ShapeError
 from .linalg import hermitian_eig, require_hermitian
 from .systems import (
     LatticeFreeParticle,
@@ -41,6 +42,10 @@ from .systems import (
 
 ENTROPY_CONSTANCY_TOL = 1e-9
 MAX_TIME_POINTS = 10**6
+MAX_DIMENSION = 128
+# Cap on time points x (CSV columns + dimension): the output table and the
+# T x n phase table of a run together hold about that many numbers.
+MAX_GRID_CELLS = 2**24
 CSV_DIGITS = 15
 
 SYSTEM_KINDS = ("spin-half", "lattice", "composite", "explicit-matrices")
@@ -448,10 +453,40 @@ class ResolvedScenario:
     dimension: int
     hamiltonian: np.ndarray
     initial_density: np.ndarray
-    population_labels: tuple
-    observable_labels: tuple
     observable_matrices: tuple
+    observable_paths: tuple  # the observables[i] each matrix comes from
     transition_pairs: tuple  # ((source, target), ...)
+    columns: tuple  # the evolve CSV header
+    column_paths: tuple  # the field each header name comes from
+
+
+def _dimension(system: SystemSpec) -> int:
+    """Dimension of the system's Hilbert space, read off the spec without building H."""
+    if system.kind == "spin-half":
+        return 2
+    if system.kind == "composite":
+        return 4
+    if system.kind == "lattice":
+        path, dim = "system.sites", system.sites
+    else:
+        path, dim = "system.hamiltonian", len(system.hamiltonian)
+    if dim > MAX_DIMENSION:
+        raise ScenarioValidationError(f"{path}: dimension {dim} exceeds MAX_DIMENSION = {MAX_DIMENSION}")
+    return dim
+
+
+def _check_grid(points: int, columns: int, dim: int) -> None:
+    """Bound the run's tables: points x (columns + dim) covers the CSV table and the phase table.
+
+    With the evolve header's column count this also covers ``perturb``,
+    whose 1 + 2 x targets columns never exceed columns + dim.
+    """
+    cells = points * (columns + dim)
+    if cells > MAX_GRID_CELLS:
+        raise ScenarioValidationError(
+            f"time.points: {points} points x ({columns} columns + dimension {dim}) = "
+            f"{cells} grid cells exceed MAX_GRID_CELLS = {MAX_GRID_CELLS}"
+        )
 
 
 def _resolve_hamiltonian(system: SystemSpec) -> np.ndarray:
@@ -527,8 +562,10 @@ def _resolve_initial(spec: ScenarioSpec, dim: int) -> np.ndarray:
 
 
 def _resolve_observables(spec: ScenarioSpec, dim: int) -> tuple:
+    """(labels, matrices, paths), one entry per expectation column."""
     labels: list = []
     matrices: list = []
+    paths: list = []
     sigma = dict(zip(("sigma_x", "sigma_y", "sigma_z"), pauli()))
     for i, obs in enumerate(spec.observables):
         path = f"observables[{i}]"
@@ -557,8 +594,9 @@ def _resolve_observables(spec: ScenarioSpec, dim: int) -> tuple:
             basis = lattice_momentum_basis(lattice)
             ks = np.arange(-(lattice.sites // 2), (lattice.sites + 1) // 2)
             for k, row in zip(ks, basis):
+                proj = np.outer(row, row.conj())
                 labels.append(f"mom_pop_{k}")
-                matrices.append(np.outer(row, row.conj()))
+                matrices.append((proj + proj.conj().T) / 2.0)  # Hermitian to the last bit
         else:  # explicit matrix
             matrix = np.array(obs.matrix, dtype=complex)
             if matrix.shape != (dim, dim):
@@ -571,15 +609,43 @@ def _resolve_observables(spec: ScenarioSpec, dim: int) -> tuple:
                 raise ScenarioValidationError(str(exc)) from exc
             labels.append(obs.label or f"obs_{i}")
             matrices.append(matrix)
-    return tuple(labels), tuple(matrices)
+        paths.extend([path] * (len(labels) - len(paths)))
+    return tuple(labels), tuple(matrices), tuple(paths)
+
+
+def _columns(spec: ScenarioSpec, labels: tuple, paths: tuple, pairs: tuple, dim: int) -> tuple:
+    """(names, paths): the evolve CSV header and the field each name comes from."""
+    named = [("t", "time")]
+    if spec.outputs.entropy:
+        named.append(("entropy", "outputs.entropy"))
+    if spec.outputs.expectations:
+        named.extend(zip(labels, paths))
+    if spec.outputs.populations:
+        named.extend((label, "outputs.populations") for label in _population_labels(spec.system, dim))
+    named.extend((f"trans_{j}_to_{k}", "outputs.transitions.targets") for j, k in pairs)
+    names, column_paths = zip(*named)
+    return names, column_paths
+
+
+def _require_distinct_columns(resolved: ResolvedScenario) -> None:
+    """Reject an evolve header that gives a name twice, naming the field that repeats it."""
+    owner: dict = {}
+    for name, path in zip(resolved.columns, resolved.column_paths):
+        if name in owner:
+            raise ScenarioValidationError(f"{path}: column {name!r} is already taken by {owner[name]}")
+        owner[name] = path
 
 
 def resolve_scenario(spec: ScenarioSpec) -> ResolvedScenario:
-    """Materialize all matrices a run needs, validating every reference."""
+    """Materialize all matrices a run needs, validating every reference.
+
+    The dimension bound is checked before any matrix is built, and the grid
+    bound as soon as the evolve header is known.
+    """
+    dim = _dimension(spec.system)
     h = _resolve_hamiltonian(spec.system)
-    dim = h.shape[0]
     rho0 = _resolve_initial(spec, dim)
-    labels, matrices = _resolve_observables(spec, dim)
+    labels, matrices, paths = _resolve_observables(spec, dim)
     matrices = tuple(h if m is None else m for m in matrices)
 
     pairs = ()
@@ -592,21 +658,26 @@ def resolve_scenario(spec: ScenarioSpec) -> ResolvedScenario:
         targets = spec.outputs.transitions.targets
         if targets == "all":
             targets = tuple(k for k in range(dim) if k != source)
-        for k in targets:
+        for i, k in enumerate(targets):
             if not 0 <= k < dim:
                 raise ScenarioValidationError(
                     f"outputs.transitions.targets: index {k} out of range for dimension {dim}"
                 )
+            if k in targets[:i]:
+                raise ScenarioValidationError(f"outputs.transitions.targets[{i}]: target {k} is repeated")
         pairs = tuple((source, k) for k in targets)
 
+    columns, column_paths = _columns(spec, labels, paths, pairs, dim)
+    _check_grid(spec.time.points, len(columns), dim)
     return ResolvedScenario(
         dimension=dim,
         hamiltonian=h,
         initial_density=rho0,
-        population_labels=_population_labels(spec.system, dim),
-        observable_labels=labels,
         observable_matrices=matrices,
+        observable_paths=paths,
         transition_pairs=pairs,
+        columns=columns,
+        column_paths=column_paths,
     )
 
 
@@ -637,9 +708,9 @@ class EvolutionReport:
         return all(check.passed for check in self.checks)
 
     def to_csv(self) -> str:
+        number = f"{{:.{CSV_DIGITS}g}}".format
         lines = [f"# entrodyn {__version__} {self.kind}", ",".join(self.columns)]
-        for row in self.table:
-            lines.append(",".join(format(float(x), f".{CSV_DIGITS}g") for x in row))
+        lines.extend(",".join(map(number, row.tolist())) for row in self.table)
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
@@ -666,55 +737,134 @@ class EvolutionReport:
         return json.dumps(self.summary(), indent=2, sort_keys=True) + "\n"
 
 
+def entropy_constancy(entropies) -> ReportCheck:
+    """Pass iff every entropy lies within ENTROPY_CONSTANCY_TOL of the first."""
+    residual = float(np.max(np.abs(entropies - entropies[0])))
+    return ReportCheck(
+        name="entropy-constancy",
+        residual=residual,
+        tolerance=ENTROPY_CONSTANCY_TOL,
+        passed=residual <= ENTROPY_CONSTANCY_TOL,
+    )
+
+
+def _warm_step(rho: np.ndarray, basis: np.ndarray) -> tuple:
+    """(eigenvalues of rho, next basis): one point of ``warm_entropies``, kept
+    apart so that tests can follow the basis.
+
+    ``hermitian_eig`` solves A = W† rho W to its usual tolerance, which is
+    relative to ||A||_F = ||rho||_F, so the eigenvalues are an independent
+    measurement of rho's spectrum. W then absorbs the eigenvectors X,
+    W <- W X, so the next A starts nearly diagonal, and one Newton-Schulz
+    step W <- W (3 - W†W) / 2 keeps W unitary to rounding over any number of
+    points.
+    """
+    w, x = hermitian_eig(basis.conj().T @ rho @ basis)
+    basis = basis @ x
+    return w, basis @ (1.5 * np.eye(basis.shape[0]) - 0.5 * (basis.conj().T @ basis))
+
+
+def warm_entropies(densities, basis):
+    """Yield the von Neumann entropy of each density matrix in turn.
+
+    Each density is diagonalised in the basis left by the one before
+    (``_warm_step``); ``basis`` is the unitary W for the first density.
+    """
+    for rho in densities:
+        w, basis = _warm_step(rho, basis)
+        yield spectrum_entropy(w)
+
+
+def _phase_table(times: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """P[t, j] = exp(-i w_j t) over the whole grid, built in place."""
+    phases = np.outer(times, -1j * w)
+    return np.exp(phases, out=phases)
+
+
+def _phase_sum(m: np.ndarray, phases: np.ndarray, conj_phases: np.ndarray) -> np.ndarray:
+    """sum_jk P_tj m_jk conj(P_tk) for every t; with m = (V† X V)ᵀ ∘ rho(0)' this is tr(X rho(t))."""
+    return np.einsum("tk,tk->t", phases @ m, conj_phases)
+
+
+def _expectations(
+    x: np.ndarray, v: np.ndarray, rho0: np.ndarray, phases: np.ndarray, conj_phases: np.ndarray, what: str
+) -> np.ndarray:
+    """tr(X rho(t)) over the grid, checked to be real.
+
+    The column is the phase sum of X's Hermitian part (X + X†)/2. The
+    imaginary part of tr(X rho) is that of the anti-Hermitian part
+    (X - X†)/2, so it is measured from that part alone, skipped when it is
+    exactly zero, and raises above EXPECTATION_IMAG_ATOL: the check measures
+    the observable's defect, never rounding in the real column.
+    """
+    vh = v.conj().T
+    skew = (x - x.conj().T) / 2.0
+    if skew.any():
+        imag = float(np.abs(_phase_sum((vh @ skew @ v).T * rho0, phases, conj_phases)).max())
+        if imag > EXPECTATION_IMAG_ATOL:
+            raise NumericalError(
+                f"{what}: expectation value has imaginary part {imag:.3e}; "
+                "operands are not Hermitian enough"
+            )
+    hermitian = (x + x.conj().T) / 2.0
+    return _phase_sum((vh @ hermitian @ v).T * rho0, phases, conj_phases).real
+
+
+def _transition_probabilities(v: np.ndarray, phases: np.ndarray, pairs: tuple) -> np.ndarray:
+    """|u_kj(t)|^2 for every (j, k) in pairs (one source j), u_kj(t) = sum_m V_km P_tm conj(V_jm)."""
+    source = pairs[0][0]
+    targets = [k for _, k in pairs]
+    amplitudes = phases @ (v[source].conj()[:, None] * v[targets].T)
+    probabilities = np.abs(amplitudes)
+    return np.square(probabilities, out=probabilities)
+
+
 def run_scenario(spec: ScenarioSpec) -> EvolutionReport:
-    """Evolve the scenario over its time grid and collect the requested columns."""
+    """Evolve the scenario over its time grid and collect the requested columns.
+
+    Every column is a phase sum in H's eigenbasis: with H = V diag(w) V†,
+    P_tj = exp(-i w_j t) and rho(0)' = V† rho(0) V, rho(t)' = rho(0)' ∘ (p p̄ᵀ)
+    for p = P_t. Expectations, populations and transition probabilities are
+    computed a column at a time over the whole grid. The entropy column is
+    solved point by point: a mixture through ``warm_entropies``; a pure
+    initial state, which stays rank one and needs one sweep from any basis,
+    by a cold solve of the site-basis rho(t).
+    """
     resolved = resolve_scenario(spec)
+    _require_distinct_columns(resolved)
     w, v = hermitian_eig(resolved.hamiltonian)
-    rho0 = resolved.initial_density
+    vh = v.conj().T
     times = spec.time.values()
+    phases = _phase_table(times, w)
+    conj_phases = phases.conj()
+    rho0 = vh @ resolved.initial_density @ v
 
-    columns: list = ["t"]
-    if spec.outputs.entropy:
-        columns.append("entropy")
-    if spec.outputs.expectations:
-        columns.extend(resolved.observable_labels)
-    if spec.outputs.populations:
-        columns.extend(resolved.population_labels)
-    for j, k in resolved.transition_pairs:
-        columns.append(f"trans_{j}_to_{k}")
-
-    table = np.empty((times.size, len(columns)))
-    for i, t in enumerate(times):
-        u = (v * np.exp(-1j * w * t)) @ v.conj().T
-        rho_t = u @ rho0 @ u.conj().T
-        row = [float(t)]
-        if spec.outputs.entropy:
-            row.append(von_neumann_entropy(rho_t))
-        if spec.outputs.expectations:
-            for matrix in resolved.observable_matrices:
-                row.append(float(np.trace(matrix @ rho_t).real))
-        if spec.outputs.populations:
-            row.extend(np.diagonal(rho_t).real.tolist())
-        for j, k in resolved.transition_pairs:
-            row.append(float(abs(u[k, j]) ** 2))
-        table[i] = row
-
+    table = np.empty((times.size, len(resolved.columns)))
+    table[:, 0] = times
+    col = 1
     checks = ()
     if spec.outputs.entropy:
-        entropy_column = table[:, columns.index("entropy")]
-        residual = float(np.max(np.abs(entropy_column - entropy_column[0])))
-        checks = (
-            ReportCheck(
-                name="entropy-constancy",
-                residual=residual,
-                tolerance=ENTROPY_CONSTANCY_TOL,
-                passed=residual <= ENTROPY_CONSTANCY_TOL,
-            ),
-        )
+        densities = (rho0 * np.outer(p, p.conj()) for p in phases)
+        if spec.initial.kind == "probabilities":
+            table[:, col] = list(warm_entropies(densities, vh))
+        else:  # a pure state stays rank one, which one cold sweep solves
+            table[:, col] = [spectrum_entropy(hermitian_eig(v @ rho @ vh).eigenvalues) for rho in densities]
+        checks = (entropy_constancy(table[:, col]),)
+        col += 1
+    if spec.outputs.expectations:
+        for matrix, path in zip(resolved.observable_matrices, resolved.observable_paths):
+            table[:, col] = _expectations(matrix, v, rho0, phases, conj_phases, path)
+            col += 1
+    if spec.outputs.populations:
+        for row in v:  # X = |i><i|, so (V† X V)ᵀ = outer(row, conj(row))
+            table[:, col] = _phase_sum(np.outer(row, row.conj()) * rho0, phases, conj_phases).real
+            col += 1
+    if resolved.transition_pairs:
+        table[:, col:] = _transition_probabilities(v, phases, resolved.transition_pairs)
 
     return EvolutionReport(
         kind="evolution",
-        columns=tuple(columns),
+        columns=resolved.columns,
         table=table,
         scenario=scenario_document(spec),
         tolerances={"entropy_constancy": ENTROPY_CONSTANCY_TOL},
@@ -727,30 +877,34 @@ def run_perturbation(spec: ScenarioSpec) -> EvolutionReport:
 
     The scenario Hamiltonian plays the role of the perturbing generator; the
     reference basis is the computational (site) basis. Requires an
-    outputs.transitions section naming the source state.
+    outputs.transitions section naming the source state and targets that
+    differ from it.
     """
     resolved = resolve_scenario(spec)
-    if not resolved.transition_pairs:
+    pairs = resolved.transition_pairs
+    if not pairs:
         raise ScenarioValidationError(
             "outputs.transitions: required for a perturbation run (source and targets)"
         )
+    for i, (j, k) in enumerate(pairs):
+        if j == k:
+            raise ScenarioValidationError(
+                f"outputs.transitions.targets[{i}]: target {k} is the source; "
+                "a first-order transition needs a different target"
+            )
     h = resolved.hamiltonian
     w, v = hermitian_eig(h)
     times = spec.time.values()
 
     columns = ["t"]
-    for j, k in resolved.transition_pairs:
+    for j, k in pairs:
         columns.append(f"exact_{j}_to_{k}")
         columns.append(f"first_order_{j}_to_{k}")
 
     table = np.empty((times.size, len(columns)))
-    for i, t in enumerate(times):
-        u = (v * np.exp(-1j * w * t)) @ v.conj().T
-        row = [float(t)]
-        for j, k in resolved.transition_pairs:
-            row.append(float(abs(u[k, j]) ** 2))
-            row.append(float(t) ** 2 * float(abs(h[k, j]) ** 2))
-        table[i] = row
+    table[:, 0] = times
+    table[:, 1::2] = _transition_probabilities(v, _phase_table(times, w), pairs)
+    table[:, 2::2] = np.outer(times**2, [abs(h[k, j]) ** 2 for j, k in pairs])
 
     return EvolutionReport(
         kind="perturbation",
