@@ -14,6 +14,8 @@ No environment variables are consulted; every input is explicit.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import sys
 
 import numpy as np
@@ -30,6 +32,7 @@ from .scenario import (
     load_scenario,
     run_perturbation,
     run_scenario,
+    write_csv,
 )
 from .systems import LatticeFreeParticle, SpinHalfSystem, lattice_momentum_basis, rabi_populations
 
@@ -90,18 +93,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, path: str | None) -> None:
+def _output(path: str | None):
+    """The file at ``path`` opened for writing, or stdout when there is none."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _write_report(report: EvolutionReport, out: str | None, summary: str | None) -> int:
-    _emit(report.to_csv(), out)
+    with _output(out) as handle:
+        report.to_csv(handle)
     if summary is not None:
-        _emit(report.summary_json(), summary)
+        with _output(summary) as handle:
+            handle.write(report.summary_json())
     if not report.passed:
         for check in report.checks:
             if not check.passed:
@@ -149,17 +153,25 @@ def _cmd_rabi(args) -> int:
     if args.points < 1:
         print(f"error: --points must be >= 1, got {args.points}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if not math.isfinite(args.t_max):
+        print(f"error: --t-max must be finite, got {args.t_max}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         system = SpinHalfSystem(delta=args.delta, coupling=args.omega)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    # H's eigenvalues are ±hypot(delta, omega)/2; the phases exp(-iwt) need w t finite
+    energy = math.hypot(args.delta / 2.0, args.omega / 2.0)
+    if not math.isfinite(energy * args.t_max):
+        print(
+            f"error: energy {energy:.3e} times --t-max {args.t_max:.3e} overflows; shorten the grid",
+            file=sys.stderr,
+        )
+        return EXIT_BAD_INPUT
     times = np.linspace(0.0, args.t_max, args.points) if args.points > 1 else np.array([0.0])
-    lines = [f"# entrodyn {__version__} rabi", "t,pop_alpha,pop_beta"]
-    for t in times:
-        pa, pb = rabi_populations(system, float(t))
-        lines.append(",".join(format(x, ".15g") for x in (float(t), pa, pb)))
-    sys.stdout.write("\n".join(lines) + "\n")
+    rows = ((t, *rabi_populations(system, t)) for t in times.tolist())
+    write_csv(sys.stdout, "rabi", ("t", "pop_alpha", "pop_beta"), rows)
     return EXIT_OK
 
 

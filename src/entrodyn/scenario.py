@@ -7,15 +7,22 @@ problems raise ScenarioParseError; documents that parse but violate a
 mathematical invariant (non-Hermitian Hamiltonian, probabilities that do not
 sum to one, ...) raise ScenarioValidationError naming the invariant.
 
+What a system kind is lives in one table, SYSTEM_KINDS: its parameters, its
+dimension, its Hamiltonian and its named bases. Parsing, the document echo,
+the dimension bound and resolution all read the same row.
+
 Reports are deterministic: the same document and package version produce
 byte-identical CSV and summary output.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -47,9 +54,15 @@ MAX_DIMENSION = 128
 # T x n phase table of a run together hold about that many numbers.
 MAX_GRID_CELLS = 2**24
 CSV_DIGITS = 15
+# CSV lines joined into one write: a bounded buffer, and few enough writes that
+# an in-memory stream (a redirected stdout) costs no more than one large write
+CSV_BLOCK_ROWS = 64
 
-SYSTEM_KINDS = ("spin-half", "lattice", "composite", "explicit-matrices")
-NAMED_OBSERVABLES = ("sigma_x", "sigma_y", "sigma_z", "energy", "site_populations", "momentum_populations")
+# named initial state -> (the basis it is a ket of, its index there; None when the document gives it)
+NAMED_STATES = {"alpha": ("site", 0), "beta": ("site", 1), "site": ("site", None), "momentum": ("momentum", None)}
+# observable name -> (named basis, column label prefix): one population column per ket of the basis
+POPULATION_OBSERVABLES = {"site_populations": ("site", "site_pop_"), "momentum_populations": ("momentum", "mom_pop_")}
+NAMED_OBSERVABLES = ("sigma_x", "sigma_y", "sigma_z", "energy", *POPULATION_OBSERVABLES)
 
 
 class ScenarioParseError(ValueError):
@@ -61,27 +74,213 @@ class ScenarioValidationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Document reading and writing helpers
+# ---------------------------------------------------------------------------
+
+
+class _LongInteger:
+    """A JSON integer with more digits than ``int()`` converts. No field takes
+    one, so each reader rejects it like any other wrong value, with its path."""
+
+    def __init__(self, digits: str):
+        self.digits = len(digits.lstrip("-"))
+
+    def __repr__(self) -> str:
+        return f"an integer of {self.digits} digits"
+
+
+def _json_integer(digits: str):
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongInteger(digits)
+
+
+def _as_mapping(node, path, allowed):
+    if not isinstance(node, dict):
+        raise ScenarioParseError(f"{path}: expected a mapping, got {type(node).__name__}")
+    unknown = sorted(set(node) - set(allowed))
+    if unknown:
+        raise ScenarioParseError(f"{path}: unknown field(s) {', '.join(unknown)}")
+    return node
+
+
+def _float(node, path) -> float:
+    """float(node) for a JSON number; an integer beyond the float range is rejected."""
+    try:
+        return float(node)
+    except OverflowError:
+        raise ScenarioParseError(f"{path}: integer of {len(str(abs(node)))} digits is out of range") from None
+
+
+def _number(node, path) -> float:
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise ScenarioParseError(f"{path}: expected a number, got {node!r}")
+    value = _float(node, path)
+    if not math.isfinite(value):
+        raise ScenarioParseError(f"{path}: expected a finite number, got {node!r}")
+    return value
+
+
+def _integer(node, path) -> int:
+    if isinstance(node, bool) or not isinstance(node, int):
+        raise ScenarioParseError(f"{path}: expected an integer, got {node!r}")
+    return int(node)
+
+
+def _boolean(node, path) -> bool:
+    if not isinstance(node, bool):
+        raise ScenarioParseError(f"{path}: expected true/false, got {node!r}")
+    return node
+
+
+def _string(node, path) -> str:
+    if not isinstance(node, str):
+        raise ScenarioParseError(f"{path}: expected a string, got {node!r}")
+    return node
+
+
+def _complex_scalar(node, path) -> complex:
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return complex(_float(node, path), 0.0)
+    if isinstance(node, list) and len(node) == 2:
+        return complex(_number(node[0], f"{path}[0]"), _number(node[1], f"{path}[1]"))
+    raise ScenarioParseError(f"{path}: expected a number or [re, im] pair, got {node!r}")
+
+
+def _complex_vector(node, path) -> tuple:
+    if not isinstance(node, list) or not node:
+        raise ScenarioParseError(f"{path}: expected a nonempty array")
+    return tuple(_complex_scalar(entry, f"{path}[{i}]") for i, entry in enumerate(node))
+
+
+def _complex_matrix(node, path) -> tuple:
+    if not isinstance(node, list) or not node:
+        raise ScenarioParseError(f"{path}: expected a nonempty array of rows")
+    rows = []
+    for i, row in enumerate(node):
+        if not isinstance(row, list):
+            raise ScenarioParseError(f"{path}[{i}]: expected an array row")
+        rows.append(_complex_vector(row, f"{path}[{i}]"))
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ScenarioParseError(f"{path}: rows have unequal lengths")
+    return tuple(rows)
+
+
+def _require(mapping, key, path):
+    if key not in mapping:
+        raise ScenarioParseError(f"{path}: missing required field '{key}'")
+    return mapping[key]
+
+
+_REQUIRED = object()
+# A field of a mapping section: its name, the reader that checks it, and its default (none when required).
+Field = namedtuple("Field", ("name", "read", "default"), defaults=(_REQUIRED,))
+
+
+def _read_fields(node, path, schema, also=()) -> dict:
+    """{name: value} for each Field in ``schema`` of the mapping at ``path``, which holds no other field but ``also``."""
+    node = _as_mapping(node, path, (*also, *(f.name for f in schema)))
+    values = {}
+    for f in schema:
+        value = _require(node, f.name, path) if f.default is _REQUIRED else node.get(f.name, f.default)
+        values[f.name] = f.read(value, f"{path}.{f.name}")
+    return values
+
+
+# ---------------------------------------------------------------------------
+# System kinds
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Basis:
+    """A named basis: a label per ket, and the kets as rows in the site basis
+    (None for the site basis itself, whose kets are the unit vectors)."""
+
+    labels: tuple
+    kets: np.ndarray | None = None
+
+    def ket(self, index: int) -> np.ndarray:
+        if self.kets is None:
+            return np.eye(1, len(self.labels), index, dtype=complex)[0]
+        return self.kets[index]
+
+    def coefficient_rows(self, v: np.ndarray) -> np.ndarray:
+        """Rows c̄ = Vᵀ b̄: each ket b in H's eigenbasis, c = V† b, conjugated.
+        For the site basis these are V's rows, taken as they are."""
+        return v if self.kets is None else self.kets.conj() @ v
+
+
+@dataclass(frozen=True)
+class SystemKind:
+    """Everything the scenario layer knows about one kind of system."""
+
+    fields: tuple  # Field per parameter, in document order
+    dimension: int | str  # a fixed dimension, or the field whose value (a count or a matrix) sets it
+    hamiltonian: Callable  # {name: value} -> H in the site basis
+    bases: dict = field(default_factory=dict)  # named bases besides "site": name -> ({name: value} -> Basis)
+    levels: tuple = ()  # names of the site states in 'pop_*' headers; their indices when empty
+
+
+def _lattice(params: dict) -> LatticeFreeParticle:
+    return LatticeFreeParticle(**params)
+
+
+def _momentum_basis(params: dict) -> Basis:
+    """Plane waves, labelled by k for momentum 2 pi k / length."""
+    lattice = _lattice(params)
+    n = lattice.sites
+    return Basis(labels=tuple(range(-(n // 2), (n + 1) // 2)), kets=lattice_momentum_basis(lattice))
+
+
+SYSTEM_KINDS = {
+    "spin-half": SystemKind(
+        fields=(Field("delta", _number), Field("omega", _number, 0.0)),
+        dimension=2,
+        hamiltonian=lambda p: spin_hamiltonian(SpinHalfSystem(delta=p["delta"], coupling=p["omega"])),
+        levels=("alpha", "beta"),
+    ),
+    "lattice": SystemKind(
+        fields=(Field("sites", _integer), Field("length", _number), Field("mass", _number)),
+        dimension="sites",
+        hamiltonian=lambda p: lattice_hamiltonian(_lattice(p)),
+        bases={"momentum": _momentum_basis},
+    ),
+    "composite": SystemKind(
+        fields=(Field("delta_a", _number), Field("delta_b", _number), Field("g", _number, 0.0)),
+        dimension=4,
+        hamiltonian=lambda p: composite_hamiltonian(coupled_spin_pair(**p)),
+    ),
+    "explicit-matrices": SystemKind(
+        fields=(Field("hamiltonian", _complex_matrix),),
+        dimension="hamiltonian",
+        hamiltonian=lambda p: require_hermitian(np.array(p["hamiltonian"], dtype=complex), what="system.hamiltonian"),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # Spec dataclasses (plain values only, so equality and round-trips are exact)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SystemSpec:
+    """A system kind and its parameters, as (name, value) pairs in the kind's field order."""
+
     kind: str
-    delta: float | None = None
-    omega: float | None = None
-    sites: int | None = None
-    length: float | None = None
-    mass: float | None = None
-    delta_a: float | None = None
-    delta_b: float | None = None
-    g: float | None = None
-    hamiltonian: tuple | None = None
+    params: tuple
+
+    def __getitem__(self, name: str):
+        return dict(self.params)[name]
 
 
 @dataclass(frozen=True)
 class InitialSpec:
-    kind: str  # "named" | "amplitudes" | "probabilities"
+    """Exactly one of: a named state (with an index for site and momentum), amplitudes, probabilities."""
+
     state: str | None = None
     index: int | None = None
     amplitudes: tuple | None = None
@@ -131,121 +330,18 @@ class ScenarioSpec:
 
 
 # ---------------------------------------------------------------------------
-# Document reading helpers
-# ---------------------------------------------------------------------------
-
-
-def _as_mapping(node, path, allowed):
-    if not isinstance(node, dict):
-        raise ScenarioParseError(f"{path}: expected a mapping, got {type(node).__name__}")
-    unknown = sorted(set(node) - set(allowed))
-    if unknown:
-        raise ScenarioParseError(f"{path}: unknown field(s) {', '.join(unknown)}")
-    return node
-
-
-def _number(node, path) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ScenarioParseError(f"{path}: expected a number, got {node!r}")
-    if not math.isfinite(node):
-        raise ScenarioParseError(f"{path}: expected a finite number, got {node!r}")
-    return float(node)
-
-
-def _integer(node, path) -> int:
-    if isinstance(node, bool) or not isinstance(node, int):
-        raise ScenarioParseError(f"{path}: expected an integer, got {node!r}")
-    return int(node)
-
-
-def _boolean(node, path) -> bool:
-    if not isinstance(node, bool):
-        raise ScenarioParseError(f"{path}: expected true/false, got {node!r}")
-    return node
-
-
-def _string(node, path) -> str:
-    if not isinstance(node, str):
-        raise ScenarioParseError(f"{path}: expected a string, got {node!r}")
-    return node
-
-
-def _complex_scalar(node, path) -> complex:
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return complex(float(node), 0.0)
-    if isinstance(node, list) and len(node) == 2:
-        return complex(_number(node[0], f"{path}[0]"), _number(node[1], f"{path}[1]"))
-    raise ScenarioParseError(f"{path}: expected a number or [re, im] pair, got {node!r}")
-
-
-def _complex_vector(node, path) -> tuple:
-    if not isinstance(node, list) or not node:
-        raise ScenarioParseError(f"{path}: expected a nonempty array")
-    return tuple(_complex_scalar(entry, f"{path}[{i}]") for i, entry in enumerate(node))
-
-
-def _complex_matrix(node, path) -> tuple:
-    if not isinstance(node, list) or not node:
-        raise ScenarioParseError(f"{path}: expected a nonempty array of rows")
-    rows = []
-    for i, row in enumerate(node):
-        if not isinstance(row, list):
-            raise ScenarioParseError(f"{path}[{i}]: expected an array row")
-        rows.append(_complex_vector(row, f"{path}[{i}]"))
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ScenarioParseError(f"{path}: rows have unequal lengths")
-    return tuple(rows)
-
-
-def _require(mapping, key, path):
-    if key not in mapping:
-        raise ScenarioParseError(f"{path}: missing required field '{key}'")
-    return mapping[key]
-
-
-# ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
 
 def _parse_system(node) -> SystemSpec:
-    allowed = {
-        "spin-half": ("kind", "delta", "omega"),
-        "lattice": ("kind", "sites", "length", "mass"),
-        "composite": ("kind", "delta_a", "delta_b", "g"),
-        "explicit-matrices": ("kind", "hamiltonian"),
-    }
     if not isinstance(node, dict):
         raise ScenarioParseError(f"system: expected a mapping, got {type(node).__name__}")
     kind = _string(_require(node, "kind", "system"), "system.kind")
     if kind not in SYSTEM_KINDS:
-        raise ScenarioParseError(f"system.kind: unknown kind {kind!r}; expected one of {SYSTEM_KINDS}")
-    node = _as_mapping(node, "system", allowed[kind])
-    if kind == "spin-half":
-        return SystemSpec(
-            kind=kind,
-            delta=_number(_require(node, "delta", "system"), "system.delta"),
-            omega=_number(node.get("omega", 0.0), "system.omega"),
-        )
-    if kind == "lattice":
-        return SystemSpec(
-            kind=kind,
-            sites=_integer(_require(node, "sites", "system"), "system.sites"),
-            length=_number(_require(node, "length", "system"), "system.length"),
-            mass=_number(_require(node, "mass", "system"), "system.mass"),
-        )
-    if kind == "composite":
-        return SystemSpec(
-            kind=kind,
-            delta_a=_number(_require(node, "delta_a", "system"), "system.delta_a"),
-            delta_b=_number(_require(node, "delta_b", "system"), "system.delta_b"),
-            g=_number(node.get("g", 0.0), "system.g"),
-        )
-    return SystemSpec(
-        kind=kind,
-        hamiltonian=_complex_matrix(_require(node, "hamiltonian", "system"), "system.hamiltonian"),
-    )
+        raise ScenarioParseError(f"system.kind: unknown kind {kind!r}; expected one of {tuple(SYSTEM_KINDS)}")
+    params = _read_fields(node, "system", SYSTEM_KINDS[kind].fields, also=("kind",))
+    return SystemSpec(kind=kind, params=tuple(params.items()))
 
 
 def _parse_initial(node) -> InitialSpec:
@@ -258,94 +354,81 @@ def _parse_initial(node) -> InitialSpec:
     if "state" in node:
         state = _string(node["state"], "initial.state")
         index = _integer(node["index"], "initial.index") if "index" in node else None
-        if state not in ("alpha", "beta", "site", "momentum"):
+        if state not in NAMED_STATES:
             raise ScenarioParseError(
                 f"initial.state: unknown named state {state!r}; "
                 "expected alpha, beta, site, or momentum"
             )
-        if state in ("site", "momentum") and index is None:
+        if NAMED_STATES[state][1] is None and index is None:
             raise ScenarioParseError(f"initial: named state {state!r} requires an 'index'")
-        if state in ("alpha", "beta") and index is not None:
+        if NAMED_STATES[state][1] is not None and index is not None:
             raise ScenarioParseError(f"initial.index: meaningless for named state {state!r}")
-        return InitialSpec(kind="named", state=state, index=index)
+        return InitialSpec(state=state, index=index)
     if "index" in node:
         raise ScenarioParseError("initial.index: only valid together with a named 'state'")
     if "amplitudes" in node:
-        return InitialSpec(kind="amplitudes", amplitudes=_complex_vector(node["amplitudes"], "initial.amplitudes"))
+        return InitialSpec(amplitudes=_complex_vector(node["amplitudes"], "initial.amplitudes"))
     probs = node["probabilities"]
     if not isinstance(probs, list) or not probs:
         raise ScenarioParseError("initial.probabilities: expected a nonempty array")
     return InitialSpec(
-        kind="probabilities",
         probabilities=tuple(_number(p, f"initial.probabilities[{i}]") for i, p in enumerate(probs)),
     )
 
 
-def _parse_time(node) -> TimeGridSpec:
-    node = _as_mapping(node, "time", ("start", "stop", "points"))
-    grid = TimeGridSpec(
-        start=_number(_require(node, "start", "time"), "time.start"),
-        stop=_number(_require(node, "stop", "time"), "time.stop"),
-        points=_integer(_require(node, "points", "time"), "time.points"),
-    )
-    if not 1 <= grid.points <= MAX_TIME_POINTS:
-        raise ScenarioValidationError(
-            f"time.points: must be between 1 and {MAX_TIME_POINTS}, got {grid.points}"
-        )
-    return grid
+def _time_points(node, path) -> int:
+    points = _integer(node, path)
+    if not 1 <= points <= MAX_TIME_POINTS:
+        raise ScenarioValidationError(f"{path}: must be between 1 and {MAX_TIME_POINTS}, got {points}")
+    return points
+
+
+TIME_FIELDS = (Field("start", _number), Field("stop", _number), Field("points", _time_points))
 
 
 def _parse_observable(node, path) -> ObservableSpec:
     node = _as_mapping(node, path, ("name", "matrix", "label"))
     name = _string(_require(node, "name", path), f"{path}.name")
-    if name == "matrix":
-        matrix = _complex_matrix(_require(node, "matrix", path), f"{path}.matrix")
-        label = _string(node["label"], f"{path}.label") if "label" in node else None
-        return ObservableSpec(name=name, matrix=matrix, label=label)
-    if name not in NAMED_OBSERVABLES:
+    if name != "matrix" and name not in NAMED_OBSERVABLES:
         raise ScenarioParseError(
             f"{path}.name: unknown observable {name!r}; "
             f"expected one of {NAMED_OBSERVABLES} or 'matrix'"
         )
-    if "matrix" in node:
+    if name != "matrix" and "matrix" in node:
         raise ScenarioParseError(f"{path}.matrix: only valid when name is 'matrix'")
+    matrix = _complex_matrix(_require(node, "matrix", path), f"{path}.matrix") if name == "matrix" else None
     label = _string(node["label"], f"{path}.label") if "label" in node else None
-    return ObservableSpec(name=name, label=label)
+    return ObservableSpec(name=name, matrix=matrix, label=label)
 
 
-def _parse_outputs(node) -> OutputsSpec:
-    node = _as_mapping(node, "outputs", ("entropy", "expectations", "populations", "transitions"))
-    transitions = None
-    if node.get("transitions") is not None:
-        tnode = _as_mapping(node["transitions"], "outputs.transitions", ("source", "targets"))
-        source = _integer(_require(tnode, "source", "outputs.transitions"), "outputs.transitions.source")
-        targets = tnode.get("targets", "all")
-        if isinstance(targets, str):
-            if targets != "all":
-                raise ScenarioParseError(
-                    f"outputs.transitions.targets: expected 'all' or an index array, got {targets!r}"
-                )
-        elif isinstance(targets, list) and targets:
-            targets = tuple(
-                _integer(t, f"outputs.transitions.targets[{i}]") for i, t in enumerate(targets)
-            )
-        else:
-            raise ScenarioParseError(
-                "outputs.transitions.targets: expected 'all' or a nonempty index array"
-            )
-        transitions = TransitionsSpec(source=source, targets=targets)
-    return OutputsSpec(
-        entropy=_boolean(node.get("entropy", True), "outputs.entropy"),
-        expectations=_boolean(node.get("expectations", True), "outputs.expectations"),
-        populations=_boolean(node.get("populations", False), "outputs.populations"),
-        transitions=transitions,
-    )
+def _targets(node, path):
+    if node == "all":
+        return node
+    if isinstance(node, str):
+        raise ScenarioParseError(f"{path}: expected 'all' or an index array, got {node!r}")
+    if not isinstance(node, list) or not node:
+        raise ScenarioParseError(f"{path}: expected 'all' or a nonempty index array")
+    return tuple(_integer(t, f"{path}[{i}]") for i, t in enumerate(node))
+
+
+def _transitions(node, path) -> TransitionsSpec | None:
+    if node is None:
+        return None
+    return TransitionsSpec(**_read_fields(node, path, (Field("source", _integer), Field("targets", _targets, "all"))))
+
+
+OUTPUT_FIELDS = (
+    Field("transitions", _transitions, None),
+    Field("entropy", _boolean, True),
+    Field("expectations", _boolean, True),
+    Field("populations", _boolean, False),
+)
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse and validate a scenario document; returns a resolvable spec."""
     try:
-        document = json.loads(text)
+        document = json.loads(text, parse_int=_json_integer)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
@@ -353,16 +436,12 @@ def parse_scenario(text: str) -> ScenarioSpec:
     document = _as_mapping(document, "document", ("system", "initial", "time", "observables", "outputs"))
     system = _parse_system(_require(document, "system", "document"))
     initial = _parse_initial(_require(document, "initial", "document"))
-    time = _parse_time(_require(document, "time", "document"))
-    observables = ()
-    if "observables" in document:
-        if not isinstance(document["observables"], list):
-            raise ScenarioParseError("observables: expected an array")
-        observables = tuple(
-            _parse_observable(entry, f"observables[{i}]")
-            for i, entry in enumerate(document["observables"])
-        )
-    outputs = _parse_outputs(document.get("outputs", {}))
+    time = TimeGridSpec(**_read_fields(_require(document, "time", "document"), "time", TIME_FIELDS))
+    observables = document.get("observables", [])
+    if not isinstance(observables, list):
+        raise ScenarioParseError("observables: expected an array")
+    observables = tuple(_parse_observable(entry, f"observables[{i}]") for i, entry in enumerate(observables))
+    outputs = OutputsSpec(**_read_fields(document.get("outputs", {}), "outputs", OUTPUT_FIELDS))
     spec = ScenarioSpec(system=system, initial=initial, time=time, observables=observables, outputs=outputs)
     resolve_scenario(spec)  # validation: every reference must resolve
     return spec
@@ -378,65 +457,21 @@ def load_scenario(path) -> ScenarioSpec:
 # ---------------------------------------------------------------------------
 
 
-def _complex_out(z: complex):
-    return z.real if z.imag == 0.0 else [z.real, z.imag]
-
-
-def _matrix_out(matrix):
-    return [[_complex_out(z) for z in row] for row in matrix]
-
-
-def scenario_document(spec: ScenarioSpec) -> dict:
-    """Plain JSON-able document equivalent to the spec."""
-    system: dict = {"kind": spec.system.kind}
-    if spec.system.kind == "spin-half":
-        system.update(delta=spec.system.delta, omega=spec.system.omega)
-    elif spec.system.kind == "lattice":
-        system.update(sites=spec.system.sites, length=spec.system.length, mass=spec.system.mass)
-    elif spec.system.kind == "composite":
-        system.update(delta_a=spec.system.delta_a, delta_b=spec.system.delta_b, g=spec.system.g)
-    else:
-        system.update(hamiltonian=_matrix_out(spec.system.hamiltonian))
-
-    if spec.initial.kind == "named":
-        initial = {"state": spec.initial.state}
-        if spec.initial.index is not None:
-            initial["index"] = spec.initial.index
-    elif spec.initial.kind == "amplitudes":
-        initial = {"amplitudes": [_complex_out(z) for z in spec.initial.amplitudes]}
-    else:
-        initial = {"probabilities": list(spec.initial.probabilities)}
-
-    observables = []
-    for obs in spec.observables:
-        entry = {"name": obs.name}
-        if obs.matrix is not None:
-            entry["matrix"] = _matrix_out(obs.matrix)
-        if obs.label is not None:
-            entry["label"] = obs.label
-        observables.append(entry)
-
-    outputs: dict = {
-        "entropy": spec.outputs.entropy,
-        "expectations": spec.outputs.expectations,
-        "populations": spec.outputs.populations,
-    }
-    if spec.outputs.transitions is not None:
-        targets = spec.outputs.transitions.targets
-        outputs["transitions"] = {
-            "source": spec.outputs.transitions.source,
-            "targets": list(targets) if isinstance(targets, tuple) else targets,
-        }
-
-    document = {
-        "system": system,
-        "initial": initial,
-        "time": {"start": spec.time.start, "stop": spec.time.stop, "points": spec.time.points},
-        "outputs": outputs,
-    }
-    if observables:
-        document["observables"] = observables
-    return document
+def scenario_document(value):
+    """Plain JSON-able document equivalent to the spec, or to a value in it: a
+    spec becomes a mapping of its set fields (a system, its kind and
+    parameters), a tuple an array, a complex number a plain real or an
+    [re, im] pair."""
+    if isinstance(value, SystemSpec):
+        return {"kind": value.kind, **{name: scenario_document(v) for name, v in value.params}}
+    if is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {name: scenario_document(v) for name, v in items if v is not None and v != ()}
+    if isinstance(value, tuple):
+        return [scenario_document(v) for v in value]
+    if isinstance(value, complex):
+        return value.real if value.imag == 0.0 else [value.real, value.imag]
+    return value
 
 
 def serialize_scenario(spec: ScenarioSpec) -> str:
@@ -453,8 +488,10 @@ class ResolvedScenario:
     dimension: int
     hamiltonian: np.ndarray
     initial_density: np.ndarray
-    observable_matrices: tuple
-    observable_paths: tuple  # the observables[i] each matrix comes from
+    # ((path, labels, source), ...): the columns between entropy and the
+    # transitions, as the Hermitian matrix of one expectation column or the
+    # Basis whose populations make one column per ket
+    column_sources: tuple
     transition_pairs: tuple  # ((source, target), ...)
     columns: tuple  # the evolve CSV header
     column_paths: tuple  # the field each header name comes from
@@ -462,16 +499,13 @@ class ResolvedScenario:
 
 def _dimension(system: SystemSpec) -> int:
     """Dimension of the system's Hilbert space, read off the spec without building H."""
-    if system.kind == "spin-half":
-        return 2
-    if system.kind == "composite":
-        return 4
-    if system.kind == "lattice":
-        path, dim = "system.sites", system.sites
-    else:
-        path, dim = "system.hamiltonian", len(system.hamiltonian)
+    size = SYSTEM_KINDS[system.kind].dimension
+    if isinstance(size, int):
+        return size
+    value = system[size]
+    dim = value if isinstance(value, int) else len(value)
     if dim > MAX_DIMENSION:
-        raise ScenarioValidationError(f"{path}: dimension {dim} exceeds MAX_DIMENSION = {MAX_DIMENSION}")
+        raise ScenarioValidationError(f"system.{size}: dimension {dim} exceeds MAX_DIMENSION = {MAX_DIMENSION}")
     return dim
 
 
@@ -489,114 +523,63 @@ def _check_grid(points: int, columns: int, dim: int) -> None:
         )
 
 
-def _resolve_hamiltonian(system: SystemSpec) -> np.ndarray:
-    try:
-        if system.kind == "spin-half":
-            return spin_hamiltonian(SpinHalfSystem(delta=system.delta, coupling=system.omega))
-        if system.kind == "lattice":
-            return lattice_hamiltonian(
-                LatticeFreeParticle(sites=system.sites, length=system.length, mass=system.mass)
-            )
-        if system.kind == "composite":
-            return composite_hamiltonian(coupled_spin_pair(system.delta_a, system.delta_b, system.g))
-        return require_hermitian(np.array(system.hamiltonian, dtype=complex), what="system.hamiltonian")
-    except (DomainError, ShapeError) as exc:
-        raise ScenarioValidationError(str(exc)) from exc
-
-
-def _population_labels(system: SystemSpec, dim: int) -> tuple:
-    if system.kind == "spin-half":
-        return ("pop_alpha", "pop_beta")
-    return tuple(f"pop_{i}" for i in range(dim))
+def _named_basis(system: SystemSpec, name: str, dim: int, what: str) -> Basis:
+    """The named basis of the system; ``what`` names the reference in the error when it has none."""
+    if name == "site":
+        return Basis(labels=tuple(range(dim)))
+    build = SYSTEM_KINDS[system.kind].bases.get(name)
+    if build is None:
+        kinds = " or ".join(kind for kind, row in SYSTEM_KINDS.items() if name in row.bases)
+        raise ScenarioValidationError(f"{what} needs a {kinds} system")
+    return build(dict(system.params))
 
 
 def _resolve_initial(spec: ScenarioSpec, dim: int) -> np.ndarray:
     initial = spec.initial
-    if initial.kind == "named":
-        if initial.state in ("alpha", "beta"):
-            if dim != 2:
-                raise ScenarioValidationError(
-                    f"initial.state: {initial.state!r} needs a two-level system, dimension is {dim}"
-                )
-            index = 0 if initial.state == "alpha" else 1
-        elif initial.state == "site":
+    if initial.state is not None:
+        name, index = NAMED_STATES[initial.state]
+        if index is None:
             index = initial.index
-            if not 0 <= index < dim:
-                raise ScenarioValidationError(
-                    f"initial.index: site index {index} out of range for dimension {dim}"
-                )
-        else:  # momentum
-            if spec.system.kind != "lattice":
-                raise ScenarioValidationError("initial.state: 'momentum' needs a lattice system")
-            if not 0 <= initial.index < dim:
-                raise ScenarioValidationError(
-                    f"initial.index: momentum index {initial.index} out of range for dimension {dim}"
-                )
-            lattice = LatticeFreeParticle(
-                sites=spec.system.sites, length=spec.system.length, mass=spec.system.mass
-            )
-            return pure_density(lattice_momentum_basis(lattice)[initial.index])
-        psi = np.zeros(dim, dtype=complex)
-        psi[index] = 1.0
-        return pure_density(psi)
-    if initial.kind == "amplitudes":
-        amplitudes = np.array(initial.amplitudes, dtype=complex)
-        if amplitudes.size != dim:
+        elif dim != 2:  # alpha and beta are the levels of a two-level system
             raise ScenarioValidationError(
-                f"initial.amplitudes: expected {dim} entries, got {amplitudes.size}"
+                f"initial.state: {initial.state!r} needs a two-level system, dimension is {dim}"
             )
-        try:
-            return pure_density(as_pure_state(amplitudes))
-        except (DomainError, ShapeError) as exc:
-            raise ScenarioValidationError(f"initial.amplitudes: {exc}") from exc
-    weights = np.array(initial.probabilities, dtype=float)
-    if weights.size != dim:
-        raise ScenarioValidationError(
-            f"initial.probabilities: expected {dim} entries, got {weights.size}"
-        )
+        basis = _named_basis(spec.system, name, dim, f"initial.state: {initial.state!r}")
+        if not 0 <= index < dim:
+            raise ScenarioValidationError(
+                f"initial.index: {name} index {index} out of range for dimension {dim}"
+            )
+        return pure_density(basis.ket(index))
+    if initial.amplitudes is not None:
+        path, values = "initial.amplitudes", np.array(initial.amplitudes, dtype=complex)
+    else:
+        path, values = "initial.probabilities", np.array(initial.probabilities, dtype=float)
+    if values.size != dim:
+        raise ScenarioValidationError(f"{path}: expected {dim} entries, got {values.size}")
     try:
-        weights = as_probability_vector(weights)
+        if initial.amplitudes is not None:
+            return pure_density(as_pure_state(values))
+        return np.diag(as_probability_vector(values)).astype(complex)
     except (DomainError, ShapeError) as exc:
-        raise ScenarioValidationError(f"initial.probabilities: {exc}") from exc
-    return np.diag(weights).astype(complex)
+        raise ScenarioValidationError(f"{path}: {exc}") from exc
 
 
-def _resolve_observables(spec: ScenarioSpec, dim: int) -> tuple:
-    """(labels, matrices, paths), one entry per expectation column."""
-    labels: list = []
-    matrices: list = []
-    paths: list = []
-    sigma = dict(zip(("sigma_x", "sigma_y", "sigma_z"), pauli()))
+def _resolve_observables(spec: ScenarioSpec, dim: int, h: np.ndarray) -> tuple:
+    """((path, labels, source), ...), one entry per observables[i]; see ResolvedScenario."""
+    entries = []
+    named = {**dict(zip(("sigma_x", "sigma_y", "sigma_z"), pauli())), "energy": h}
     for i, obs in enumerate(spec.observables):
         path = f"observables[{i}]"
-        if obs.name in sigma:
-            if dim != 2:
+        if obs.name in named:
+            if obs.name != "energy" and dim != 2:
                 raise ScenarioValidationError(
                     f"{path}: {obs.name} needs a two-level system, dimension is {dim}"
                 )
-            labels.append(obs.label or obs.name)
-            matrices.append(sigma[obs.name])
-        elif obs.name == "energy":
-            labels.append(obs.label or "energy")
-            matrices.append(None)  # filled with the resolved Hamiltonian
-        elif obs.name == "site_populations":
-            for site in range(dim):
-                proj = np.zeros((dim, dim), dtype=complex)
-                proj[site, site] = 1.0
-                labels.append(f"site_pop_{site}")
-                matrices.append(proj)
-        elif obs.name == "momentum_populations":
-            if spec.system.kind != "lattice":
-                raise ScenarioValidationError(f"{path}: momentum_populations needs a lattice system")
-            lattice = LatticeFreeParticle(
-                sites=spec.system.sites, length=spec.system.length, mass=spec.system.mass
-            )
-            basis = lattice_momentum_basis(lattice)
-            ks = np.arange(-(lattice.sites // 2), (lattice.sites + 1) // 2)
-            for k, row in zip(ks, basis):
-                proj = np.outer(row, row.conj())
-                labels.append(f"mom_pop_{k}")
-                matrices.append((proj + proj.conj().T) / 2.0)  # Hermitian to the last bit
+            entries.append((path, (obs.label or obs.name,), named[obs.name]))
+        elif obs.name in POPULATION_OBSERVABLES:
+            name, prefix = POPULATION_OBSERVABLES[obs.name]
+            basis = _named_basis(spec.system, name, dim, f"{path}: {obs.name}")
+            entries.append((path, tuple(f"{prefix}{label}" for label in basis.labels), basis))
         else:  # explicit matrix
             matrix = np.array(obs.matrix, dtype=complex)
             if matrix.shape != (dim, dim):
@@ -607,21 +590,16 @@ def _resolve_observables(spec: ScenarioSpec, dim: int) -> tuple:
                 matrix = require_hermitian(matrix, what=f"{path}.matrix")
             except DomainError as exc:
                 raise ScenarioValidationError(str(exc)) from exc
-            labels.append(obs.label or f"obs_{i}")
-            matrices.append(matrix)
-        paths.extend([path] * (len(labels) - len(paths)))
-    return tuple(labels), tuple(matrices), tuple(paths)
+            entries.append((path, (obs.label or f"obs_{i}",), matrix))
+    return tuple(entries)
 
 
-def _columns(spec: ScenarioSpec, labels: tuple, paths: tuple, pairs: tuple, dim: int) -> tuple:
+def _columns(spec: ScenarioSpec, sources: tuple, pairs: tuple) -> tuple:
     """(names, paths): the evolve CSV header and the field each name comes from."""
     named = [("t", "time")]
     if spec.outputs.entropy:
         named.append(("entropy", "outputs.entropy"))
-    if spec.outputs.expectations:
-        named.extend(zip(labels, paths))
-    if spec.outputs.populations:
-        named.extend((label, "outputs.populations") for label in _population_labels(spec.system, dim))
+    named.extend((label, path) for path, labels, _ in sources for label in labels)
     named.extend((f"trans_{j}_to_{k}", "outputs.transitions.targets") for j, k in pairs)
     names, column_paths = zip(*named)
     return names, column_paths
@@ -643,10 +621,16 @@ def resolve_scenario(spec: ScenarioSpec) -> ResolvedScenario:
     bound as soon as the evolve header is known.
     """
     dim = _dimension(spec.system)
-    h = _resolve_hamiltonian(spec.system)
+    try:
+        h = SYSTEM_KINDS[spec.system.kind].hamiltonian(dict(spec.system.params))
+    except (DomainError, ShapeError) as exc:
+        raise ScenarioValidationError(str(exc)) from exc
     rho0 = _resolve_initial(spec, dim)
-    labels, matrices, paths = _resolve_observables(spec, dim)
-    matrices = tuple(h if m is None else m for m in matrices)
+    observables = _resolve_observables(spec, dim, h)  # checked whether or not they are written
+    sources = observables if spec.outputs.expectations else ()
+    if spec.outputs.populations:
+        site = Basis(labels=SYSTEM_KINDS[spec.system.kind].levels or tuple(range(dim)))
+        sources += (("outputs.populations", tuple(f"pop_{level}" for level in site.labels), site),)
 
     pairs = ()
     if spec.outputs.transitions is not None:
@@ -667,14 +651,13 @@ def resolve_scenario(spec: ScenarioSpec) -> ResolvedScenario:
                 raise ScenarioValidationError(f"outputs.transitions.targets[{i}]: target {k} is repeated")
         pairs = tuple((source, k) for k in targets)
 
-    columns, column_paths = _columns(spec, labels, paths, pairs, dim)
+    columns, column_paths = _columns(spec, sources, pairs)
     _check_grid(spec.time.points, len(columns), dim)
     return ResolvedScenario(
         dimension=dim,
         hamiltonian=h,
         initial_density=rho0,
-        observable_matrices=matrices,
-        observable_paths=paths,
+        column_sources=sources,
         transition_pairs=pairs,
         columns=columns,
         column_paths=column_paths,
@@ -694,6 +677,16 @@ class ReportCheck:
     passed: bool
 
 
+def write_csv(handle, kind: str, columns, rows) -> None:
+    """Write a versioned banner, the header and a line per row of floats at
+    CSV_DIGITS significant digits to ``handle``, CSV_BLOCK_ROWS lines per write."""
+    number = f"{{:.{CSV_DIGITS}g}}".format
+    handle.write(f"# entrodyn {__version__} {kind}\n{','.join(columns)}\n")
+    lines = (",".join(map(number, row)) + "\n" for row in rows)
+    while block := "".join(itertools.islice(lines, CSV_BLOCK_ROWS)):
+        handle.write(block)
+
+
 @dataclass(frozen=True)
 class EvolutionReport:
     kind: str
@@ -707,11 +700,8 @@ class EvolutionReport:
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    def to_csv(self) -> str:
-        number = f"{{:.{CSV_DIGITS}g}}".format
-        lines = [f"# entrodyn {__version__} {self.kind}", ",".join(self.columns)]
-        lines.extend(",".join(map(number, row.tolist())) for row in self.table)
-        return "\n".join(lines) + "\n"
+    def to_csv(self, handle) -> None:
+        write_csv(handle, self.kind, self.columns, map(np.ndarray.tolist, self.table))
 
     def summary(self) -> dict:
         return {
@@ -721,15 +711,7 @@ class EvolutionReport:
             "columns": list(self.columns),
             "rows": int(self.table.shape[0]),
             "tolerances": self.tolerances,
-            "checks": [
-                {
-                    "name": check.name,
-                    "residual": check.residual,
-                    "tolerance": check.tolerance,
-                    "passed": check.passed,
-                }
-                for check in self.checks
-            ],
+            "checks": [asdict(check) for check in self.checks],
             "passed": self.passed,
         }
 
@@ -810,6 +792,16 @@ def _expectations(
     return _phase_sum((vh @ hermitian @ v).T * rho0, phases, conj_phases).real
 
 
+def _populations(basis: Basis, v: np.ndarray, rho0: np.ndarray, phases: np.ndarray, conj_phases: np.ndarray):
+    """Yield <b|rho(t)|b> over the grid for each ket b of the basis.
+
+    With c = V† b, (V† |b><b| V)ᵀ = outer(c̄, c), so each column is one phase
+    sum and no projector is built.
+    """
+    for row in basis.coefficient_rows(v):
+        yield _phase_sum(np.outer(row, row.conj()) * rho0, phases, conj_phases).real
+
+
 def _transition_probabilities(v: np.ndarray, phases: np.ndarray, pairs: tuple) -> np.ndarray:
     """|u_kj(t)|^2 for every (j, k) in pairs (one source j), u_kj(t) = sum_m V_km P_tm conj(V_jm)."""
     source = pairs[0][0]
@@ -817,6 +809,50 @@ def _transition_probabilities(v: np.ndarray, phases: np.ndarray, pairs: tuple) -
     amplitudes = phases @ (v[source].conj()[:, None] * v[targets].T)
     probabilities = np.abs(amplitudes)
     return np.square(probabilities, out=probabilities)
+
+
+def _frame(spec: ScenarioSpec, require: Callable) -> tuple:
+    """(resolved, V, times, phase table P): what both runs share, from one
+    ``hermitian_eig(H)``. ``require`` rejects a resolved scenario the run
+    cannot use, before H is diagonalised."""
+    resolved = resolve_scenario(spec)
+    require(resolved)
+    w, v = hermitian_eig(resolved.hamiltonian)
+    times = spec.time.values()
+    return resolved, v, times, _phase_table(times, w)
+
+
+def _report(
+    kind: str, spec: ScenarioSpec, columns: tuple, paths: tuple, table: np.ndarray, tolerances: dict, checks: tuple
+) -> EvolutionReport:
+    """The report of a run; a non-finite cell raises NumericalError naming the field of its column."""
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]
+        raise NumericalError(f"{paths[col]}: column {columns[col]!r} is not finite at t = {table[row, 0]:.15g}")
+    return EvolutionReport(
+        kind=kind, columns=columns, table=table, scenario=scenario_document(spec), tolerances=tolerances, checks=checks
+    )
+
+
+def _evolve_columns(spec: ScenarioSpec, resolved: ResolvedScenario, v: np.ndarray, phases: np.ndarray):
+    """Yield the evolve table's columns after t in header order; the transitions come as one block."""
+    vh = v.conj().T
+    conj_phases = phases.conj()
+    rho0 = vh @ resolved.initial_density @ v
+    if spec.outputs.entropy:
+        densities = (rho0 * np.outer(p, p.conj()) for p in phases)
+        if spec.initial.probabilities is not None:
+            yield list(warm_entropies(densities, vh))
+        else:  # a pure state stays rank one, which one cold sweep solves
+            yield [spectrum_entropy(hermitian_eig(v @ rho @ vh).eigenvalues) for rho in densities]
+    for path, _, source in resolved.column_sources:
+        if isinstance(source, Basis):
+            yield from _populations(source, v, rho0, phases, conj_phases)
+        else:
+            yield _expectations(source, v, rho0, phases, conj_phases, path)
+    if resolved.transition_pairs:
+        yield _transition_probabilities(v, phases, resolved.transition_pairs)
 
 
 def run_scenario(spec: ScenarioSpec) -> EvolutionReport:
@@ -830,46 +866,30 @@ def run_scenario(spec: ScenarioSpec) -> EvolutionReport:
     initial state, which stays rank one and needs one sweep from any basis,
     by a cold solve of the site-basis rho(t).
     """
-    resolved = resolve_scenario(spec)
-    _require_distinct_columns(resolved)
-    w, v = hermitian_eig(resolved.hamiltonian)
-    vh = v.conj().T
-    times = spec.time.values()
-    phases = _phase_table(times, w)
-    conj_phases = phases.conj()
-    rho0 = vh @ resolved.initial_density @ v
-
+    resolved, v, times, phases = _frame(spec, _require_distinct_columns)
     table = np.empty((times.size, len(resolved.columns)))
     table[:, 0] = times
     col = 1
-    checks = ()
-    if spec.outputs.entropy:
-        densities = (rho0 * np.outer(p, p.conj()) for p in phases)
-        if spec.initial.kind == "probabilities":
-            table[:, col] = list(warm_entropies(densities, vh))
-        else:  # a pure state stays rank one, which one cold sweep solves
-            table[:, col] = [spectrum_entropy(hermitian_eig(v @ rho @ vh).eigenvalues) for rho in densities]
-        checks = (entropy_constancy(table[:, col]),)
-        col += 1
-    if spec.outputs.expectations:
-        for matrix, path in zip(resolved.observable_matrices, resolved.observable_paths):
-            table[:, col] = _expectations(matrix, v, rho0, phases, conj_phases, path)
-            col += 1
-    if spec.outputs.populations:
-        for row in v:  # X = |i><i|, so (V† X V)ᵀ = outer(row, conj(row))
-            table[:, col] = _phase_sum(np.outer(row, row.conj()) * rho0, phases, conj_phases).real
-            col += 1
-    if resolved.transition_pairs:
-        table[:, col:] = _transition_probabilities(v, phases, resolved.transition_pairs)
+    for block in _evolve_columns(spec, resolved, v, phases):
+        block = np.reshape(block, (times.size, -1))
+        table[:, col : col + block.shape[1]] = block
+        col += block.shape[1]
+    checks = (entropy_constancy(table[:, 1]),) if spec.outputs.entropy else ()
+    tolerances = {"entropy_constancy": ENTROPY_CONSTANCY_TOL}
+    return _report("evolution", spec, resolved.columns, resolved.column_paths, table, tolerances, checks)
 
-    return EvolutionReport(
-        kind="evolution",
-        columns=resolved.columns,
-        table=table,
-        scenario=scenario_document(spec),
-        tolerances={"entropy_constancy": ENTROPY_CONSTANCY_TOL},
-        checks=checks,
-    )
+
+def _require_transitions(resolved: ResolvedScenario) -> None:
+    if not resolved.transition_pairs:
+        raise ScenarioValidationError(
+            "outputs.transitions: required for a perturbation run (source and targets)"
+        )
+    for i, (j, k) in enumerate(resolved.transition_pairs):
+        if j == k:
+            raise ScenarioValidationError(
+                f"outputs.transitions.targets[{i}]: target {k} is the source; "
+                "a first-order transition needs a different target"
+            )
 
 
 def run_perturbation(spec: ScenarioSpec) -> EvolutionReport:
@@ -880,37 +900,12 @@ def run_perturbation(spec: ScenarioSpec) -> EvolutionReport:
     outputs.transitions section naming the source state and targets that
     differ from it.
     """
-    resolved = resolve_scenario(spec)
-    pairs = resolved.transition_pairs
-    if not pairs:
-        raise ScenarioValidationError(
-            "outputs.transitions: required for a perturbation run (source and targets)"
-        )
-    for i, (j, k) in enumerate(pairs):
-        if j == k:
-            raise ScenarioValidationError(
-                f"outputs.transitions.targets[{i}]: target {k} is the source; "
-                "a first-order transition needs a different target"
-            )
-    h = resolved.hamiltonian
-    w, v = hermitian_eig(h)
-    times = spec.time.values()
-
-    columns = ["t"]
-    for j, k in pairs:
-        columns.append(f"exact_{j}_to_{k}")
-        columns.append(f"first_order_{j}_to_{k}")
-
+    resolved, v, times, phases = _frame(spec, _require_transitions)
+    pairs, h = resolved.transition_pairs, resolved.hamiltonian
+    columns = ("t", *(f"{order}_{j}_to_{k}" for j, k in pairs for order in ("exact", "first_order")))
     table = np.empty((times.size, len(columns)))
     table[:, 0] = times
-    table[:, 1::2] = _transition_probabilities(v, _phase_table(times, w), pairs)
+    table[:, 1::2] = _transition_probabilities(v, phases, pairs)
     table[:, 2::2] = np.outer(times**2, [abs(h[k, j]) ** 2 for j, k in pairs])
-
-    return EvolutionReport(
-        kind="perturbation",
-        columns=tuple(columns),
-        table=table,
-        scenario=scenario_document(spec),
-        tolerances={},
-        checks=(),
-    )
+    paths = ("time",) + ("outputs.transitions.targets",) * (len(columns) - 1)
+    return _report("perturbation", spec, columns, paths, table, {}, ())

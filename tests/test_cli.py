@@ -161,6 +161,23 @@ class TestRabiCommand:
         assert code == 2
         assert "points" in err
 
+    @pytest.mark.parametrize("t_max", ["inf", "-inf", "nan"])
+    def test_non_finite_t_max_is_input_error(self, t_max, capsys):
+        code, out, err = run_cli(["rabi", f"--t-max={t_max}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--t-max must be finite" in err
+
+    def test_overflowing_energy_times_t_max_is_input_error(self, capsys):
+        code, out, err = run_cli(["rabi", "--delta", "1e308", "--omega", "1e308"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
+        # the same splitting over a short enough grid is fine
+        code, out, _ = run_cli(["rabi", "--delta", "1e308", "--omega", "1e308", "--t-max", "1e-300"], capsys)
+        assert code == 0
+        assert "nan" not in out
+
 
 class TestBasisCheckCommand:
     def test_passes_up_to_n(self, capsys):

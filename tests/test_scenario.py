@@ -1,12 +1,17 @@
 """Tests for scenario parsing, runs, reports, and round-trips."""
 
+import io
 import json
 import math
+import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrodyn.cli import main as cli_main
 from entrodyn.dynamics import evolve_density
@@ -33,6 +38,13 @@ from entrodyn.scenario import (
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
+
+def _csv(report) -> str:
+    handle = io.StringIO()
+    report.to_csv(handle)
+    return handle.getvalue()
+
+
 SPIN_DOC = """
 {
   "system": {"kind": "spin-half", "delta": 2.0, "omega": 0.0},
@@ -58,7 +70,7 @@ class TestParsing:
         spec = parse_scenario(SPIN_DOC)
         assert isinstance(spec, ScenarioSpec)
         assert spec.system.kind == "spin-half"
-        assert spec.system.delta == 2.0
+        assert spec.system["delta"] == 2.0
         assert spec.initial.state == "alpha"
         assert spec.time.points == 5
 
@@ -242,14 +254,14 @@ class TestRunScenario:
 
     def test_csv_shape_and_header(self):
         report = run_scenario(parse_scenario(SPIN_DOC))
-        lines = report.to_csv().splitlines()
+        lines = _csv(report).splitlines()
         assert lines[0].startswith("# entrodyn ")
         assert lines[1] == ",".join(report.columns)
         assert len(lines) == 2 + report.table.shape[0]
 
     def test_deterministic_csv(self):
         spec = parse_scenario(RABI_DOC)
-        assert run_scenario(spec).to_csv() == run_scenario(spec).to_csv()
+        assert _csv(run_scenario(spec)) == _csv(run_scenario(spec))
 
     def test_summary_reports_checks(self):
         summary = run_scenario(parse_scenario(RABI_DOC)).summary()
@@ -529,7 +541,7 @@ class TestEigenbasisColumns:
         scales = 10.0 ** rng.integers(-300, 300, (4, 3))
         table = np.concatenate([rng.standard_normal((4, 3)) * scales, [[-0.0, 0.0, 1e-320]]])
         report = EvolutionReport("evolution", ("a", "b", "c"), table, {}, {}, ())
-        rows = report.to_csv().splitlines()[2:]
+        rows = _csv(report).splitlines()[2:]
         assert rows == [",".join(format(float(x), ".15g") for x in row) for row in table]
 
 
@@ -609,3 +621,307 @@ class TestWarmStartEntropy:
         # the warm start does not hide the change: it matches cold solves of the same matrices
         cold = [von_neumann_entropy(rho) for rho in _eigenbasis_densities(h, rho0, times, gamma=0.05)]
         assert np.max(np.abs(np.array(dephased) - cold)) <= 1e-12
+
+
+def _populations_document(sites: int) -> dict:
+    return {
+        "system": {"kind": "lattice", "sites": sites, "length": 2 * math.pi, "mass": 1.0},
+        "initial": {"state": "momentum", "index": 1},
+        "time": {"start": 0.0, "stop": 2.0, "points": 2},
+        "observables": [{"name": "momentum_populations"}, {"name": "site_populations"}],
+        "outputs": {"entropy": False, "populations": True},
+    }
+
+
+def _traced_peak(action) -> int:
+    """Peak bytes traced by tracemalloc while ``action()`` runs."""
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBasisPopulations:
+    def test_site_populations_equal_populations_bitwise(self):
+        document = _populations_document(8)
+        document["initial"] = {"probabilities": [0.3, 0.1, 0.2, 0.05, 0.05, 0.1, 0.15, 0.05]}
+        document["time"] = {"start": -1.0, "stop": 3.0, "points": 41}
+        for system in (document["system"], {"kind": "explicit-matrices", "hamiltonian": np.eye(8).tolist()}):
+            document["system"] = system
+            document["observables"] = [{"name": "site_populations"}]
+            report = run_scenario(parse_scenario(json.dumps(document)))
+            for i in range(8):
+                site = report.table[:, report.columns.index(f"site_pop_{i}")]
+                pop = report.table[:, report.columns.index(f"pop_{i}")]
+                assert np.array_equal(site.view(np.int64), pop.view(np.int64))
+
+    def test_momentum_populations_match_projectors(self):
+        spec = parse_scenario(json.dumps(_populations_document(7)))
+        report = run_scenario(spec)
+        resolved = resolve_scenario(spec)
+        w, v = np.linalg.eigh(resolved.hamiltonian)
+        sites = 7
+        waves = np.exp(2j * np.pi * np.outer(np.arange(-3, 4), np.arange(sites)) / sites) / math.sqrt(sites)
+        for i, t in enumerate(spec.time.values()):
+            u = (v * np.exp(-1j * w * t)) @ v.conj().T
+            rho = u @ resolved.initial_density @ u.conj().T
+            for k, wave in zip(range(-3, 4), waves):
+                expected = (wave.conj() @ rho @ wave).real
+                assert abs(report.table[i, report.columns.index(f"mom_pop_{k}")] - expected) <= 1e-13
+
+    def test_largest_lattice_parses_without_projectors(self):
+        """At 128 sites one dense projector per column would hold 256 MB for the two entries."""
+        text = json.dumps(_populations_document(MAX_DIMENSION))
+        assert _traced_peak(lambda: parse_scenario(text)) < 4 * 2**20
+
+
+def _spin_report(points: int) -> EvolutionReport:
+    document = json.loads(RABI_DOC)
+    document["time"]["points"] = points
+    document["observables"] = [{"name": "sigma_x"}, {"name": "sigma_z"}]
+    document["outputs"].update(entropy=False, expectations=True)
+    return run_scenario(parse_scenario(json.dumps(document)))
+
+
+class TestCsvStreaming:
+    def test_large_report_streams_to_file(self, tmp_path):
+        report = _spin_report(10**5)
+        path = tmp_path / "series.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            peak = _traced_peak(lambda: report.to_csv(handle))
+        assert path.stat().st_size > 5 * 2**20
+        assert peak < 2 * 2**20
+
+    def test_file_and_string_outputs_agree(self, tmp_path):
+        report = _spin_report(17)
+        path = tmp_path / "series.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            report.to_csv(handle)
+        assert path.read_text(encoding="utf-8") == _csv(report)
+
+
+def _with_integer(document: dict, digits: int) -> str:
+    """The document as JSON text with the string "HUGE" replaced by an integer of ``digits`` digits."""
+    return json.dumps(document).replace('"HUGE"', "9" * digits)
+
+
+def _spin(**system) -> dict:
+    document = json.loads(SPIN_DOC)
+    document["system"].update(system)
+    return document
+
+
+def _explicit(hamiltonian, **extra) -> dict:
+    document = {
+        "system": {"kind": "explicit-matrices", "hamiltonian": hamiltonian},
+        "initial": {"state": "site", "index": 0},
+        "time": {"start": 0.0, "stop": 1.0, "points": 2},
+    }
+    document.update(extra)
+    return document
+
+
+OVERSIZED = [
+    (_spin(delta="HUGE"), "system.delta"),
+    (_spin(omega="HUGE"), "system.omega"),
+    (_explicit([[1.0, "HUGE"], ["HUGE", 0.0]]), "system.hamiltonian[0][1]"),
+    (_explicit([[["HUGE", 0.0], 0.0], [0.0, 1.0]]), "system.hamiltonian[0][0][0]"),
+    (_explicit([[1.0, 0.0], [0.0, 1.0]], initial={"amplitudes": ["HUGE", 0.0]}), "initial.amplitudes[0]"),
+    (_explicit([[1.0, 0.0], [0.0, 1.0]], initial={"probabilities": [1.0, "HUGE"]}), "initial.probabilities[1]"),
+    (
+        _explicit([[1.0, 0.0], [0.0, 1.0]], observables=[{"name": "matrix", "matrix": [[0.0, 0.0], [0.0, "HUGE"]]}]),
+        "observables[0].matrix[1][1]",
+    ),
+    (_explicit([[1.0, 0.0], [0.0, 1.0]], time={"start": 0.0, "stop": "HUGE", "points": 2}), "time.stop"),
+]
+
+
+class TestOversizedNumbers:
+    @pytest.mark.parametrize("digits", [401, 5001])
+    @pytest.mark.parametrize(("document", "path"), OVERSIZED)
+    def test_rejected_with_field_path(self, document, path, digits, tmp_path):
+        text = _with_integer(document, digits)
+        with pytest.raises(ScenarioParseError, match=rf"^{re.escape(path)}: .*{digits} digits"):
+            parse_scenario(text)
+        (tmp_path / "scenario.json").write_text(text)
+        assert cli_main(["evolve", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "out.csv")]) == 2
+
+    def test_integer_fields_reject_unconvertible_integers(self):
+        document = {
+            "system": {"kind": "lattice", "sites": "HUGE", "length": 1.0, "mass": 1.0},
+            "initial": {"state": "site", "index": 0},
+            "time": {"start": 0.0, "stop": 1.0, "points": 2},
+        }
+        with pytest.raises(ScenarioParseError, match=r"^system.sites: expected an integer, got an integer of 5001"):
+            parse_scenario(_with_integer(document, 5001))
+        # 401 digits still convert, so the dimension bound names them as before
+        with pytest.raises(ScenarioValidationError, match="^system.sites: .*MAX_DIMENSION"):
+            parse_scenario(_with_integer(document, 401))
+
+
+# Spin-half splitting 1e308 over [0, 1e10]: w t overflows, so exp(-i w t) is nan.
+OVERFLOW_DOC = {
+    "system": {"kind": "spin-half", "delta": 1e308, "omega": 0.0},
+    "initial": {"state": "alpha"},
+    "time": {"start": 0.0, "stop": 1e10, "points": 5},
+    "observables": [{"name": "sigma_z"}],
+    "outputs": {"entropy": False, "populations": True, "transitions": {"source": 0, "targets": [1]}},
+}
+
+
+class TestNonFiniteColumns:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        ("runner", "command", "message"),
+        [
+            (run_scenario, "evolve", r"^observables\[0\]: column 'sigma_z' is not finite at t = 2500000000$"),
+            (run_perturbation, "perturb", r"^outputs.transitions.targets: column 'exact_0_to_1' is not finite"),
+        ],
+    )
+    def test_nan_cell_is_numerical_error(self, runner, command, message, tmp_path):
+        spec = parse_scenario(json.dumps(OVERFLOW_DOC))
+        with pytest.raises(NumericalError, match=message):
+            runner(spec)
+        path, summary = tmp_path / "scenario.json", tmp_path / "summary.json"
+        path.write_text(json.dumps(OVERFLOW_DOC))
+        assert cli_main([command, str(path), "--out", str(tmp_path / "out.csv"), "--summary", str(summary)]) == 1
+        assert not summary.exists()
+
+    def test_finite_large_splitting_still_runs(self):
+        document = dict(OVERFLOW_DOC, time={"start": 0.0, "stop": 1.0, "points": 5})
+        report = run_scenario(parse_scenario(json.dumps(document)))
+        assert np.isfinite(report.table).all()
+
+
+def _documents_of_any_kind():
+    """Valid scenario documents of every system kind, with every section filled in."""
+    finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+    positive = st.floats(min_value=1e-3, max_value=1e3)
+    complex_entry = st.one_of(finite, st.lists(finite, min_size=2, max_size=2))
+
+    @st.composite
+    def hermitian(draw, n):
+        rows = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = draw(finite)
+            for j in range(i + 1, n):
+                re, im = draw(finite), draw(finite)
+                rows[i][j], rows[j][i] = [re, im], [re, -im]
+        return rows
+
+    @st.composite
+    def document(draw):
+        kind = draw(st.sampled_from(["spin-half", "lattice", "composite", "explicit-matrices"]))
+        if kind == "spin-half":
+            system, dim = {"delta": draw(finite), "omega": draw(finite)}, 2
+        elif kind == "lattice":
+            dim = draw(st.integers(2, 6))
+            system = {"sites": dim, "length": draw(positive), "mass": draw(positive)}
+        elif kind == "composite":
+            system, dim = {"delta_a": draw(finite), "delta_b": draw(finite), "g": draw(finite)}, 4
+        else:
+            dim = draw(st.integers(1, 4))
+            system = {"hamiltonian": draw(hermitian(dim))}
+        states = ["site"] + ["momentum"] * (kind == "lattice")
+        initial = draw(
+            st.one_of(
+                st.builds(lambda s, i: {"state": s, "index": i}, st.sampled_from(states), st.integers(0, dim - 1)),
+                st.just({"probabilities": [1.0 / dim] * dim}),
+                st.just({"amplitudes": [[0.0, 1.0]] + [0.0] * (dim - 1)}),
+            )
+        )
+        names = ["energy", "site_populations"] + ["momentum_populations"] * (kind == "lattice")
+        names += ["sigma_x", "sigma_y", "sigma_z"] * (dim == 2)
+        observables = draw(st.lists(st.sampled_from(names).map(lambda name: {"name": name}), max_size=3))
+        if draw(st.booleans()):
+            observables.append({"name": "matrix", "matrix": draw(hermitian(dim)), "label": "x"})
+        outputs = {key: draw(st.booleans()) for key in ("entropy", "expectations", "populations")}
+        if draw(st.booleans()):
+            targets = draw(st.one_of(st.just("all"), st.sets(st.integers(0, dim - 1), min_size=1).map(sorted)))
+            outputs["transitions"] = {"source": draw(st.integers(0, dim - 1)), "targets": targets}
+        start = draw(finite)
+        return {
+            "system": {"kind": kind, **system},
+            "initial": initial,
+            "time": {"start": start, "stop": start + draw(positive), "points": draw(st.integers(1, 20))},
+            "observables": observables,
+            "outputs": outputs,
+        }
+
+    return document()
+
+
+def _any_json():
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 10),
+        st.integers(10**300, 10**420),
+        st.floats(),
+        st.text(max_size=6),
+    )
+    return st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+        max_leaves=12,
+    )
+
+
+def _near_documents():
+    """Documents whose sections have the right shape, with fields drawn from any JSON value."""
+    value = _any_json()
+
+    def section(**fields):
+        return st.fixed_dictionaries({}, optional={name: strategy | value for name, strategy in fields.items()})
+
+    number = st.one_of(st.integers(-2, 8), st.floats(), st.integers(10**300, 10**420))
+    matrix = st.lists(st.lists(number | st.lists(number, min_size=2, max_size=2), max_size=3), max_size=3)
+    system = st.one_of(
+        section(kind=st.just("spin-half"), delta=number, omega=number),
+        section(kind=st.just("lattice"), sites=st.integers(-1, 6), length=number, mass=number),
+        section(kind=st.just("composite"), delta_a=number, delta_b=number, g=number),
+        section(kind=st.just("explicit-matrices"), hamiltonian=matrix),
+    )
+    initial = section(
+        state=st.sampled_from(["alpha", "beta", "site", "momentum", "gamma"]),
+        index=st.integers(-1, 6),
+        amplitudes=st.lists(number, max_size=4),
+        probabilities=st.lists(number, max_size=4),
+    )
+    observable = section(
+        name=st.sampled_from(["sigma_x", "energy", "site_populations", "momentum_populations", "matrix", "spin"]),
+        matrix=matrix,
+        label=st.text(max_size=4),
+    )
+    transitions = section(source=st.integers(-1, 6), targets=st.just("all") | st.lists(st.integers(-1, 6), max_size=3))
+    outputs = section(entropy=st.booleans(), expectations=st.booleans(), populations=st.booleans(), transitions=transitions)
+    time = section(start=number, stop=number, points=st.integers(-1, 20))
+    return st.fixed_dictionaries(
+        {},
+        optional={
+            "system": system | value,
+            "initial": initial | value,
+            "time": time | value,
+            "observables": st.lists(observable, max_size=3) | value,
+            "outputs": outputs | value,
+        },
+    )
+
+
+class TestParserProperties:
+    @settings(max_examples=400)
+    @given(st.one_of(_any_json(), _near_documents()))
+    def test_any_json_parses_or_raises_a_scenario_error(self, document):
+        try:
+            spec = parse_scenario(json.dumps(document))
+        except (ScenarioParseError, ScenarioValidationError):
+            return
+        assert isinstance(spec, ScenarioSpec)
+
+    @settings(max_examples=100)
+    @given(_documents_of_any_kind())
+    def test_round_trip_of_every_kind(self, document):
+        spec = parse_scenario(json.dumps(document))
+        assert parse_scenario(serialize_scenario(spec)) == spec
