@@ -18,6 +18,7 @@ from entrodyn import (
     composite_hamiltonian,
     coupled_spin_pair,
     evolve_density,
+    hermitian_eig,
     partial_trace,
     pure_density,
     von_neumann_entropy,
@@ -34,13 +35,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     system = coupled_spin_pair(args.delta, args.delta, args.g)
-    h = composite_hamiltonian(system)
+    spectrum = hermitian_eig(composite_hamiltonian(system))  # diagonalised once for every t
     rho0 = pure_density(np.kron([1.0, 0.0], [1.0, 0.0]).astype(complex))
 
     lines = ["t,global_entropy,subsystem_entropy_a,subsystem_entropy_b"]
     peak = 0.0
     for t in np.linspace(0.0, args.t_max, args.points):
-        rho_t = evolve_density(rho0, h, float(t))
+        rho_t = evolve_density(rho0, spectrum, float(t))
         s_global = von_neumann_entropy(rho_t)
         s_a = von_neumann_entropy(partial_trace(rho_t, 2, 2, "A"))
         s_b = von_neumann_entropy(partial_trace(rho_t, 2, 2, "B"))

@@ -45,14 +45,12 @@ from .ensembles import (
     von_neumann_entropy,
 )
 from .dynamics import (
-    Propagator,
     evolve_density,
     evolve_state,
     expectation,
     heisenberg_observable,
     heisenberg_rhs,
     picture_equivalence,
-    propagator,
     transition_probability_exact,
     transition_probability_first_order,
 )

@@ -169,8 +169,8 @@ def _cmd_rabi(args) -> int:
             file=sys.stderr,
         )
         return EXIT_BAD_INPUT
-    times = np.linspace(0.0, args.t_max, args.points) if args.points > 1 else np.array([0.0])
-    rows = ((t, *rabi_populations(system, t)) for t in times.tolist())
+    times = np.linspace(0.0, args.t_max, args.points)
+    rows = (row.tolist() for row in np.column_stack((times, *rabi_populations(system, times))))
     write_csv(sys.stdout, "rabi", ("t", "pop_alpha", "pop_beta"), rows)
     return EXIT_OK
 
@@ -180,42 +180,27 @@ def _cmd_basis_check(args) -> int:
         print(f"error: --lattice-n must be >= 2, got {args.lattice_n}", file=sys.stderr)
         return EXIT_BAD_INPUT
     print(f"# entrodyn {__version__} basis-check")
+    bases = [("spin-half basis", np.eye(2, dtype=complex))] + [
+        (f"lattice momentum basis n={n}", lattice_momentum_basis(LatticeFreeParticle(sites=n, length=1.0, mass=1.0)))
+        for n in range(2, args.lattice_n + 1)
+    ]
     failures = 0
-
-    spin_basis = np.eye(2, dtype=complex)
-    ortho, completeness = basis_residuals(spin_basis)
-    ok = ortho <= BASIS_RESIDUAL_TOL and completeness <= BASIS_RESIDUAL_TOL
-    failures += not ok
-    print(
-        f"{'PASS' if ok else 'FAIL'} spin-half basis: orthonormality={ortho:.3e} "
-        f"completeness={completeness:.3e} (tolerance {BASIS_RESIDUAL_TOL:.0e})"
-    )
-
-    for n in range(2, args.lattice_n + 1):
-        basis = lattice_momentum_basis(LatticeFreeParticle(sites=n, length=1.0, mass=1.0))
+    for name, basis in bases:
         ortho, completeness = basis_residuals(basis)
         ok = ortho <= BASIS_RESIDUAL_TOL and completeness <= BASIS_RESIDUAL_TOL
         failures += not ok
         print(
-            f"{'PASS' if ok else 'FAIL'} lattice momentum basis n={n}: "
-            f"orthonormality={ortho:.3e} completeness={completeness:.3e} "
-            f"(tolerance {BASIS_RESIDUAL_TOL:.0e})"
+            f"{'PASS' if ok else 'FAIL'} {name}: orthonormality={ortho:.3e} "
+            f"completeness={completeness:.3e} (tolerance {BASIS_RESIDUAL_TOL:.0e})"
         )
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "evolve":
-        return _run_scenario_command(args, run_scenario)
-    if args.command == "perturb":
-        return _run_scenario_command(args, run_perturbation)
-    if args.command == "rabi":
-        return _cmd_rabi(args)
-    return _cmd_basis_check(args)
+    args = _build_parser().parse_args(argv)
+    if args.command in ("evolve", "perturb"):
+        return _run_scenario_command(args, run_scenario if args.command == "evolve" else run_perturbation)
+    return {"verify": _cmd_verify, "rabi": _cmd_rabi, "basis-check": _cmd_basis_check}[args.command](args)
 
 
 if __name__ == "__main__":

@@ -1,30 +1,21 @@
 """Unitary time evolution in both pictures, expectation values, and transitions.
 
-The generator is always a time-independent Hermitian matrix; the propagator
-is U(t) = exp(-i H t) with hbar = 1. States evolve as rho -> U rho U†
-(Schrodinger picture) or observables as x -> U† x U (Heisenberg picture); the
-two pictures agree through trace cyclicity.
+The generator is always a time-independent Hermitian matrix, given as the
+matrix or as its ``hermitian_eig`` spectrum, which a caller evolving under one
+H many times computes once; the propagator is U(t) = exp(-i H t) with hbar = 1.
+States evolve as rho -> U rho U† (Schrodinger picture) or observables as
+x -> U† x U (Heisenberg picture); the two pictures agree through trace cyclicity.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ensembles import as_density_matrix, as_orthonormal_basis, as_pure_state
 from .errors import DomainError, NumericalError, ShapeError
-from .linalg import as_matrix, expm_hermitian, require_hermitian
+from .linalg import EigenDecomposition, as_matrix, hermitian_eig, require_hermitian
 
 EXPECTATION_IMAG_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """Time-evolution operator exp(-i H t) tagged with its time argument."""
-
-    matrix: np.ndarray
-    time: float
 
 
 def _check_dim(dim: int, other: int, what: str) -> None:
@@ -32,15 +23,15 @@ def _check_dim(dim: int, other: int, what: str) -> None:
         raise ShapeError(f"{what}: dimension {other} does not match generator dimension {dim}")
 
 
-def propagator(h, t: float) -> Propagator:
-    """U(t) = exp(-i h t); unitary for Hermitian h."""
-    return Propagator(expm_hermitian(h, t), float(t))
+def _spectrum(h) -> EigenDecomposition:
+    """The generator's spectrum: h itself when it is one, else hermitian_eig(h), which checks Hermiticity."""
+    return h if isinstance(h, EigenDecomposition) else hermitian_eig(h)
 
 
 def evolve_state(psi, h, t: float) -> np.ndarray:
     """psi(t) = U(t) psi(0); preserves the norm."""
     v = as_pure_state(psi)
-    u = expm_hermitian(h, t)
+    u = _spectrum(h).propagator(t)
     _check_dim(u.shape[0], v.shape[0], "state")
     return u @ v
 
@@ -48,7 +39,7 @@ def evolve_state(psi, h, t: float) -> np.ndarray:
 def evolve_density(rho, h, t: float) -> np.ndarray:
     """rho(t) = U rho(0) U†; preserves trace, Hermiticity, spectrum, entropy."""
     r = as_density_matrix(rho, check_psd=False)
-    u = expm_hermitian(h, t)
+    u = _spectrum(h).propagator(t)
     _check_dim(u.shape[0], r.shape[0], "density matrix")
     return u @ r @ u.conj().T
 
@@ -56,7 +47,7 @@ def evolve_density(rho, h, t: float) -> np.ndarray:
 def heisenberg_observable(x0, h, t: float) -> np.ndarray:
     """x(t) = U† x(0) U; unitary conjugation preserves the spectrum."""
     x = require_hermitian(x0, what="observable")
-    u = expm_hermitian(h, t)
+    u = _spectrum(h).propagator(t)
     _check_dim(u.shape[0], x.shape[0], "observable")
     return u.conj().T @ x @ u
 
@@ -80,9 +71,10 @@ def expectation(x, rho) -> float:
 
 
 def picture_equivalence(x0, rho0, h, t: float) -> tuple[float, float]:
-    """(tr{x(0) rho(t)}, tr{x(t) rho(0)}) - equal up to rounding."""
-    schrodinger = expectation(x0, evolve_density(rho0, h, t))
-    heisenberg = expectation(heisenberg_observable(x0, h, t), rho0)
+    """(tr{x(0) rho(t)}, tr{x(t) rho(0)}) - equal up to rounding; h is diagonalised once."""
+    spectrum = _spectrum(h)
+    schrodinger = expectation(x0, evolve_density(rho0, spectrum, t))
+    heisenberg = expectation(heisenberg_observable(x0, spectrum, t), rho0)
     return schrodinger, heisenberg
 
 
@@ -107,7 +99,7 @@ def transition_probability_exact(basis, j: int, k: int, h_prime, t: float) -> fl
     b = as_orthonormal_basis(basis)
     j = _check_index(j, b.shape[0], "source")
     k = _check_index(k, b.shape[0], "target")
-    u = expm_hermitian(h_prime, t)
+    u = _spectrum(h_prime).propagator(t)
     _check_dim(u.shape[0], b.shape[1], "basis")
     amplitude = np.vdot(b[k], u @ b[j])
     return min(1.0, float(abs(amplitude) ** 2))

@@ -9,6 +9,7 @@ inverse energy.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -32,11 +33,23 @@ class EigenDecomposition(NamedTuple):
     rephased so that its largest-magnitude component is real and positive
     (ties broken by lowest index), which makes the output deterministic for a
     fixed input. Inside a degenerate eigenvalue cluster only the spanned
-    subspace is meaningful.
+    subspace is meaningful. ``phases`` and ``propagator`` evaluate exp(-i h t)
+    from the stored spectrum, so h is diagonalised once however many times
+    it is evolved.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def phases(self, times) -> np.ndarray:
+        """P[t, j] = exp(-i w_j t) for each time of a grid (a scalar is a grid of one), built in place."""
+        p = np.outer(times, -1j * self.eigenvalues)
+        return np.exp(p, out=p)
+
+    def propagator(self, t: float) -> np.ndarray:
+        """Unitary U(t) = exp(-i h t) = V diag(exp(-i w t)) V†."""
+        v = self.eigenvectors
+        return (v * self.phases(float(t))) @ v.conj().T
 
 
 def as_matrix(m) -> np.ndarray:
@@ -55,9 +68,16 @@ def _require_square(a: np.ndarray, what: str = "matrix") -> None:
 
 
 def frobenius(m) -> float:
-    """Frobenius norm, as one dot product (np.linalg.norm costs more on small inputs)."""
+    """Frobenius norm, as one dot product (np.linalg.norm costs more on small inputs);
+    of m rescaled by a power of two when that sum of squares overflows or underflows."""
     a = np.asarray(m)
-    return math.sqrt(np.vdot(a, a).real)
+    total = np.vdot(a, a).real
+    if sys.float_info.min <= total <= sys.float_info.max or not a.any():
+        return math.sqrt(total)
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    e = _scale_exponent(a)
+    scaled = np.ldexp(a.view(np.float64), -e)
+    return float(np.ldexp(math.sqrt(np.vdot(scaled, scaled)), e))
 
 
 def identity(n: int) -> np.ndarray:
@@ -257,9 +277,7 @@ def hermitian_eig(h) -> EigenDecomposition:
 
 def expm_hermitian(h, t: float) -> np.ndarray:
     """Unitary exp(-i h t) for Hermitian h, via the eigendecomposition route."""
-    w, v = hermitian_eig(h)
-    phases = np.exp(-1j * w * float(t))
-    return (v * phases) @ v.conj().T
+    return hermitian_eig(h).propagator(t)
 
 
 def expm_oracle(a) -> np.ndarray:

@@ -433,6 +433,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
         raise ScenarioParseError(
             f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
+    except RecursionError:
+        raise ScenarioParseError("invalid JSON: arrays or objects nested too deeply") from None
     document = _as_mapping(document, "document", ("system", "initial", "time", "observables", "outputs"))
     system = _parse_system(_require(document, "system", "document"))
     initial = _parse_initial(_require(document, "initial", "document"))
@@ -448,8 +450,13 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
 
 def load_scenario(path) -> ScenarioSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end].hex()
+        raise ScenarioParseError(f"scenario is not UTF-8 text: {exc.reason} 0x{bad}") from None
+    return parse_scenario(text)
 
 
 # ---------------------------------------------------------------------------
@@ -757,12 +764,6 @@ def warm_entropies(densities, basis):
         yield spectrum_entropy(w)
 
 
-def _phase_table(times: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """P[t, j] = exp(-i w_j t) over the whole grid, built in place."""
-    phases = np.outer(times, -1j * w)
-    return np.exp(phases, out=phases)
-
-
 def _phase_sum(m: np.ndarray, phases: np.ndarray, conj_phases: np.ndarray) -> np.ndarray:
     """sum_jk P_tj m_jk conj(P_tk) for every t; with m = (V† X V)ᵀ ∘ rho(0)' this is tr(X rho(t))."""
     return np.einsum("tk,tk->t", phases @ m, conj_phases)
@@ -817,9 +818,9 @@ def _frame(spec: ScenarioSpec, require: Callable) -> tuple:
     cannot use, before H is diagonalised."""
     resolved = resolve_scenario(spec)
     require(resolved)
-    w, v = hermitian_eig(resolved.hamiltonian)
+    spectrum = hermitian_eig(resolved.hamiltonian)
     times = spec.time.values()
-    return resolved, v, times, _phase_table(times, w)
+    return resolved, spectrum.eigenvectors, times, spectrum.phases(times)
 
 
 def _report(

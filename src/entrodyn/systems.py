@@ -10,7 +10,7 @@ import numpy as np
 from .dynamics import evolve_state
 from .ensembles import as_density_matrix
 from .errors import DomainError, ShapeError
-from .linalg import as_matrix, identity, kron, require_hermitian
+from .linalg import as_matrix, hermitian_eig, identity, kron, require_hermitian
 
 
 def pauli() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -39,15 +39,18 @@ def spin_hamiltonian(system: SpinHalfSystem) -> np.ndarray:
     return (system.delta / 2.0) * sigma_z + (system.coupling / 2.0) * sigma_x
 
 
-def rabi_populations(system: SpinHalfSystem, t: float) -> tuple[float, float]:
-    """Populations (p_alpha, p_beta) at time t for the initial state alpha = (1, 0).
+def rabi_populations(system: SpinHalfSystem, times) -> tuple[np.ndarray, np.ndarray]:
+    """Populations (p_alpha, p_beta) over ``times`` for the initial state alpha = (1, 0).
 
-    Computed by exact evolution under the spin Hamiltonian, not from any
-    closed form.
+    Computed by exact evolution under the spin Hamiltonian, diagonalised once,
+    not from any closed form. Both arrays have the shape of ``times``.
     """
+    spectrum = hermitian_eig(spin_hamiltonian(system))
     alpha = np.array([1.0, 0.0], dtype=np.complex128)
-    psi = evolve_state(alpha, spin_hamiltonian(system), t)
-    return float(abs(psi[0]) ** 2), float(abs(psi[1]) ** 2)
+    populations = np.empty((*np.shape(times), 2))
+    for row, t in zip(populations.reshape(-1, 2), np.ravel(times)):
+        row[:] = [abs(a) ** 2 for a in evolve_state(alpha, spectrum, t)]
+    return populations[..., 0], populations[..., 1]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
+import sys
+
+import pytest
 from hypothesis import HealthCheck, settings
+
+from entrodyn import linalg
 
 settings.register_profile(
     "ci",
@@ -8,3 +13,19 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """A list that gains the input of every hermitian_eig call, whichever entrodyn module makes it."""
+    calls = []
+    original = linalg.hermitian_eig
+
+    def counting(h):
+        calls.append(h)
+        return original(h)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "entrodyn" and getattr(module, "hermitian_eig", None) is original:
+            monkeypatch.setattr(module, "hermitian_eig", counting)
+    return calls

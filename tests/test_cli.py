@@ -115,6 +115,21 @@ class TestEvolveCommand:
         assert code == 2
         assert "invalid JSON" in err
 
+    def test_deeply_nested_document_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 10**5)
+        code, _, err = run_cli(["evolve", str(path)], capsys)
+        assert code == 2
+        assert "nested too deeply" in err
+
+    @pytest.mark.parametrize("command", ["evolve", "perturb"])
+    def test_non_utf8_document_is_input_error(self, command, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff{}")
+        code, _, err = run_cli([command, str(path)], capsys)
+        assert code == 2
+        assert "not UTF-8" in err and "0xff" in err
+
     def test_validation_failure_is_exit_one(self, capsys, tmp_path):
         path = tmp_path / "badprob.json"
         path.write_text(

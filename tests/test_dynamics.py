@@ -12,20 +12,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from entrodyn.dynamics import (
-    Propagator,
     evolve_density,
     evolve_state,
     expectation,
     heisenberg_observable,
     heisenberg_rhs,
     picture_equivalence,
-    propagator,
     transition_probability_exact,
     transition_probability_first_order,
 )
 from entrodyn.ensembles import pure_density, von_neumann_entropy
 from entrodyn.errors import DomainError, ShapeError
-from entrodyn.linalg import frobenius, hermitian_eig, identity
+from entrodyn.linalg import expm_hermitian, frobenius, hermitian_eig, identity
 from entrodyn.sampling import (
     random_density_matrix,
     random_hermitian,
@@ -42,19 +40,72 @@ ALPHA = np.array([1.0, 0.0], dtype=complex)
 
 class TestPropagator:
     def test_zero_time_identity(self):
-        u = propagator(random_hermitian(rng_for(1), 4), 0.0)
-        assert isinstance(u, Propagator)
-        assert u.time == 0.0
-        np.testing.assert_allclose(u.matrix, identity(4), atol=1e-14)
+        h = random_hermitian(rng_for(1), 4)
+        u = hermitian_eig(h).propagator(0.0)
+        np.testing.assert_allclose(u, identity(4), atol=1e-14)
+        np.testing.assert_array_equal(u, expm_hermitian(h, 0.0))
 
     def test_sigma_z_quarter_period(self):
         # eigenphases e^{-i (±1) pi/2} -> diag(-i, i)
-        u = propagator(SZ, np.pi / 2)
-        np.testing.assert_allclose(u.matrix, np.diag([-1j, 1j]), atol=1e-14)
+        u = hermitian_eig(SZ).propagator(np.pi / 2)
+        np.testing.assert_allclose(u, np.diag([-1j, 1j]), atol=1e-14)
 
     def test_unitarity(self):
-        u = propagator(random_hermitian(rng_for(2), 5), 1.3).matrix
+        u = hermitian_eig(random_hermitian(rng_for(2), 5)).propagator(1.3)
         assert frobenius(u.conj().T @ u - identity(5)) <= 1e-9
+
+    def test_phase_rows_build_the_propagator(self):
+        h = random_hermitian(rng_for(5), 6)
+        spectrum = hermitian_eig(h)
+        w, v = spectrum  # still unpacks as (eigenvalues, eigenvectors)
+        times = np.linspace(-2.0, 3.0, 7)
+        phases = spectrum.phases(times)
+        assert phases.shape == (7, 6)
+        np.testing.assert_allclose(phases, np.exp(-1j * np.outer(times, w)), rtol=0, atol=1e-15)
+        for t, row in zip(times, phases):
+            np.testing.assert_array_equal((v * row) @ v.conj().T, spectrum.propagator(t))
+            np.testing.assert_array_equal(spectrum.propagator(t), expm_hermitian(h, t))
+
+
+class TestSpectrumArgument:
+    """Every evolution function takes H or its EigenDecomposition and gives the same bits."""
+
+    def test_matrix_and_spectrum_agree(self):
+        rng = rng_for(41)
+        h, x = random_hermitian(rng, 5), random_hermitian(rng, 5)
+        psi, rho = random_pure_state(rng, 5), random_density_matrix(rng, 5)
+        basis = random_orthonormal_basis(rng, 5)
+        spectrum = hermitian_eig(h)
+        pairs = [
+            (evolve_state(psi, h, 0.9), evolve_state(psi, spectrum, 0.9)),
+            (evolve_density(rho, h, 0.9), evolve_density(rho, spectrum, 0.9)),
+            (heisenberg_observable(x, h, 0.9), heisenberg_observable(x, spectrum, 0.9)),
+            (
+                transition_probability_exact(basis, 0, 3, h, 0.9),
+                transition_probability_exact(basis, 0, 3, spectrum, 0.9),
+            ),
+            (picture_equivalence(x, rho, h, 0.9), picture_equivalence(x, rho, spectrum, 0.9)),
+        ]
+        for from_matrix, from_spectrum in pairs:
+            np.testing.assert_array_equal(from_matrix, from_spectrum)
+
+    def test_spectrum_is_not_diagonalised_again(self, eig_calls):
+        spectrum = hermitian_eig(random_hermitian(rng_for(42), 4))
+        rho = random_density_matrix(rng_for(43), 4)
+        for t in np.linspace(0.0, 1.0, 5):
+            evolve_density(rho, spectrum, t)
+        assert eig_calls == []
+
+    def test_non_hermitian_matrix_still_rejected(self):
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(DomainError):
+            evolve_state(ALPHA, skew, 1.0)
+        with pytest.raises(DomainError):
+            evolve_density(pure_density(ALPHA), skew, 1.0)
+
+    def test_dimension_checked_against_spectrum(self):
+        with pytest.raises(ShapeError):
+            evolve_state(random_pure_state(rng_for(44), 3), hermitian_eig(SZ), 1.0)
 
 
 class TestEvolveState:
@@ -183,6 +234,10 @@ class TestPictureEquivalence:
         a, b = picture_equivalence(SZ, pure_density(ALPHA), (omega / 2) * SX, np.pi / omega)
         assert abs(a + 1.0) <= 1e-9
         assert abs(b + 1.0) <= 1e-9
+
+    def test_diagonalises_once(self, eig_calls):
+        picture_equivalence(SZ, pure_density(ALPHA), 0.5 * SX, 1.0)
+        assert len(eig_calls) == 1
 
     @given(st.integers(0, 2**32 - 1))
     def test_agreement_random(self, seed):

@@ -32,6 +32,7 @@ CASES = {
     "rabi_default": ("rabi",),
     "rabi_detuned": ("rabi", "--delta", "1.3", "--omega", "0.7", "--t-max", "100", "--points", "3000"),
     "basis_check": ("basis-check",),
+    "verify_default": ("verify",),
 }
 
 

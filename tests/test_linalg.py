@@ -238,6 +238,21 @@ class TestHermitianEig:
             hermitian_eig(h)
 
 
+class TestFrobenius:
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scales_match_scaled_reference(self, scale):
+        # the plain sum of squares overflows to inf or underflows to 0 here
+        for unit in (np.ones((2, 2)), (1 + 2j) * np.ones((2, 3)), random_hermitian(rng_for(9), 5)):
+            assert frobenius(scale * unit) / scale == pytest.approx(frobenius(unit), rel=1e-15)
+
+    def test_zero_matrix_is_zero(self):
+        assert frobenius(np.zeros((3, 3), dtype=complex)) == 0.0
+
+    def test_in_range_is_one_dot_product(self):
+        h = random_hermitian(rng_for(10), 7)
+        assert frobenius(h) == np.sqrt(np.vdot(h, h).real)
+
+
 class TestJacobiSchedule:
     @pytest.mark.parametrize("n", range(1, 18))
     def test_sweep_covers_every_pair_once(self, n):

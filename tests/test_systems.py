@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entrodyn.dynamics import evolve_state, propagator
+from entrodyn.dynamics import evolve_state
 from entrodyn.ensembles import (
     basis_residuals,
     pure_density,
@@ -123,6 +123,19 @@ class TestRabiPopulations:
             worst = max(worst, abs(pb - rabi_beta_oracle(delta, omega, float(t))))
         assert worst <= 1e-9
 
+    def test_grid_matches_pointwise_bit_for_bit(self):
+        system = SpinHalfSystem(delta=1.3, coupling=0.7)
+        times = np.linspace(0.0, 100.0, 40)
+        pa, pb = rabi_populations(system, times)
+        assert pa.shape == pb.shape == times.shape
+        for i, t in enumerate(times):
+            np.testing.assert_array_equal((pa[i], pb[i]), rabi_populations(system, float(t)))
+
+    def test_grid_diagonalises_once(self, eig_calls):
+        pa, pb = rabi_populations(SpinHalfSystem(delta=0.4, coupling=1.1), np.linspace(0.0, 50.0, 3000))
+        assert len(eig_calls) == 1
+        assert pa.shape == (3000,) and float(np.max(np.abs(pa + pb - 1.0))) <= 1e-12
+
     @given(st.integers(0, 2**32 - 1))
     def test_populations_sum_to_one(self, seed):
         rng = rng_for(seed)
@@ -218,9 +231,9 @@ class TestCompositeHamiltonian:
     def test_uncoupled_propagator_factorizes(self):
         system = coupled_spin_pair(1.3, 0.7, 0.0)
         t = 2.1
-        u = propagator(composite_hamiltonian(system), t).matrix
-        u1 = propagator(system.h1, t).matrix
-        u2 = propagator(system.h2, t).matrix
+        u = hermitian_eig(composite_hamiltonian(system)).propagator(t)
+        u1 = hermitian_eig(system.h1).propagator(t)
+        u2 = hermitian_eig(system.h2).propagator(t)
         assert frobenius(u - kron(u1, u2)) <= 1e-9
 
     def test_coupled_is_hermitian(self):
