@@ -26,6 +26,8 @@ from .errors import DomainError, NumericalError, ShapeError
 from .invariants import DEFAULT_DIMS, run_invariant_suite
 from .sampling import DEFAULT_SEED
 from .scenario import (
+    MAX_DIMENSION,
+    MAX_GRID_CELLS,
     EvolutionReport,
     ScenarioParseError,
     ScenarioValidationError,
@@ -41,6 +43,7 @@ EXIT_FAILURE = 1
 EXIT_BAD_INPUT = 2
 
 BASIS_RESIDUAL_TOL = 1e-12
+RABI_COLUMNS = ("t", "pop_alpha", "pop_beta")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,6 +127,15 @@ def _cmd_verify(args) -> int:
     except ValueError:
         print(f"error: --dims must be comma-separated integers, got {args.dims!r}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if not dims or not all(2 <= d <= MAX_DIMENSION for d in dims):
+        print(
+            f"error: --dims must lie between 2 and MAX_DIMENSION = {MAX_DIMENSION}, got {args.dims!r}",
+            file=sys.stderr,
+        )
+        return EXIT_BAD_INPUT
+    if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale > 0.0):
+        print(f"error: --tolerance-scale must be finite and positive, got {args.tolerance_scale}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         report = run_invariant_suite(seed=args.seed, dims=dims, tolerance_scale=args.tolerance_scale)
     except ValueError as exc:
@@ -150,8 +162,13 @@ def _run_scenario_command(args, runner) -> int:
 
 
 def _cmd_rabi(args) -> int:
-    if args.points < 1:
-        print(f"error: --points must be >= 1, got {args.points}", file=sys.stderr)
+    max_points = MAX_GRID_CELLS // len(RABI_COLUMNS)
+    if not 1 <= args.points <= max_points:
+        print(
+            f"error: --points must lie between 1 and MAX_GRID_CELLS / {len(RABI_COLUMNS)} = {max_points}, "
+            f"got {args.points}",
+            file=sys.stderr,
+        )
         return EXIT_BAD_INPUT
     if not math.isfinite(args.t_max):
         print(f"error: --t-max must be finite, got {args.t_max}", file=sys.stderr)
@@ -171,13 +188,16 @@ def _cmd_rabi(args) -> int:
         return EXIT_BAD_INPUT
     times = np.linspace(0.0, args.t_max, args.points)
     rows = (row.tolist() for row in np.column_stack((times, *rabi_populations(system, times))))
-    write_csv(sys.stdout, "rabi", ("t", "pop_alpha", "pop_beta"), rows)
+    write_csv(sys.stdout, "rabi", RABI_COLUMNS, rows)
     return EXIT_OK
 
 
 def _cmd_basis_check(args) -> int:
-    if args.lattice_n < 2:
-        print(f"error: --lattice-n must be >= 2, got {args.lattice_n}", file=sys.stderr)
+    if not 2 <= args.lattice_n <= MAX_DIMENSION:
+        print(
+            f"error: --lattice-n must lie between 2 and MAX_DIMENSION = {MAX_DIMENSION}, got {args.lattice_n}",
+            file=sys.stderr,
+        )
         return EXIT_BAD_INPUT
     print(f"# entrodyn {__version__} basis-check")
     bases = [("spin-half basis", np.eye(2, dtype=complex))] + [

@@ -53,6 +53,7 @@ from .sampling import (
     random_real_symmetric,
     rng_for,
 )
+from .scenario import MAX_DIMENSION
 from .systems import (
     LatticeFreeParticle,
     SpinHalfSystem,
@@ -477,12 +478,16 @@ def run_invariant_suite(
     """Run every invariant check with reproducible randomness.
 
     ``tolerance_scale`` multiplies every tolerance (useful when hunting for
-    margins). ``corrupt_evolution`` injects a non-unitary map into the
-    entropy-invariance check as a negative control; the suite must then fail.
+    margins) and must be finite and positive; each dimension in ``dims`` lies
+    between 2 and the scenario layer's MAX_DIMENSION. ``corrupt_evolution``
+    injects a non-unitary map into the entropy-invariance check as a negative
+    control; the suite must then fail.
     """
     dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 2 for d in dims):
-        raise ValueError(f"dims must all be >= 2, got {dims}")
+    if not dims or not all(2 <= d <= MAX_DIMENSION for d in dims):
+        raise ValueError(f"dims must lie between 2 and MAX_DIMENSION = {MAX_DIMENSION}, got {dims}")
+    if not (math.isfinite(tolerance_scale) and tolerance_scale > 0.0):
+        raise ValueError(f"tolerance_scale must be finite and positive, got {tolerance_scale}")
     results = []
     for index, check in enumerate(_CHECKS):
         rng = rng_for(seed, index)

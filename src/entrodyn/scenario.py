@@ -737,31 +737,22 @@ def entropy_constancy(entropies) -> ReportCheck:
     )
 
 
-def _warm_step(rho: np.ndarray, basis: np.ndarray) -> tuple:
-    """(eigenvalues of rho, next basis): one point of ``warm_entropies``, kept
-    apart so that tests can follow the basis.
+def _entropies(rho0: np.ndarray, densities, phases: np.ndarray):
+    """Yield the von Neumann entropy of each rho(t)' in ``densities``, all in H's eigenbasis.
 
-    ``hermitian_eig`` solves A = W† rho W to its usual tolerance, which is
-    relative to ||A||_F = ||rho||_F, so the eigenvalues are an independent
-    measurement of rho's spectrum. W then absorbs the eigenvectors X,
-    W <- W X, so the next A starts nearly diagonal, and one Newton-Schulz
-    step W <- W (3 - W†W) / 2 keeps W unitary to rounding over any number of
-    points.
+    Under unitary evolution rho(t)' = D_t rho(0)' D_t† with D_t = diag(P_t),
+    so if rho(0)' = X0 Λ X0†, W_t = D_t X0 diagonalises rho(t)' exactly:
+    ``rho0`` is solved once, and W_t is built afresh from each phase row, so
+    no error carries from one point to the next. Each point is still solved,
+    starting warm, by ``hermitian_eig`` of A_t = W_t† rho(t)' W_t to its usual
+    tolerance, relative to ||A_t||_F = ||rho(t)||_F, so by Weyl's inequality
+    its eigenvalues measure the spectrum of the rho(t) given, and a rho(t)
+    that is not unitarily related to rho(0) shows in the column.
     """
-    w, x = hermitian_eig(basis.conj().T @ rho @ basis)
-    basis = basis @ x
-    return w, basis @ (1.5 * np.eye(basis.shape[0]) - 0.5 * (basis.conj().T @ basis))
-
-
-def warm_entropies(densities, basis):
-    """Yield the von Neumann entropy of each density matrix in turn.
-
-    Each density is diagonalised in the basis left by the one before
-    (``_warm_step``); ``basis`` is the unitary W for the first density.
-    """
-    for rho in densities:
-        w, basis = _warm_step(rho, basis)
-        yield spectrum_entropy(w)
+    x0 = hermitian_eig(rho0).eigenvectors
+    for rho, p in zip(densities, phases):
+        basis = p[:, None] * x0
+        yield spectrum_entropy(hermitian_eig(basis.conj().T @ rho @ basis).eigenvalues)
 
 
 def _phase_sum(m: np.ndarray, phases: np.ndarray, conj_phases: np.ndarray) -> np.ndarray:
@@ -838,15 +829,10 @@ def _report(
 
 def _evolve_columns(spec: ScenarioSpec, resolved: ResolvedScenario, v: np.ndarray, phases: np.ndarray):
     """Yield the evolve table's columns after t in header order; the transitions come as one block."""
-    vh = v.conj().T
     conj_phases = phases.conj()
-    rho0 = vh @ resolved.initial_density @ v
+    rho0 = v.conj().T @ resolved.initial_density @ v
     if spec.outputs.entropy:
-        densities = (rho0 * np.outer(p, p.conj()) for p in phases)
-        if spec.initial.probabilities is not None:
-            yield list(warm_entropies(densities, vh))
-        else:  # a pure state stays rank one, which one cold sweep solves
-            yield [spectrum_entropy(hermitian_eig(v @ rho @ vh).eigenvalues) for rho in densities]
+        yield list(_entropies(rho0, (rho0 * np.outer(p, p.conj()) for p in phases), phases))
     for path, _, source in resolved.column_sources:
         if isinstance(source, Basis):
             yield from _populations(source, v, rho0, phases, conj_phases)
@@ -863,9 +849,8 @@ def run_scenario(spec: ScenarioSpec) -> EvolutionReport:
     P_tj = exp(-i w_j t) and rho(0)' = V† rho(0) V, rho(t)' = rho(0)' ∘ (p p̄ᵀ)
     for p = P_t. Expectations, populations and transition probabilities are
     computed a column at a time over the whole grid. The entropy column is
-    solved point by point: a mixture through ``warm_entropies``; a pure
-    initial state, which stays rank one and needs one sweep from any basis,
-    by a cold solve of the site-basis rho(t).
+    solved point by point, for every initial state alike, in the basis
+    W_t = diag(P_t) X0 built from rho(0)' = X0 Λ X0† (``_entropies``).
     """
     resolved, v, times, phases = _frame(spec, _require_distinct_columns)
     table = np.empty((times.size, len(resolved.columns)))

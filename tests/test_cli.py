@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from entrodyn.cli import main
+from entrodyn.cli import RABI_COLUMNS, main
 from entrodyn.invariants import run_invariant_suite
+from entrodyn.scenario import MAX_DIMENSION, MAX_GRID_CELLS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -41,6 +43,20 @@ class TestVerify:
         assert code == 2
         assert "dims" in err
 
+    @pytest.mark.parametrize("dims", [str(MAX_DIMENSION + 1), "2,100000000"])
+    def test_dims_above_max_dimension_rejected(self, dims, capsys):
+        code, out, err = run_cli(["verify", "--dims", dims], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--dims" in err and "MAX_DIMENSION" in err
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_meaningless_tolerance_scale_rejected(self, scale, capsys):
+        code, out, err = run_cli(["verify", f"--tolerance-scale={scale}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--tolerance-scale" in err
+
 
 class TestInvariantSuite:
     def test_negative_control_fails_entropy_invariance(self):
@@ -55,6 +71,15 @@ class TestInvariantSuite:
             report = run_invariant_suite(seed=seed, dims=(2, 4))
             verdicts.add(report.passed)
         assert verdicts == {True}
+
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_meaningless_tolerance_scale_raises(self, scale):
+        with pytest.raises(ValueError, match="tolerance_scale"):
+            run_invariant_suite(dims=(2,), tolerance_scale=scale)
+
+    def test_dims_above_max_dimension_raise(self):
+        with pytest.raises(ValueError, match="MAX_DIMENSION"):
+            run_invariant_suite(dims=(2, MAX_DIMENSION + 1))
 
     def test_tolerance_scale_loosens(self):
         report = run_invariant_suite(dims=(2,), tolerance_scale=100.0)
@@ -176,6 +201,16 @@ class TestRabiCommand:
         assert code == 2
         assert "points" in err
 
+    def test_points_over_grid_bound_rejected_before_allocation(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        code, out, err = run_cli(["rabi", "--points", str(MAX_GRID_CELLS // len(RABI_COLUMNS) + 1)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--points" in err and "MAX_GRID_CELLS" in err
+
     @pytest.mark.parametrize("t_max", ["inf", "-inf", "nan"])
     def test_non_finite_t_max_is_input_error(self, t_max, capsys):
         code, out, err = run_cli(["rabi", f"--t-max={t_max}"], capsys)
@@ -205,6 +240,12 @@ class TestBasisCheckCommand:
         code, _, err = run_cli(["basis-check", "--lattice-n", "1"], capsys)
         assert code == 2
         assert "lattice-n" in err
+
+    def test_rejects_n_above_max_dimension(self, capsys):
+        code, out, err = run_cli(["basis-check", "--lattice-n", str(MAX_DIMENSION + 1)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--lattice-n" in err and "MAX_DIMENSION" in err
 
 
 class TestModuleEntryPoint:

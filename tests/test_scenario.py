@@ -32,8 +32,7 @@ from entrodyn.scenario import (
     run_scenario,
     scenario_document,
     serialize_scenario,
-    _warm_step,
-    warm_entropies,
+    _entropies,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -553,35 +552,45 @@ def _mixture(n: int, seed: int = 20260808) -> tuple:
     return (a + a.conj().T) / (2.0 * n**0.5), np.diag(weights / weights.sum()).astype(complex)
 
 
-def _eigenbasis_densities(h, rho0, times, gamma=0.0):
-    """rho(t) in H's eigenbasis, rho(0)' ∘ (p p̄ᵀ), with off-diagonals damped by exp(-gamma t)."""
-    w, v = hermitian_eig(h)
-    rho0p = v.conj().T @ rho0 @ v
-    off = 1.0 - np.eye(h.shape[0])
-    for t in times:
-        p = np.exp(-1j * w * t)
+def _eigenbasis(h, rho0, times, growth=0.0):
+    """(rho(0)', P): rho0 in H's eigenbasis and H's phase table, each row P_t scaled
+    by exp(growth t), so that |P_t| = 1 only when growth is 0."""
+    spectrum = hermitian_eig(h)
+    v = spectrum.eigenvectors
+    return v.conj().T @ rho0 @ v, spectrum.phases(times) * np.exp(growth * times)[:, None]
+
+
+def _eigenbasis_densities(rho0p, phases, times, gamma=0.0):
+    """rho(t)' = rho(0)' ∘ (p p̄ᵀ) for each phase row p, with off-diagonals damped by exp(-gamma t)."""
+    off = 1.0 - np.eye(rho0p.shape[0])
+    for t, p in zip(times, phases):
         yield rho0p * np.outer(p, p.conj()) * np.exp(-gamma * t * off)
+
+
+def _entropy_column(h, rho0, times, gamma=0.0, growth=0.0) -> np.ndarray:
+    """The column ``_entropies`` gives for rho0 under H, dephased by gamma or with growing phases."""
+    rho0p, phases = _eigenbasis(h, rho0, times, growth)
+    return np.array(list(_entropies(rho0p, _eigenbasis_densities(rho0p, phases, times, gamma), phases)))
 
 
 @pytest.fixture(scope="module")
 def long_mixture():
-    """(warm entropies, ||W†W - 1||_F after each point, cold entropies) of a
-    seeded n = 8 mixture over 2000 points."""
+    """(warm entropies, ||W_t†W_t - 1||_F at each point, cold entropies) of a
+    seeded n = 8 mixture over 2000 points; each warm solve starts from
+    W_t = P_t ∘ X0 for rho(0)' = X0 Λ X0†."""
     h, rho0 = _mixture(8)
     times = np.linspace(0.0, 40.0, 2000)
-    w, v = hermitian_eig(h)
+    rho0p, phases = _eigenbasis(h, rho0, times)
+    x0 = hermitian_eig(rho0p).eigenvectors
     eye = np.eye(8)
-    basis = v.conj().T
-    warm, defects = [], []
-    for rho in _eigenbasis_densities(h, rho0, times):
-        spectrum, basis = _warm_step(rho, basis)
-        warm.append(spectrum_entropy(spectrum))
-        defects.append(np.linalg.norm(basis.conj().T @ basis - eye))
+    bases = (p[:, None] * x0 for p in phases)
+    defects = [np.linalg.norm(basis.conj().T @ basis - eye) for basis in bases]
+    w, v = hermitian_eig(h)
     cold = []
     for t in times:
         u = (v * np.exp(-1j * w * t)) @ v.conj().T
         cold.append(von_neumann_entropy(u @ rho0 @ u.conj().T))
-    return np.array(warm), np.array(defects), np.array(cold)
+    return _entropy_column(h, rho0, times), np.array(defects), np.array(cold)
 
 
 class TestWarmStartEntropy:
@@ -591,17 +600,16 @@ class TestWarmStartEntropy:
         resolved = resolve_scenario(spec)
         h, rho0, times = resolved.hamiltonian, resolved.initial_density, spec.time.values()
         cold = [von_neumann_entropy(evolve_density(rho0, h, t)) for t in times]
-        _, v = hermitian_eig(h)
-        warm = list(warm_entropies(_eigenbasis_densities(h, rho0, times), v.conj().T))
-        assert np.max(np.abs(np.array(warm) - cold)) <= 1e-12
-        # the column run_scenario writes: warm for a mixture, cold for a pure state
+        column = _entropy_column(h, rho0, times)
+        assert np.max(np.abs(column - cold)) <= 1e-12
+        # the column run_scenario writes, pure state or mixture, is this helper's
         report = run_scenario(spec)
-        assert np.max(np.abs(report.table[:, report.columns.index("entropy")] - cold)) <= 1e-12
+        np.testing.assert_array_equal(report.table[:, report.columns.index("entropy")], column)
 
     def test_mixture_warm_matches_cold_over_long_grid(self, long_mixture):
-        warm, _, cold = long_mixture
-        assert np.max(np.abs(warm - cold)) <= 1e-12
-        assert entropy_constancy(warm).passed
+        column, _, cold = long_mixture
+        assert np.max(np.abs(column - cold)) <= 1e-12
+        assert entropy_constancy(column).passed
 
     def test_warm_basis_stays_unitary(self, long_mixture):
         _, defects, _ = long_mixture
@@ -610,17 +618,55 @@ class TestWarmStartEntropy:
     def test_dephased_sequence_fails_entropy_constancy(self):
         h, rho0 = _mixture(8)
         times = np.linspace(0.0, 4.0, 200)
-        _, v = hermitian_eig(h)
-        unitary = list(warm_entropies(_eigenbasis_densities(h, rho0, times), v.conj().T))
-        assert entropy_constancy(np.array(unitary)).passed
-        damped = _eigenbasis_densities(h, rho0, times, gamma=0.05)
-        dephased = list(warm_entropies(damped, v.conj().T))
-        check = entropy_constancy(np.array(dephased))
+        assert entropy_constancy(_entropy_column(h, rho0, times)).passed
+        dephased = _entropy_column(h, rho0, times, gamma=0.05)
+        check = entropy_constancy(dephased)
         assert not check.passed
         assert check.residual > 1e3 * check.tolerance
-        # the warm start does not hide the change: it matches cold solves of the same matrices
-        cold = [von_neumann_entropy(rho) for rho in _eigenbasis_densities(h, rho0, times, gamma=0.05)]
-        assert np.max(np.abs(np.array(dephased) - cold)) <= 1e-12
+        # the basis built for unitary evolution does not hide the change: cold solves of the same matrices agree
+        rho0p, phases = _eigenbasis(h, rho0, times)
+        cold = [von_neumann_entropy(rho) for rho in _eigenbasis_densities(rho0p, phases, times, gamma=0.05)]
+        assert np.max(np.abs(dephased - cold)) <= 1e-12
+
+    def test_growing_phases_fail_entropy_constancy(self):
+        h, rho0 = _mixture(8)
+        times = np.linspace(0.0, 4.0, 200)
+        check = entropy_constancy(_entropy_column(h, rho0, times, growth=0.05))
+        assert not check.passed
+        assert check.residual > 1e3 * check.tolerance
+
+    @pytest.mark.parametrize(
+        "sites, length, stop, initial",
+        [
+            # rho(t) moves about 25 rad per step of the grid (spectral width 5053)
+            (32, 1.0, 1.0, "mixture"),
+            (64, 2 * math.pi, 1.0, "site"),
+            (64, 2 * math.pi, 1.0, "mixture"),
+        ],
+    )
+    def test_lattice_matches_lapack(self, sites, length, stop, initial):
+        rng = np.random.default_rng(20260808)
+        if initial == "site":
+            state = {"state": "site", "index": int(rng.integers(sites))}
+        else:
+            weights = rng.standard_exponential(sites)
+            state = {"probabilities": (weights / weights.sum()).tolist()}
+        document = {
+            "system": {"kind": "lattice", "sites": sites, "length": length, "mass": 1.0},
+            "initial": state,
+            "time": {"start": 0.0, "stop": stop, "points": 201},
+            "outputs": {"entropy": True, "expectations": False},
+        }
+        spec = parse_scenario(json.dumps(document))
+        resolved = resolve_scenario(spec)
+        w, v = np.linalg.eigh(resolved.hamiltonian)
+        oracle = []
+        for t in spec.time.values():
+            u = (v * np.exp(-1j * w * t)) @ v.conj().T
+            oracle.append(spectrum_entropy(np.linalg.eigvalsh(u @ resolved.initial_density @ u.conj().T)))
+        report = run_scenario(spec)
+        assert np.max(np.abs(report.table[:, 1] - oracle)) <= 1e-12
+        assert report.passed
 
 
 def _populations_document(sites: int) -> dict:
