@@ -24,8 +24,12 @@ def _check_dim(dim: int, other: int, what: str) -> None:
 
 
 def _spectrum(h) -> EigenDecomposition:
-    """The generator's spectrum: h itself when it is one, else hermitian_eig(h), which checks Hermiticity."""
-    return h if isinstance(h, EigenDecomposition) else hermitian_eig(h)
+    """The generator's spectrum: h itself when it is one, else hermitian_eig(h), which checks
+    Hermiticity. Either way it is one generator: a stack of them raises ShapeError."""
+    spectrum = h if isinstance(h, EigenDecomposition) else hermitian_eig(as_matrix(h))
+    if spectrum.eigenvalues.ndim != 1:
+        raise ShapeError(f"expected one generator, got a stack of {len(spectrum.eigenvalues)}")
+    return spectrum
 
 
 def evolve_state(psi, h, t: float) -> np.ndarray:

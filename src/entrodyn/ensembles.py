@@ -105,17 +105,29 @@ def von_neumann_entropy(rho) -> float:
     return spectrum_entropy(hermitian_eig(r).eigenvalues)
 
 
-def spectrum_entropy(w) -> float:
-    """Shannon entropy in nats of an ascending density-matrix spectrum.
+def spectrum_entropy(w):
+    """Shannon entropy in nats of a density-matrix spectrum, or of each row of a (T, n) stack of them.
 
     Eigenvalues in [EIGENVALUE_CLAMP, 0) count as zero; a lower one raises.
+    A 1-D spectrum gives a float and a stack an array of T entropies. Rows
+    with equally many positive eigenvalues are reduced together, each over
+    its positive eigenvalues in their order, so every row's entropy has the
+    bits of the 1-D call.
     """
-    if w[0] < EIGENVALUE_CLAMP:
-        raise DomainError(
-            f"not a density matrix: eigenvalue {w[0]:.3e} below {EIGENVALUE_CLAMP:g}"
-        )
-    pos = w[w > 0.0]
-    return max(0.0, float(-np.sum(pos * np.log(pos))))
+    w = np.asarray(w, dtype=float)
+    rows = w.reshape(-1, w.shape[-1])
+    smallest = rows.min()
+    if smallest < EIGENVALUE_CLAMP:
+        raise DomainError(f"not a density matrix: eigenvalue {smallest:.3e} below {EIGENVALUE_CLAMP:g}")
+    positive = rows > 0.0
+    counts = positive.sum(axis=1)
+    entropy = np.zeros(len(rows))
+    for count in set(counts.tolist()) - {0}:
+        same = counts == count
+        p = rows[same][positive[same]].reshape(-1, count)
+        entropy[same] = -(p * np.log(p)).sum(axis=1)
+    entropy = np.where(entropy > 0.0, entropy, 0.0)
+    return float(entropy[0]) if w.ndim == 1 else entropy
 
 
 def factor_pure(p, phases) -> np.ndarray:

@@ -8,6 +8,7 @@ inverse energy.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import NamedTuple
@@ -35,21 +36,23 @@ class EigenDecomposition(NamedTuple):
     fixed input. Inside a degenerate eigenvalue cluster only the spanned
     subspace is meaningful. ``phases`` and ``propagator`` evaluate exp(-i h t)
     from the stored spectrum, so h is diagonalised once however many times
-    it is evolved.
+    it is evolved. The decomposition of a stack holds (T, n) eigenvalues and
+    (T, n, n) eigenvectors, and both methods then work member by member.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def phases(self, times) -> np.ndarray:
-        """P[t, j] = exp(-i w_j t) for each time of a grid (a scalar is a grid of one), built in place."""
-        p = np.outer(times, -1j * self.eigenvalues)
+        """P[t, j] = exp(-i w_j t) for each time of a grid (a scalar is a grid of one), built in place;
+        for a stack, one such table per member, shaped (T, times, n)."""
+        p = np.asarray(times).ravel()[:, None] * (-1j * self.eigenvalues)[..., None, :]
         return np.exp(p, out=p)
 
     def propagator(self, t: float) -> np.ndarray:
-        """Unitary U(t) = exp(-i h t) = V diag(exp(-i w t)) V†."""
+        """Unitary U(t) = exp(-i h t) = V diag(exp(-i w t)) V† (one per member of a stack)."""
         v = self.eigenvectors
-        return (v * self.phases(float(t))) @ v.conj().T
+        return (v * self.phases(float(t))) @ v.conj().swapaxes(-1, -2)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -120,19 +123,37 @@ def _scale_exponent(m: np.ndarray) -> int:
     return math.frexp(float(np.abs(m.view(np.float64)).max()))[1]
 
 
-def _check_hermitian(m: np.ndarray, rtol: float, what: str) -> float:
-    """Raise DomainError unless ||m - m†||_F <= rtol * ||m||_F; return ||m||_F.
+def _norms(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack m (a matrix is a stack of one).
 
-    m must already be rescaled by ``_scale_exponent``.
+    Each is one conjugated dot product, the bits of ``frobenius`` for entries
+    whose squares neither overflow nor underflow, as after ``_scale_exponent``.
     """
-    norm = frobenius(m)
-    defect = frobenius(m - m.conj().T)
-    if defect > rtol * norm:
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat).real)
+
+
+def _check_hermitian(m: np.ndarray, rtol: float, what: str) -> np.ndarray:
+    """Raise DomainError unless ||m - m†||_F <= rtol * ||m||_F for each matrix of
+    the stack m; return the norms ||m||_F.
+
+    m must already be rescaled by ``_scale_exponent``, member by member.
+    """
+    norm = _norms(m)
+    defect = _norms(m - m.conj().swapaxes(-1, -2))
+    bad = defect > rtol * norm
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
         raise DomainError(
-            f"{what} is not Hermitian: ||m - m†||_F / ||m||_F = {defect / norm:.3e} "
-            f"exceeds {rtol:g}"
+            f"{_member(what, m.ndim == 3, i)} is not Hermitian: ||m - m†||_F / ||m||_F = "
+            f"{defect.flat[i] / norm.flat[i]:.3e} exceeds {rtol:g}"
         )
     return norm
+
+
+def _member(what: str, stacked: bool, i: int) -> str:
+    """Name member i of a stack in a message; a lone matrix is just ``what``."""
+    return f"{what} (stack member {i})" if stacked else what
 
 
 def require_hermitian(m, *, rtol: float = HERMITICITY_RTOL, what: str = "matrix") -> np.ndarray:
@@ -148,6 +169,7 @@ def require_hermitian(m, *, rtol: float = HERMITICITY_RTOL, what: str = "matrix"
     return m
 
 
+@functools.cache
 def _round_shift(m: int) -> np.ndarray:
     """Slot gather that moves a Brent-Luk tournament table of even m indices on one round.
 
@@ -161,7 +183,9 @@ def _round_shift(m: int) -> np.ndarray:
     shift = list(range(m))
     for here, there in zip(ring, ring[1:] + ring[:1]):
         shift[there] = here
-    return np.array(shift)
+    shift = np.array(shift)
+    shift.flags.writeable = False
+    return shift
 
 
 def jacobi_schedule(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -186,60 +210,146 @@ def jacobi_schedule(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def hermitian_eig(h) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack, by cyclic Jacobi rotations.
+
+    ``h`` is one (n, n) matrix or a (T, n, n) stack; eigenvalues come shaped
+    (n,) or (T, n) and eigenvectors (n, n) or (T, n, n). A matrix is solved
+    as a stack of one, and each member of a stack is solved on its own terms:
+    it is rescaled by a power of two near its own largest entry (so the result
+    is correct at any magnitude of the entries), checked for Hermiticity, and
+    swept until its own off-diagonal Frobenius norm is at most
+    ``JACOBI_OFF_TOL * ||h||_F``, after which it is swept no more. A member
+    still above that after ``JACOBI_MAX_SWEEPS`` sweeps raises
+    ConvergenceError, and one whose spectrum exceeds the float64 range raises
+    DomainError; a message names the failing member of a stack. So every
+    member's bits are those of solving it alone.
 
     A sweep follows ``jacobi_schedule``, the round-robin ordering of Brent &
     Luk (1985): each round annihilates n // 2 disjoint off-diagonal entries
     (p, q), p < q, at once with complex plane rotations, so one sweep still
-    visits every pair exactly once. Sweeping repeats until the off-diagonal
-    Frobenius norm is at most ``JACOBI_OFF_TOL * ||h||_F``, raising
-    ConvergenceError after ``JACOBI_MAX_SWEEPS`` sweeps. The input is first
-    rescaled by a power of two near its largest entry, so the result is
-    correct at any magnitude of the entries. O(n^3) per sweep; intended for
-    the dense, desk-scale matrices this package works with (n <= ~128).
+    visits every pair exactly once; a stack adds a batch axis to the rounds.
+    O(n^3) per sweep and member; intended for the dense, desk-scale matrices
+    this package works with (n <= ~128).
     """
-    h = as_matrix(h)
-    _require_square(h, "eigensolver input")
-    n = h.shape[0]
+    h = np.asarray(h, dtype=np.complex128)
+    stacked = h.ndim == 3
+    if stacked:
+        if 0 in h.shape:
+            raise ShapeError(f"expected a nonempty stack of matrices, got shape {h.shape}")
+        if not np.isfinite(h).all():
+            raise DomainError("matrix entries must be finite")
+        h = np.ascontiguousarray(h)
+    else:
+        h = as_matrix(h)
+    if h.shape[-2] != h.shape[-1]:
+        raise ShapeError(f"eigensolver input must be square, got shape {h.shape}")
+    h = h if stacked else h[None]
+    count, n = h.shape[0], h.shape[-1]
     m = n + n % 2  # odd n gets a phantom zero row and column
-    k = m // 2
-    e = _scale_exponent(h)
-    # Working storage [A; V]: A is the working matrix and V the product of the
-    # rotations so far, both held in the current round's slot layout, where
-    # slots (2i, 2i + 1) hold the round's i-th pair (in either order). A
-    # sweep's m - 1 shifts take the ring once around, so every sweep starts
-    # and ends in the identity layout.
-    s = np.zeros((2 * m, m), dtype=np.complex128)
-    a = s[:m]
-    np.ldexp(h.view(np.float64), -e, out=a[:n, :n].view(np.float64))
-    tol = JACOBI_OFF_TOL * _check_hermitian(a[:n, :n], HERMITICITY_RTOL, "eigensolver input")
-    s[m:].ravel()[:: m + 1] = 1.0
-    flat = a.ravel()
-    diag = flat[:: m + 1]
-    # Row i of this view is flat[1 + i(m + 1) : (i + 1)(m + 1)], the m entries
-    # strictly between two diagonal ones; together they are A's off-diagonal part.
-    off_diag = flat[1:].reshape(m - 1, m + 1)[:, :m]
-    # Entries (2i, 2i), (2i + 1, 2i + 1), (2i, 2i + 1) and (2i + 1, 2i) of A.
-    step = 2 * (m + 1)
-    a_pp = flat[::step].real
-    a_qq = flat[m + 1 :: step].real
-    a_pq = flat[1::step]
-    a_qp = flat[m::step]
-    rows = a.reshape(k, 2, m)  # rows (2i, 2i + 1) of A
-    cols = s.T.reshape(k, 2, 2 * m)  # columns (2i, 2i + 1) of A and V, as rows of the transpose
-    rot = np.empty((k, 2, 2), dtype=np.complex128)
-    rot_diag = rot.reshape(k, 4)[:, ::3]
-    shift = _round_shift(m)
+    # Each member's exponent, as _scale_exponent gives it.
+    e = np.frexp(np.abs(h.view(np.float64)).reshape(count, -1).max(axis=1))[1]
+    s = np.zeros((count, 2 * m, m), dtype=np.complex128)  # [A; V] of each member, as in _Rounds
+    np.ldexp(h.view(np.float64), -e[:, None, None], out=s[:, :n, :n].view(np.float64))
+    scaled = s[:, :n, :n] if stacked else s[0, :n, :n]
+    tol = JACOBI_OFF_TOL * _check_hermitian(scaled, HERMITICITY_RTOL, "eigensolver input").reshape(-1)
+    entries = s.reshape(count, -1)
+    entries[:, m * m :: m + 1] = 1.0  # V = 1
 
+    # The members still sweeping are s[members], held in `work` (a lone
+    # member's rounds run on s[0]): a copy once some are certified, written
+    # back whenever that set shrinks. Rounds are set up at the first sweep.
+    index = np.arange(count)
+    members, work = index, s if stacked else s[0]
+    rounds = None
     sweeps = 0
-    while frobenius(off_diag) > tol:
+    while True:
+        sweeping = _norms(_off_diagonal(work)) > tol
+        if not sweeping.all():
+            if members.size < count:  # work is a copy
+                s[members] = work
+            members, tol = members[sweeping], tol[sweeping]
+            if not members.size:
+                break
+            work, rounds = s[members], None
         if sweeps >= JACOBI_MAX_SWEEPS:
             raise ConvergenceError(
                 f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+                + (f" (stack member {members[0]})" if stacked else "")
             )
-        for _ in range(m - 1):
+        if rounds is None:
+            rounds = _Rounds(work)
+        rounds.sweep()
+        sweeps += 1
+
+    w = entries[:, : (m + 1) * n : m + 1].real
+    order = w.argsort(axis=1, kind="stable")
+    member, columns = index[:, None], np.arange(n)
+    w = w[member, order]
+    # Scaled, |w| <= ||A||_F < 2^(n.bit_length() + 1), so a member can leave
+    # the float64 range only if its exponent e is above this bound.
+    if e.max() > 1023 - n.bit_length():
+        over = np.flatnonzero(e + np.frexp(np.maximum(-w[:, 0], w[:, -1]))[1] > 1024)
+        if over.size:
+            raise DomainError(f"{_member('eigenvalues', stacked, over[0])} exceed the float64 range")
+    w = np.ldexp(w, e[:, None])
+    v = s[member[:, None], m + columns[:, None], order[:, None, :]]
+    # Make each column's largest component (lowest index on ties) real and positive.
+    pivots = v[member[:, None], np.abs(v).argmax(axis=1)[:, None, :], columns]
+    v *= pivots.conj() / np.abs(pivots)
+    return EigenDecomposition(w, v) if stacked else EigenDecomposition(w[0], v[0])
+
+
+def _off_diagonal(s: np.ndarray) -> np.ndarray:
+    """View of A's off-diagonal entries in working storage s = [A; V], (2m, m) or
+    (T, 2m, m): row i holds the m entries of A's flat storage strictly between
+    diagonal entries i and i + 1."""
+    m, batch = s.shape[-1], s.shape[:-2]
+    flat = s[..., :m, :].reshape(batch + (m * m,))
+    return flat[..., 1:].reshape(batch + (m - 1, m + 1))[..., :m]
+
+
+class _Rounds:
+    """Brent-Luk rounds, in place, on the working storage s of one member (2m, m)
+    or of a stack of them (T, 2m, m).
+
+    A member [A; V] holds the working matrix A and the product V of the
+    rotations so far, both in the current round's slot layout, where slots
+    (2j, 2j + 1) hold the round's j-th pair (in either order). A sweep's
+    m - 1 shifts take the ring once around, so every sweep starts and ends in
+    the identity layout. The views below are built once per storage.
+    """
+
+    def __init__(self, s: np.ndarray):
+        m = s.shape[-1]
+        k, batch = m // 2, s.shape[:-2]
+        self.s, self.m = s, m
+        self.entries = s.reshape(batch + (-1,))
+        flat = self.entries[..., : m * m]  # A
+        if m > 2:  # a round's shift moves A's rows and the columns of [A; V] by _round_shift
+            shift = _round_shift(m)
+            self.gather = (np.concatenate([shift, np.arange(m, 2 * m)])[:, None] * m + shift).ravel()
+        # Entries (2j, 2j), (2j + 1, 2j + 1), (2j, 2j + 1) and (2j + 1, 2j) of A.
+        step = 2 * (m + 1)
+        self.a_pp = flat[..., ::step].real
+        self.a_qq = flat[..., m + 1 :: step].real
+        self.a_pq = flat[..., 1::step]
+        self.a_qp = flat[..., m::step]
+        self.rows = flat.reshape(batch + (k, 2, m))  # rows (2j, 2j + 1) of A
+        # Columns (2j, 2j + 1) of A and V, as rows of the transpose.
+        self.cols = s.swapaxes(-1, -2).reshape(batch + (k, 2, 2 * m))
+        self.rot = np.empty(batch + (k, 2, 2), dtype=np.complex128)
+        self.rot_diag = self.rot.reshape(batch + (k, 4))[..., ::3]
+        self.rot_pq, self.rot_qp = self.rot[..., 0, 1], self.rot[..., 1, 0]
+
+    def sweep(self) -> None:
+        """One sweep. A member none of whose pairs is nonzero in a round is left
+        untouched in that round, as a lone solve leaves it."""
+        a_pp, a_qq, a_pq, a_qp = self.a_pp, self.a_qq, self.a_pq, self.a_qp
+        rows, cols, rot, entries = self.rows, self.cols, self.rot, self.entries
+        for _ in range(self.m - 1):
             r = np.abs(a_pq)
-            if r.any():  # else every pair of the round is already zero
+            if r.any():  # else every pair of every member is already zero
+                live = r.any(axis=-1) if r.ndim > 1 else None  # members with a nonzero pair
                 dead = r == 0.0  # a pair that is already zero gets the identity
                 r += dead
                 tau = (a_pp - a_qq) / (r + r)
@@ -249,30 +359,22 @@ def hermitian_eig(h) -> EigenDecomposition:
                 t[dead] = 0.0
                 c = 1.0 / np.hypot(1.0, t)  # 1 / sqrt(1 + t^2)
                 su = t * c * (a_pq / r)  # s times the phase of a_pq
-                # rot[i] = [[c, -s u], [s conj(u), c]] = J_i†, the adjoint of pair i's rotation.
-                rot_diag[...] = c[:, None]
-                np.negative(su, out=rot[:, 0, 1])
-                np.conjugate(su, out=rot[:, 1, 0])
-                rows[...] = rot @ rows  # A <- J† A
-                cols[...] = rot.conj() @ cols  # A <- A J and V <- V J
-                a_pq[...] = 0.0
-                a_qp[...] = 0.0
-            if m > 2:  # for m = 2 the shift changes nothing
-                a[...] = a[shift]
-                s[...] = s[:, shift]
-        sweeps += 1
-
-    w = diag.real[:n]
-    order = w.argsort(kind="stable")
-    w = w[order]
-    if e + math.frexp(max(-w[0], w[-1]))[1] > 1024:
-        raise DomainError("eigenvalues exceed the float64 range")
-    w = np.ldexp(w, e)
-    v = s[m : m + n, order]
-    # Make each column's largest component (lowest index on ties) real and positive.
-    pivots = v[np.abs(v).argmax(axis=0), np.arange(n)]
-    v *= pivots.conj() / np.abs(pivots)
-    return EigenDecomposition(w, v)
+                # rot[..., j, :, :] = [[c, -s u], [s conj(u), c]] = J†, the adjoint of pair j's rotation.
+                self.rot_diag[...] = c[..., None]
+                np.negative(su, out=self.rot_pq)
+                np.conjugate(su, out=self.rot_qp)
+                if live is None or live.all():
+                    rows[...] = rot @ rows  # A <- J† A
+                    cols[...] = rot.conj() @ cols  # A <- A J and V <- V J
+                    a_pq[...] = 0.0
+                    a_qp[...] = 0.0
+                else:  # members without a nonzero pair keep their bits
+                    np.copyto(rows, rot @ rows, where=live[:, None, None, None])
+                    np.copyto(cols, rot.conj() @ cols, where=live[:, None, None, None])
+                    np.copyto(a_pq, 0.0, where=live[:, None])
+                    np.copyto(a_qp, 0.0, where=live[:, None])
+            if self.m > 2:  # for m = 2 the shift changes nothing
+                entries[...] = entries.take(self.gather, axis=-1)
 
 
 def expm_hermitian(h, t: float) -> np.ndarray:

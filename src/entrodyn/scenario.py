@@ -57,6 +57,9 @@ CSV_DIGITS = 15
 # CSV lines joined into one write: a bounded buffer, and few enough writes that
 # an in-memory stream (a redirected stdout) costs no more than one large write
 CSV_BLOCK_ROWS = 64
+# Matrix entries per stacked solve of the entropy column: a block of grid
+# points bounds its working set whatever the grid length (n = 2: 256 points).
+ENTROPY_BLOCK_ENTRIES = 1024
 
 # named initial state -> (the basis it is a ket of, its index there; None when the document gives it)
 NAMED_STATES = {"alpha": ("site", 0), "beta": ("site", 1), "site": ("site", None), "momentum": ("momentum", None)}
@@ -737,22 +740,36 @@ def entropy_constancy(entropies) -> ReportCheck:
     )
 
 
-def _entropies(rho0: np.ndarray, densities, phases: np.ndarray):
-    """Yield the von Neumann entropy of each rho(t)' in ``densities``, all in H's eigenbasis.
+def _entropies(rho0: np.ndarray, phases: np.ndarray, densities: Callable) -> np.ndarray:
+    """The von Neumann entropy of rho(t)' at each grid point, all in H's eigenbasis.
 
     Under unitary evolution rho(t)' = D_t rho(0)' D_t† with D_t = diag(P_t),
     so if rho(0)' = X0 Λ X0†, W_t = D_t X0 diagonalises rho(t)' exactly:
     ``rho0`` is solved once, and W_t is built afresh from each phase row, so
-    no error carries from one point to the next. Each point is still solved,
-    starting warm, by ``hermitian_eig`` of A_t = W_t† rho(t)' W_t to its usual
-    tolerance, relative to ||A_t||_F = ||rho(t)||_F, so by Weyl's inequality
-    its eigenvalues measure the spectrum of the rho(t) given, and a rho(t)
-    that is not unitarily related to rho(0) shows in the column.
+    no error carries from one point to the next. The grid is taken a block
+    of ENTROPY_BLOCK_ENTRIES // n² points (at least one) at a time:
+    ``densities(rows)`` gives rho(t)' for the grid rows ``rows`` (a slice)
+    as a stack, and one stacked ``hermitian_eig`` solves every
+    A_t = W_t† rho(t)' W_t of the block, starting warm, to its usual
+    tolerance relative to ||A_t||_F = ||rho(t)||_F, each member as if alone.
+    So by Weyl's inequality each point's eigenvalues measure the spectrum of
+    the rho(t) given, a rho(t) that is not unitarily related to rho(0) shows
+    in the column, and the working set stays bounded whatever the grid length.
     """
     x0 = hermitian_eig(rho0).eigenvectors
-    for rho, p in zip(densities, phases):
-        basis = p[:, None] * x0
-        yield spectrum_entropy(hermitian_eig(basis.conj().T @ rho @ basis).eigenvalues)
+    block = max(1, ENTROPY_BLOCK_ENTRIES // x0.size)
+    entropies = np.empty(len(phases))
+    for start in range(0, len(phases), block):
+        rows = slice(start, start + block)
+        basis = phases[rows, :, None] * x0
+        a = basis.conj().swapaxes(1, 2) @ densities(rows) @ basis
+        entropies[rows] = spectrum_entropy(hermitian_eig(a).eigenvalues)
+    return entropies
+
+
+def _evolved(rho0: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """rho(t)' = rho(0)' ∘ (p p̄ᵀ) for each phase row p, as a stack."""
+    return rho0 * (phases[:, :, None] * phases.conj()[:, None, :])
 
 
 def _phase_sum(m: np.ndarray, phases: np.ndarray, conj_phases: np.ndarray) -> np.ndarray:
@@ -832,7 +849,7 @@ def _evolve_columns(spec: ScenarioSpec, resolved: ResolvedScenario, v: np.ndarra
     conj_phases = phases.conj()
     rho0 = v.conj().T @ resolved.initial_density @ v
     if spec.outputs.entropy:
-        yield list(_entropies(rho0, (rho0 * np.outer(p, p.conj()) for p in phases), phases))
+        yield _entropies(rho0, phases, lambda rows: _evolved(rho0, phases[rows]))
     for path, _, source in resolved.column_sources:
         if isinstance(source, Basis):
             yield from _populations(source, v, rho0, phases, conj_phases)
@@ -849,8 +866,9 @@ def run_scenario(spec: ScenarioSpec) -> EvolutionReport:
     P_tj = exp(-i w_j t) and rho(0)' = V† rho(0) V, rho(t)' = rho(0)' ∘ (p p̄ᵀ)
     for p = P_t. Expectations, populations and transition probabilities are
     computed a column at a time over the whole grid. The entropy column is
-    solved point by point, for every initial state alike, in the basis
-    W_t = diag(P_t) X0 built from rho(0)' = X0 Λ X0† (``_entropies``).
+    certified for every initial state alike in the basis W_t = diag(P_t) X0
+    built from rho(0)' = X0 Λ X0†, by one stacked ``hermitian_eig`` per block
+    of grid points (``_entropies``).
     """
     resolved, v, times, phases = _frame(spec, _require_distinct_columns)
     table = np.empty((times.size, len(resolved.columns)))

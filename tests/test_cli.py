@@ -3,13 +3,16 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entrodyn.cli import RABI_COLUMNS, main
+from entrodyn import invariants
 from entrodyn.invariants import run_invariant_suite
+from entrodyn.sampling import rng_for
 from entrodyn.scenario import MAX_DIMENSION, MAX_GRID_CELLS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -80,6 +83,17 @@ class TestInvariantSuite:
     def test_dims_above_max_dimension_raise(self):
         with pytest.raises(ValueError, match="MAX_DIMENSION"):
             run_invariant_suite(dims=(2, MAX_DIMENSION + 1))
+
+    def test_kron_trace_product_allocation_is_bounded(self):
+        # the whole (dim^2 x dim^2) product at dim = MAX_DIMENSION would be a 4 GiB array
+        tracemalloc.start()
+        try:
+            result = invariants._check_kron_trace(rng_for(0, 2), (MAX_DIMENSION,), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak < 512 * 2**20
 
     def test_tolerance_scale_loosens(self):
         report = run_invariant_suite(dims=(2,), tolerance_scale=100.0)

@@ -103,6 +103,16 @@ class TestSpectrumArgument:
         with pytest.raises(DomainError):
             evolve_density(pure_density(ALPHA), skew, 1.0)
 
+    def test_stack_of_generators_rejected(self):
+        stack = np.stack([SZ, SX])
+        for generator in (stack, hermitian_eig(stack)):
+            with pytest.raises(ShapeError):
+                evolve_state(ALPHA, generator, 1.0)
+            with pytest.raises(ShapeError):
+                evolve_density(pure_density(ALPHA), generator, 1.0)
+            with pytest.raises(ShapeError):
+                heisenberg_observable(SZ, generator, 1.0)
+
     def test_dimension_checked_against_spectrum(self):
         with pytest.raises(ShapeError):
             evolve_state(random_pure_state(rng_for(44), 3), hermitian_eig(SZ), 1.0)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from entrodyn.ensembles import (
+    EIGENVALUE_CLAMP,
     as_density_matrix,
     as_orthonormal_basis,
     as_probability_vector,
@@ -17,6 +18,7 @@ from entrodyn.ensembles import (
     mixture_density,
     pure_density,
     shannon_entropy,
+    spectrum_entropy,
     von_neumann_entropy,
 )
 from entrodyn.errors import DomainError, ShapeError
@@ -120,6 +122,53 @@ class TestVonNeumannEntropy:
         joint = kron(rho_a, rho_b)
         split = von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b)
         assert abs(von_neumann_entropy(joint) - split) <= 1e-9
+
+
+def _sum_of_positive_terms(w) -> float:
+    """-sum p ln p over the positive entries of w, in order, clamped at zero: the 1-D definition."""
+    pos = w[w > 0.0]
+    return max(0.0, float(-np.sum(pos * np.log(pos))))
+
+
+def _spectra(rng, n: int, count: int) -> np.ndarray:
+    """Ascending spectra of n-level states: mixtures, rank-deficient ones, and pure
+    states whose zero eigenvalues come out of a solver as tiny signed values."""
+    rows = []
+    for i in range(count):
+        w = rng.standard_exponential(n)
+        w /= w.sum()
+        if i % 3 == 1:
+            w = rng.standard_normal(n) * 1e-17
+            w[-1] = 1.0
+        if i % 3 == 2:
+            w[: rng.integers(0, n)] = 0.0
+        rows.append(np.sort(w))
+    return np.array(rows)
+
+
+class TestSpectrumEntropy:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 64, 129])
+    def test_rows_match_one_dimensional_calls(self, n):
+        spectra = _spectra(rng_for(41, n), n, 30)
+        stacked = spectrum_entropy(spectra)
+        assert stacked.shape == (30,)
+        for row, value in zip(spectra, stacked):
+            single = spectrum_entropy(row)
+            assert isinstance(single, float)
+            assert value.tobytes() == np.float64(single).tobytes()
+            assert single == _sum_of_positive_terms(row)
+
+    def test_unsorted_spectrum_uses_every_positive_eigenvalue(self):
+        w = np.array([0.5, 0.0, 0.2, 0.3])
+        assert spectrum_entropy(w) == _sum_of_positive_terms(w)
+
+    def test_row_below_clamp_raises(self):
+        spectra = _spectra(rng_for(42), 4, 5)
+        spectra[3, 0] = 2.0 * EIGENVALUE_CLAMP
+        with pytest.raises(DomainError, match="not a density matrix"):
+            spectrum_entropy(spectra)
+        spectra[3, 0] = EIGENVALUE_CLAMP  # counts as zero
+        assert spectrum_entropy(spectra)[3] == _sum_of_positive_terms(spectra[3])
 
 
 class TestFactorPure:

@@ -238,6 +238,128 @@ class TestHermitianEig:
             hermitian_eig(h)
 
 
+def _assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint8), np.ascontiguousarray(want).view(np.uint8))
+
+
+def _assert_stack_matches_solo(stack):
+    """Each member of a stacked solve has the bits of solving it alone."""
+    w, v = hermitian_eig(stack)
+    assert w.shape == stack.shape[:2] and v.shape == stack.shape
+    for i, h in enumerate(stack):
+        w_solo, v_solo = hermitian_eig(h)
+        _assert_bits_equal(w[i], w_solo)
+        _assert_bits_equal(v[i], v_solo)
+
+
+def _sweep_sizes(monkeypatch) -> list:
+    """Record the number of members each Jacobi sweep works on."""
+    sizes = []
+    sweep = linalg._Rounds.sweep
+
+    def recording(self):
+        sizes.append(len(self.s))
+        sweep(self)
+
+    monkeypatch.setattr(linalg._Rounds, "sweep", recording)
+    return sizes
+
+
+class TestStackedHermitianEig:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_gue_stack_matches_solo(self, n):
+        # odd n pads a phantom index; member magnitudes spread over 1e±150
+        rng = rng_for(31, n)
+        scales = 10.0 ** rng.uniform(-150.0, 150.0, 8)
+        _assert_stack_matches_solo(np.stack([random_hermitian(rng, n) * scale for scale in scales]))
+
+    def test_degenerate_lattice_stack_matches_solo(self):
+        h = lattice_hamiltonian(LatticeFreeParticle(64, 2 * np.pi, 1.0))
+        _assert_stack_matches_solo(np.stack([h, -2.0**-600 * h, random_hermitian(rng_for(32), 64)]))
+
+    def test_certified_members_are_not_swept(self, monkeypatch):
+        rng = rng_for(33)
+        members = []
+        for i in range(9):
+            h = random_hermitian(rng, 9)
+            if i % 3 == 0:  # already diagonal: certified with 0 sweeps
+                h = np.diag(np.diag(h))
+            if i % 3 == 1:  # block-diagonal: some rounds have no nonzero pair
+                h[:4, 4:] = 0.0
+                h[4:, :4] = 0.0
+            members.append(h)
+        stack = np.stack(members)
+        sizes = _sweep_sizes(monkeypatch)
+        w, v = hermitian_eig(stack)
+        assert sizes[0] == 6 and sizes == sorted(sizes, reverse=True)
+        for i in range(0, 9, 3):
+            _assert_bits_equal(w[i], np.sort(np.diag(stack[i]).real))
+            _assert_bits_equal(v[i], np.eye(9, dtype=complex)[:, np.argsort(np.diag(stack[i]).real, kind="stable")])
+        _assert_stack_matches_solo(stack)
+
+    def test_sparse_members_with_signed_zeros_match_solo(self):
+        # a member whose pairs are all zero in a round is left as a lone solve leaves it;
+        # rotating it by the identity could flip the sign of its zeros
+        rng = rng_for(36)
+        for _ in range(30):
+            n = int(rng.integers(3, 9))
+            members = []
+            for _ in range(4):
+                mask = rng.random((n, n)) < rng.uniform(0.05, 0.5)
+                h = np.where(mask, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 0.0)
+                h = h + h.conj().T
+                h[(h == 0) & (rng.random((n, n)) < 0.5)] = complex(-0.0, -0.0)
+                members.append(h)
+            _assert_stack_matches_solo(np.stack(members))
+
+    def test_stack_of_diagonal_members_needs_no_sweep(self, monkeypatch):
+        sizes = _sweep_sizes(monkeypatch)
+        w, _ = hermitian_eig(np.stack([np.diag([2.0, 1.0]), np.diag([0.0, -3.0])]).astype(complex))
+        assert sizes == []
+        np.testing.assert_array_equal(w, [[1.0, 2.0], [-3.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", ["non_hermitian", "nan", "inf"])
+    def test_bad_member_raises_domain_error(self, bad):
+        stack = np.stack([random_hermitian(rng_for(34, i), 4) for i in range(3)])
+        if bad == "non_hermitian":
+            stack[2, 0, 3] += 1.0
+        else:
+            stack[1, 2, 2] = float(bad)
+        with pytest.raises(DomainError, match="stack member 2" if bad == "non_hermitian" else "finite"):
+            hermitian_eig(stack)
+
+    def test_member_beyond_float64_rejected(self):
+        stack = np.stack([np.eye(2), 1e308 * np.ones((2, 2))]).astype(complex)
+        with pytest.raises(DomainError, match="stack member 1"):
+            hermitian_eig(stack)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (0, 2, 2), (2, 0, 0), (2, 2, 2, 2)])
+    def test_malformed_stack_raises_shape_error(self, shape):
+        with pytest.raises(ShapeError):
+            hermitian_eig(np.zeros(shape, dtype=complex))
+
+    def test_sweep_budget_names_the_member(self, monkeypatch):
+        stack = np.stack([np.diag([1.0, 2.0]).astype(complex), SX])
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+        with pytest.raises(ConvergenceError, match="stack member 1"):
+            hermitian_eig(stack)
+
+    def test_phases_and_propagator_per_member(self):
+        stack = np.stack([random_hermitian(rng_for(35, i), 5) for i in range(3)])
+        times = np.linspace(0.0, 2.0, 7)
+        spectra = hermitian_eig(stack)
+        phases = spectra.phases(times)
+        assert phases.shape == (3, 7, 5)
+        u = spectra.propagator(0.7)
+        assert u.shape == (3, 5, 5)
+        for i, h in enumerate(stack):
+            solo = hermitian_eig(h)
+            _assert_bits_equal(phases[i], solo.phases(times))
+            _assert_bits_equal(u[i], solo.propagator(0.7))
+            _assert_bits_equal(u[i], expm_hermitian(h, 0.7))
+
+
 class TestFrobenius:
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_scales_match_scaled_reference(self, scale):

@@ -33,6 +33,7 @@ from entrodyn.scenario import (
     scenario_document,
     serialize_scenario,
     _entropies,
+    _evolved,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -561,23 +562,29 @@ def _eigenbasis(h, rho0, times, growth=0.0):
 
 
 def _eigenbasis_densities(rho0p, phases, times, gamma=0.0):
-    """rho(t)' = rho(0)' ∘ (p p̄ᵀ) for each phase row p, with off-diagonals damped by exp(-gamma t)."""
+    """rows -> the stack of rho(t)' = rho(0)' ∘ (p p̄ᵀ) for the phase rows p of those
+    grid rows, with off-diagonals damped by exp(-gamma t)."""
     off = 1.0 - np.eye(rho0p.shape[0])
-    for t, p in zip(times, phases):
-        yield rho0p * np.outer(p, p.conj()) * np.exp(-gamma * t * off)
+
+    def densities(rows):
+        p = phases[rows]
+        return rho0p * (p[:, :, None] * p.conj()[:, None, :]) * np.exp(-gamma * times[rows, None, None] * off)
+
+    return densities
 
 
 def _entropy_column(h, rho0, times, gamma=0.0, growth=0.0) -> np.ndarray:
     """The column ``_entropies`` gives for rho0 under H, dephased by gamma or with growing phases."""
     rho0p, phases = _eigenbasis(h, rho0, times, growth)
-    return np.array(list(_entropies(rho0p, _eigenbasis_densities(rho0p, phases, times, gamma), phases)))
+    return _entropies(rho0p, phases, _eigenbasis_densities(rho0p, phases, times, gamma))
 
 
 @pytest.fixture(scope="module")
 def long_mixture():
     """(warm entropies, ||W_t†W_t - 1||_F at each point, cold entropies) of a
     seeded n = 8 mixture over 2000 points; each warm solve starts from
-    W_t = P_t ∘ X0 for rho(0)' = X0 Λ X0†."""
+    W_t = P_t ∘ X0 for rho(0)' = X0 Λ X0†, and the cold ones are one stacked
+    solve of the site-basis rho(t)."""
     h, rho0 = _mixture(8)
     times = np.linspace(0.0, 40.0, 2000)
     rho0p, phases = _eigenbasis(h, rho0, times)
@@ -586,11 +593,9 @@ def long_mixture():
     bases = (p[:, None] * x0 for p in phases)
     defects = [np.linalg.norm(basis.conj().T @ basis - eye) for basis in bases]
     w, v = hermitian_eig(h)
-    cold = []
-    for t in times:
-        u = (v * np.exp(-1j * w * t)) @ v.conj().T
-        cold.append(von_neumann_entropy(u @ rho0 @ u.conj().T))
-    return _entropy_column(h, rho0, times), np.array(defects), np.array(cold)
+    u = (v * np.exp(-1j * np.multiply.outer(times, w))[:, None, :]) @ v.conj().T
+    cold = spectrum_entropy(hermitian_eig(u @ rho0 @ u.conj().swapaxes(1, 2)).eigenvalues)
+    return _entropy_column(h, rho0, times), np.array(defects), cold
 
 
 class TestWarmStartEntropy:
@@ -625,7 +630,7 @@ class TestWarmStartEntropy:
         assert check.residual > 1e3 * check.tolerance
         # the basis built for unitary evolution does not hide the change: cold solves of the same matrices agree
         rho0p, phases = _eigenbasis(h, rho0, times)
-        cold = [von_neumann_entropy(rho) for rho in _eigenbasis_densities(rho0p, phases, times, gamma=0.05)]
+        cold = [von_neumann_entropy(rho) for rho in _eigenbasis_densities(rho0p, phases, times, gamma=0.05)(slice(None))]
         assert np.max(np.abs(dephased - cold)) <= 1e-12
 
     def test_growing_phases_fail_entropy_constancy(self):
@@ -667,6 +672,32 @@ class TestWarmStartEntropy:
         report = run_scenario(spec)
         assert np.max(np.abs(report.table[:, 1] - oracle)) <= 1e-12
         assert report.passed
+
+
+def _lattice_mixture_frame(points: int) -> tuple:
+    """(rho(0)', P) of a seeded 64-site lattice mixture over a grid of ``points``."""
+    weights = np.random.default_rng(20260808).standard_exponential(64)
+    document = {
+        "system": {"kind": "lattice", "sites": 64, "length": 2 * math.pi, "mass": 1.0},
+        "initial": {"probabilities": (weights / weights.sum()).tolist()},
+        "time": {"start": 0.0, "stop": 1.0, "points": points},
+        "outputs": {"entropy": True, "expectations": False},
+    }
+    spec = parse_scenario(json.dumps(document))
+    resolved = resolve_scenario(spec)
+    return _eigenbasis(resolved.hamiltonian, resolved.initial_density, spec.time.values())
+
+
+class TestEntropyWorkingSet:
+    def test_peak_does_not_grow_with_the_grid(self):
+        # blocks bound the working set: a longer grid may add no more than its T x n phase
+        # table and its output; a (T, n, n) stack of the 2001-point grid alone would be 131 MB
+        peaks = {}
+        for points in (201, 2001):
+            rho0p, phases = _lattice_mixture_frame(points)
+            peaks[points] = _traced_peak(lambda: _entropies(rho0p, phases, lambda rows: _evolved(rho0p, phases[rows])))
+        assert peaks[2001] - peaks[201] <= (2001 - 201) * (phases.itemsize * 64 + 8)
+        assert peaks[201] < 4 * 2**20
 
 
 def _populations_document(sites: int) -> dict:
