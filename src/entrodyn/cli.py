@@ -175,20 +175,21 @@ def _cmd_rabi(args) -> int:
         return EXIT_BAD_INPUT
     try:
         system = SpinHalfSystem(delta=args.delta, coupling=args.omega)
+        # H's eigenvalues are ±hypot(delta, omega)/2; the phases exp(-iwt) need w t finite
+        energy = math.hypot(args.delta / 2.0, args.omega / 2.0)
+        if not math.isfinite(energy * args.t_max):
+            print(
+                f"error: energy {energy:.3e} times --t-max {args.t_max:.3e} overflows; shorten the grid",
+                file=sys.stderr,
+            )
+            return EXIT_BAD_INPUT
+        times = np.linspace(0.0, args.t_max, args.points)
+        # the computed eigenvalues can exceed that estimate by a rounding, and phases then raise
+        populations = rabi_populations(system, times)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    # H's eigenvalues are ±hypot(delta, omega)/2; the phases exp(-iwt) need w t finite
-    energy = math.hypot(args.delta / 2.0, args.omega / 2.0)
-    if not math.isfinite(energy * args.t_max):
-        print(
-            f"error: energy {energy:.3e} times --t-max {args.t_max:.3e} overflows; shorten the grid",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_INPUT
-    times = np.linspace(0.0, args.t_max, args.points)
-    rows = (row.tolist() for row in np.column_stack((times, *rabi_populations(system, times))))
-    write_csv(sys.stdout, "rabi", RABI_COLUMNS, rows)
+    write_csv(sys.stdout, "rabi", RABI_COLUMNS, np.column_stack((times, *populations)))
     return EXIT_OK
 
 

@@ -45,8 +45,18 @@ class EigenDecomposition(NamedTuple):
 
     def phases(self, times) -> np.ndarray:
         """P[t, j] = exp(-i w_j t) for each time of a grid (a scalar is a grid of one), built in place;
-        for a stack, one such table per member, shaped (T, times, n)."""
-        p = np.asarray(times).ravel()[:, None] * (-1j * self.eigenvalues)[..., None, :]
+        for a stack, one such table per member, shaped (T, times, n). Raises DomainError when
+        some w_j t is not finite (t infinite or NaN, or the product overflowing): exp(-i h t)
+        is undefined there, and a NaN phase would only spread silently through every product."""
+        t = np.asarray(times).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = t[:, None] * (-1j * self.eigenvalues)[..., None, :]
+        if not np.isfinite(p).all():
+            first = np.argwhere(~np.isfinite(p))[0][-2]
+            raise DomainError(
+                f"w t is not finite at t = {float(t[first])!r} "
+                f"(largest |w| = {np.abs(self.eigenvalues).max():.3e}); exp(-i h t) is undefined there"
+            )
         return np.exp(p, out=p)
 
     def propagator(self, t: float) -> np.ndarray:

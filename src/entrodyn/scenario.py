@@ -17,7 +17,6 @@ byte-identical CSV and summary output.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import namedtuple
@@ -687,14 +686,19 @@ class ReportCheck:
     passed: bool
 
 
-def write_csv(handle, kind: str, columns, rows) -> None:
-    """Write a versioned banner, the header and a line per row of floats at
-    CSV_DIGITS significant digits to ``handle``, CSV_BLOCK_ROWS lines per write."""
-    number = f"{{:.{CSV_DIGITS}g}}".format
+def write_csv(handle, kind: str, columns, table: np.ndarray) -> None:
+    """Write a versioned banner, the header and one line per row of the float ``table``
+    to ``handle``, each value at CSV_DIGITS significant digits.
+
+    Lines go out CSV_BLOCK_ROWS at a time, and each block is one %-format of a
+    template repeated per row: ``%.15g`` and ``"{:.15g}".format`` print a float
+    through the same routine, so the text is that of formatting value by value.
+    """
     handle.write(f"# entrodyn {__version__} {kind}\n{','.join(columns)}\n")
-    lines = (",".join(map(number, row)) + "\n" for row in rows)
-    while block := "".join(itertools.islice(lines, CSV_BLOCK_ROWS)):
-        handle.write(block)
+    line = ",".join([f"%.{CSV_DIGITS}g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        block = table[start : start + CSV_BLOCK_ROWS]
+        handle.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -711,7 +715,7 @@ class EvolutionReport:
         return all(check.passed for check in self.checks)
 
     def to_csv(self, handle) -> None:
-        write_csv(handle, self.kind, self.columns, map(np.ndarray.tolist, self.table))
+        write_csv(handle, self.kind, self.columns, self.table)
 
     def summary(self) -> dict:
         return {
@@ -828,7 +832,23 @@ def _frame(spec: ScenarioSpec, require: Callable) -> tuple:
     require(resolved)
     spectrum = hermitian_eig(resolved.hamiltonian)
     times = spec.time.values()
-    return resolved, spectrum.eigenvectors, times, spectrum.phases(times)
+    return resolved, spectrum.eigenvectors, times, _grid_phases(spectrum, times)
+
+
+def _grid_phases(spectrum, times: np.ndarray) -> np.ndarray:
+    """The grid's phase table, with a NaN row wherever some w_j t is not finite.
+
+    ``phases`` refuses such a time; here every cell of its row comes out
+    non-finite, so ``_report`` names the first one by field path and time, as
+    it names any other non-finite cell.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        defined = np.isfinite(np.multiply.outer(times, spectrum.eigenvalues)).all(axis=1)
+    if defined.all():
+        return spectrum.phases(times)
+    phases = np.full((times.size, spectrum.eigenvalues.size), np.nan, dtype=np.complex128)
+    phases[defined] = spectrum.phases(times[defined])
+    return phases
 
 
 def _report(

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and the invariant suite."""
 
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -12,8 +13,10 @@ import pytest
 from entrodyn.cli import RABI_COLUMNS, main
 from entrodyn import invariants
 from entrodyn.invariants import run_invariant_suite
+from entrodyn.linalg import hermitian_eig
 from entrodyn.sampling import rng_for
 from entrodyn.scenario import MAX_DIMENSION, MAX_GRID_CELLS
+from entrodyn.systems import SpinHalfSystem, spin_hamiltonian
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -241,6 +244,19 @@ class TestRabiCommand:
         code, out, _ = run_cli(["rabi", "--delta", "1e308", "--omega", "1e308", "--t-max", "1e-300"], capsys)
         assert code == 0
         assert "nan" not in out
+
+    def test_overflow_past_the_energy_estimate_is_input_error(self, capsys):
+        """hypot(delta, omega)/2 times --t-max is finite here, but the computed eigenvalue is one
+        rounding larger and its w t overflows: the phases refuse it, and no NaN row is printed."""
+        delta, omega, t_max = 2.739233746429086, -4.604265724722594, 6.710956892516743e307
+        w = float(np.abs(hermitian_eig(spin_hamiltonian(SpinHalfSystem(delta, omega))).eigenvalues).max())
+        assert math.isfinite(math.hypot(delta / 2.0, omega / 2.0) * t_max) and not math.isfinite(w * t_max)
+        code, out, err = run_cli(
+            ["rabi", "--delta", str(delta), "--omega", str(omega), "--t-max", str(t_max), "--points", "3"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "w t is not finite" in err
 
 
 class TestBasisCheckCommand:

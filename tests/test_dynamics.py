@@ -6,6 +6,8 @@ for any Pauli axis n, which gives spin precession and the flip probability
 sin^2 in closed form.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -116,6 +118,34 @@ class TestSpectrumArgument:
     def test_dimension_checked_against_spectrum(self):
         with pytest.raises(ShapeError):
             evolve_state(random_pure_state(rng_for(44), 3), hermitian_eig(SZ), 1.0)
+
+
+# times at which exp(-i H t) is undefined: t itself is not finite, or w t overflows
+NON_FINITE_TIMES = [(SZ, np.inf), (SZ, -np.inf), (SZ, np.nan), (1e300 * SZ, 1e10)]
+
+
+class TestNonFiniteTimes:
+    """A time with some w t not finite raises DomainError, without a RuntimeWarning, instead of
+    returning NaN entries (or, for a transition probability, min(1.0, nan) = 1.0)."""
+
+    @pytest.mark.parametrize(("h", "t"), NON_FINITE_TIMES)
+    def test_every_evolution_raises(self, h, t):
+        evolutions = [
+            lambda: evolve_state(ALPHA, h, t),
+            lambda: evolve_density(pure_density(ALPHA), h, t),
+            lambda: heisenberg_observable(SX, h, t),
+            lambda: picture_equivalence(SX, pure_density(ALPHA), h, t),
+            lambda: transition_probability_exact(np.eye(2), 0, 1, h, t),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for evolve in evolutions:
+                with pytest.raises(DomainError, match="w t is not finite"):
+                    evolve()
+
+    def test_largest_finite_product_still_evolves(self):
+        psi = evolve_state(ALPHA, 2.0 * SZ, np.finfo(float).max / 2.0)
+        assert np.isfinite(psi).all() and abs(np.vdot(psi, psi).real - 1.0) <= 1e-12
 
 
 class TestEvolveState:

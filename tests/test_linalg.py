@@ -5,6 +5,8 @@ route) and against direct reconstruction residuals; the two matrix
 exponential routes cross-check each other.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -423,6 +425,29 @@ class TestExpmHermitian:
         lhs = expm_hermitian(h, t) @ expm_hermitian(h, s)
         rhs = expm_hermitian(h, t + s)
         assert frobenius(lhs - rhs) <= 1e-9
+
+    @pytest.mark.parametrize(("h", "t"), [(SZ, np.inf), (SZ, -np.inf), (SZ, np.nan), (1e300 * SZ, 1e10)])
+    def test_non_finite_time_raises(self, h, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="w t is not finite"):
+                expm_hermitian(h, t)
+
+
+class TestPhaseTable:
+    def test_names_the_first_time_without_a_phase(self):
+        spectrum = hermitian_eig(1e300 * SZ)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=r"at t = 200000000\.0 "):
+                spectrum.phases([0.0, 1.0, 2e8, 1e10])
+            with pytest.raises(DomainError, match="at t = nan"):
+                hermitian_eig(np.stack([SZ, SX])).phases([0.0, np.nan])
+
+    def test_zero_eigenvalue_at_infinite_time_raises(self):
+        # 0 * inf is NaN: no phase is defined there either
+        with pytest.raises(DomainError):
+            hermitian_eig(np.zeros((2, 2))).phases(np.inf)
 
 
 class TestExpmOracle:

@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entrodyn import __version__
 from entrodyn.cli import main as cli_main
 from entrodyn.dynamics import evolve_density
 from entrodyn.ensembles import spectrum_entropy, von_neumann_entropy
 from entrodyn.errors import NumericalError
 from entrodyn.linalg import hermitian_eig
 from entrodyn.scenario import (
+    CSV_BLOCK_ROWS,
     MAX_DIMENSION,
     EvolutionReport,
     ScenarioParseError,
@@ -32,6 +34,7 @@ from entrodyn.scenario import (
     run_scenario,
     scenario_document,
     serialize_scenario,
+    write_csv,
     _entropies,
     _evolved,
 )
@@ -777,6 +780,56 @@ class TestCsvStreaming:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             report.to_csv(handle)
         assert path.read_text(encoding="utf-8") == _csv(report)
+
+
+# floats whose %.15g text is easy to get wrong: signed zeros, the subnormal and float64 extremes,
+# both sides of the g style's exponent switch points and integral values
+CSV_EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e-5, 9.999999999999999e-06, 1.0000000000000001e-05, 1e-4,
+    1e15, 999999999999999.0, 999999999999999.9, 1e16, 9999999999999998.0, 1.0000000000000002e16,
+    1.0, -3.0, 2.0**53, 123456789012345.0, -1234567890123456.0, 0.1, 1 / 3,
+]
+
+
+def _value_by_value(kind: str, columns, table: np.ndarray) -> str:
+    """The CSV text with every value formatted by "{:.15g}".format on its own: write_csv's reference."""
+    rows = "".join(",".join(map("{:.15g}".format, row)) + "\n" for row in table.tolist())
+    return f"# entrodyn {__version__} {kind}\n{','.join(columns)}\n" + rows
+
+
+class _RecordingHandle(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+class TestCsvFormatting:
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("width", [1, 3, 193])
+    def test_bytes_equal_value_by_value_formatting(self, rows, width):
+        rng = np.random.default_rng(1000 * rows + width)
+        table = np.empty((rows, width))
+        cells = table.reshape(-1)
+        cells[0::3] = np.resize(CSV_EDGE_VALUES, cells[0::3].size)
+        cells[1::3] = rng.standard_normal(cells[1::3].size) * 10.0 ** rng.integers(-7, 18, cells[1::3].size)
+        # random bit patterns: every exponent, subnormals, infinities and NaNs
+        cells[2::3] = rng.integers(0, 2**64, cells[2::3].size, dtype=np.uint64).view(np.float64)
+        columns = [f"c{i}" for i in range(width)]
+        handle = _RecordingHandle()
+        write_csv(handle, "evolution", columns, table)
+        assert handle.getvalue() == _value_by_value("evolution", columns, table)
+        lines_per_write = [block.count("\n") for block in handle.writes[1:]]
+        assert lines_per_write == [min(CSV_BLOCK_ROWS, rows - start) for start in range(0, rows, CSV_BLOCK_ROWS)]
+
+    def test_empty_table_writes_the_header_only(self):
+        handle = io.StringIO()
+        write_csv(handle, "rabi", ("t", "pop_alpha", "pop_beta"), np.empty((0, 3)))
+        assert handle.getvalue() == f"# entrodyn {__version__} rabi\nt,pop_alpha,pop_beta\n"
 
 
 def _with_integer(document: dict, digits: int) -> str:

@@ -12,6 +12,8 @@ The coupled-pair demo admits the same reduction on the {aa, bb} subspace
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from entrodyn.errors import DomainError, ShapeError
 from entrodyn.linalg import frobenius, hermitian_eig, identity, kron, partial_trace
 from entrodyn.sampling import random_density_matrix, rng_for
 from entrodyn.systems import (
+    RABI_BLOCK_POINTS,
     CompositeSystem,
     LatticeFreeParticle,
     SpinHalfSystem,
@@ -142,6 +145,62 @@ class TestRabiPopulations:
         system = SpinHalfSystem(delta=float(rng.uniform(-3, 3)), coupling=float(rng.uniform(-3, 3)))
         pa, pb = rabi_populations(system, float(rng.uniform(0, 20)))
         assert abs(pa + pb - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        ("delta", "times"),
+        [(1.0, np.inf), (1.0, np.nan), (1.0, [0.0, 1.0, -np.inf]), (1e300, np.linspace(0.0, 1e10, 600))],
+    )
+    def test_non_finite_time_raises(self, delta, times):
+        system = SpinHalfSystem(delta=delta, coupling=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="w t is not finite"):
+                rabi_populations(system, times)
+
+    def test_blocked_grid_equals_pointwise_route_bit_for_bit(self):
+        """Blocked stacked propagators against evolve_state point by point, compared as int64
+        views so that signed zeros count: seeded grids, δ = 0, Ω = 0, both signs of δ, a scalar,
+        a 2-D array, an empty grid and grids spanning several blocks."""
+        cases = [
+            (SpinHalfSystem(0.0, 1.0), 2.5),
+            (SpinHalfSystem(1.7, 0.0), np.linspace(0.0, 40.0, 3 * RABI_BLOCK_POINTS + 5).reshape(-1, 1)),
+            (SpinHalfSystem(-2.0, 0.3), np.linspace(-5.0, 5.0, 60).reshape(6, 10)),
+            (SpinHalfSystem(0.4, 1.1), np.empty(0)),
+            (SpinHalfSystem(0.0, 0.0), np.linspace(0.0, 1.0, 7)),
+        ]
+        for seed in range(40):
+            rng = rng_for(seed)
+            delta, omega = rng.uniform(-5.0, 5.0, size=2)
+            delta = 0.0 if seed % 8 == 0 else -abs(delta) if seed % 8 == 1 else delta
+            omega = 0.0 if seed % 8 == 2 else omega
+            points = int(rng.integers(1, 3 * RABI_BLOCK_POINTS))
+            cases.append((SpinHalfSystem(delta, omega), np.linspace(0.0, 10.0 ** rng.uniform(-2.0, 3.0), points)))
+        for system, times in cases:
+            for got, want in zip(rabi_populations(system, times), _pointwise_populations(system, times)):
+                assert got.shape == np.shape(times)
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_working_set_is_one_block(self):
+        """At 10**5 points the peak stays within a constant of the (T, 2) populations it returns,
+        so no whole-grid propagator stack (6.4 MB here) is ever built."""
+        times = np.linspace(0.0, 50.0, 10**5)
+        tracemalloc.start()
+        try:
+            pa, pb = rabi_populations(SpinHalfSystem(delta=0.4, coupling=1.1), times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= pa.nbytes + pb.nbytes + 256 * 2**10
+
+
+def _pointwise_populations(system: SpinHalfSystem, times) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle of rabi_populations: U(t) alpha from evolve_state at each point, squared by scalar abs."""
+    spectrum = hermitian_eig(spin_hamiltonian(system))
+    alpha = np.array([1.0, 0.0], dtype=np.complex128)
+    populations = np.empty((*np.shape(times), 2))
+    for row, t in zip(populations.reshape(-1, 2), np.ravel(times)):
+        row[:] = [abs(a) ** 2 for a in evolve_state(alpha, spectrum, t)]
+    return populations[..., 0], populations[..., 1]
 
 
 class TestLattice:
