@@ -45,10 +45,10 @@ class EigenDecomposition(NamedTuple):
 
     def phases(self, times) -> np.ndarray:
         """P[t, j] = exp(-i w_j t) for each time of a grid (a scalar is a grid of one), built in place;
-        for a stack, one such table per member, shaped (T, times, n). Raises DomainError when
-        some w_j t is not finite (t infinite or NaN, or the product overflowing): exp(-i h t)
-        is undefined there, and a NaN phase would only spread silently through every product."""
-        t = np.asarray(times).ravel()
+        for a stack, one such table per member, shaped (T, times, n). Raises DomainError when some
+        w_j t is not finite (t infinite, NaN or past float64's range, or the product overflowing):
+        exp(-i h t) is undefined there, and a NaN phase would only spread silently through every product."""
+        t = _float_times(times).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
             p = t[:, None] * (-1j * self.eigenvalues)[..., None, :]
         if not np.isfinite(p).all():
@@ -62,7 +62,16 @@ class EigenDecomposition(NamedTuple):
     def propagator(self, t: float) -> np.ndarray:
         """Unitary U(t) = exp(-i h t) = V diag(exp(-i w t)) V† (one per member of a stack)."""
         v = self.eigenvectors
-        return (v * self.phases(float(t))) @ v.conj().swapaxes(-1, -2)
+        return (v * self.phases(float(_float_times(t)))) @ v.conj().swapaxes(-1, -2)
+
+
+def _float_times(times) -> np.ndarray:
+    """``times`` as float64 (a finite time keeps its bits); DomainError for a number beyond float64's range."""
+    try:
+        return np.asarray(times, dtype=np.float64)
+    except OverflowError:
+        huge = next((x for x in np.ravel(np.array(times, dtype=object)) if abs(x) > sys.float_info.max), times)
+        raise DomainError(f"t = {huge} lies beyond the float64 range; exp(-i h t) is undefined there") from None
 
 
 def as_matrix(m) -> np.ndarray:

@@ -752,19 +752,22 @@ def _entropies(rho0: np.ndarray, phases: np.ndarray, densities: Callable) -> np.
     ``rho0`` is solved once, and W_t is built afresh from each phase row, so
     no error carries from one point to the next. The grid is taken a block
     of ENTROPY_BLOCK_ENTRIES // n² points (at least one) at a time:
-    ``densities(rows)`` gives rho(t)' for the grid rows ``rows`` (a slice)
+    ``densities(rows)`` gives rho(t)' for the grid rows ``rows`` (indices)
     as a stack, and one stacked ``hermitian_eig`` solves every
     A_t = W_t† rho(t)' W_t of the block, starting warm, to its usual
     tolerance relative to ||A_t||_F = ||rho(t)||_F, each member as if alone.
     So by Weyl's inequality each point's eigenvalues measure the spectrum of
     the rho(t) given, a rho(t) that is not unitarily related to rho(0) shows
     in the column, and the working set stays bounded whatever the grid length.
+    A row with no phases (NaN, from ``_grid_phases``) is left NaN and never
+    reaches the eigensolver, so ``_report`` names the column and its time.
     """
     x0 = hermitian_eig(rho0).eigenvectors
     block = max(1, ENTROPY_BLOCK_ENTRIES // x0.size)
-    entropies = np.empty(len(phases))
-    for start in range(0, len(phases), block):
-        rows = slice(start, start + block)
+    defined = np.flatnonzero(np.isfinite(phases).all(axis=1))
+    entropies = np.full(len(phases), np.nan)
+    for start in range(0, defined.size, block):
+        rows = defined[start : start + block]
         basis = phases[rows, :, None] * x0
         a = basis.conj().swapaxes(1, 2) @ densities(rows) @ basis
         entropies[rows] = spectrum_entropy(hermitian_eig(a).eigenvalues)

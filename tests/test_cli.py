@@ -14,7 +14,7 @@ from entrodyn.cli import RABI_COLUMNS, main
 from entrodyn import invariants
 from entrodyn.invariants import run_invariant_suite
 from entrodyn.linalg import hermitian_eig
-from entrodyn.sampling import rng_for
+from entrodyn.sampling import DEFAULT_SEED, rng_for
 from entrodyn.scenario import MAX_DIMENSION, MAX_GRID_CELLS
 from entrodyn.systems import SpinHalfSystem, spin_hamiltonian
 
@@ -102,6 +102,40 @@ class TestInvariantSuite:
         report = run_invariant_suite(dims=(2,), tolerance_scale=100.0)
         assert all(r.tolerance >= 0.0 for r in report.results)
         assert report.passed
+
+    @pytest.mark.parametrize("index", range(len(invariants._CHECKS)))
+    def test_draw_labels_are_distinct(self, index):
+        draws = invariants._CHECKS[index].__wrapped__(rng_for(DEFAULT_SEED, index), (2, 3, 4, 8))
+        labels = [label for label, _ in draws]
+        assert labels and len(set(labels)) == len(labels)
+
+    def test_fail_line_names_the_draw(self):
+        text = run_invariant_suite(dims=(2, 4), corrupt_evolution=True).format()
+        fails = [line for line in text.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1
+        assert fails[0].startswith("FAIL entropy-invariance: ")
+        assert fails[0].endswith(" worst at dim=4 rep=1")
+
+    def test_check_run_alone_equals_its_suite_result(self):
+        seed, dims, scale = 11, (2, 3, 5), 1e-6
+        report = run_invariant_suite(seed=seed, dims=dims, tolerance_scale=scale)
+        assert not report.passed  # so failing results, with their labels, are compared too
+        for index, check in enumerate(invariants._CHECKS):
+            alone = check(rng_for(seed, index), dims, scale)
+            assert alone == report.results[index]
+            assert (alone.worst is None) == (alone.residual == 0.0)
+
+    def test_reducer_keeps_the_first_of_tied_draws(self):
+        @invariants._check("stub", 1.0)
+        def stub(rng, dims):
+            yield from (("zero", -0.0), ("first", 2.0), ("second", 2.0), ("nan", math.nan), ("lower", 1.0))
+
+        result = stub(None, (2,), 0.5)
+        assert result == invariants.CheckResult("stub", 2.0, 0.5, False, "first")
+        assert stub.__name__ == "stub"
+        negative = invariants._check("stub", 1.0)(lambda rng, dims: iter([("a", -0.0), ("b", -1.0)]))(None, (), 1.0)
+        assert negative.worst is None and math.copysign(1.0, negative.residual) == 1.0
+        assert f"{negative.residual:.3e}" == "0.000e+00"
 
 
 class TestEvolveCommand:

@@ -143,6 +143,20 @@ class TestNonFiniteTimes:
                 with pytest.raises(DomainError, match="w t is not finite"):
                     evolve()
 
+    @pytest.mark.parametrize("t", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_integer_beyond_float_range_raises(self, t):
+        # float(t) would raise OverflowError, which is none of the package's errors
+        evolutions = [
+            lambda: evolve_state(ALPHA, SZ, t),
+            lambda: evolve_density(pure_density(ALPHA), SZ, t),
+            lambda: heisenberg_observable(SX, SZ, t),
+            lambda: picture_equivalence(SX, pure_density(ALPHA), SZ, t),
+            lambda: transition_probability_exact(np.eye(2), 0, 1, SZ, t),
+        ]
+        for evolve in evolutions:
+            with pytest.raises(DomainError, match=rf"^t = {t} lies beyond the float64 range"):
+                evolve()
+
     def test_largest_finite_product_still_evolves(self):
         psi = evolve_state(ALPHA, 2.0 * SZ, np.finfo(float).max / 2.0)
         assert np.isfinite(psi).all() and abs(np.vdot(psi, psi).real - 1.0) <= 1e-12

@@ -444,6 +444,22 @@ class TestPhaseTable:
             with pytest.raises(DomainError, match="at t = nan"):
                 hermitian_eig(np.stack([SZ, SX])).phases([0.0, np.nan])
 
+    def test_integer_beyond_float_range_raises(self):
+        spectrum = hermitian_eig(SZ)
+        with pytest.raises(DomainError, match=r"^t = 1(0{400}) lies beyond the float64 range"):
+            spectrum.phases(10**400)
+        with pytest.raises(DomainError, match=r"^t = -1(0{400}) lies beyond the float64 range"):
+            spectrum.phases([0, 1.0, -(10**400), 10**400])
+        with pytest.raises(DomainError, match=r"^t = 1(0{400}) "):
+            spectrum.propagator(10**400)
+
+    def test_integer_times_keep_their_float_bits(self):
+        # 2**70 + 1 rounds to 2**70 in float64, as before the conversion
+        spectrum = hermitian_eig(random_hermitian(rng_for(5), 3))
+        exact = spectrum.phases([0.0, 3.0, float(2**70 + 1)])
+        assert np.array_equal(spectrum.phases([0, 3, 2**70 + 1]), exact)
+        assert np.array_equal(spectrum.propagator(2**70 + 1), spectrum.propagator(float(2**70 + 1)))
+
     def test_zero_eigenvalue_at_infinite_time_raises(self):
         # 0 * inf is NaN: no phase is defined there either
         with pytest.raises(DomainError):

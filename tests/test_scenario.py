@@ -911,11 +911,20 @@ class TestNonFiniteColumns:
         ],
     )
     def test_nan_cell_is_numerical_error(self, runner, command, message, tmp_path):
-        spec = parse_scenario(json.dumps(OVERFLOW_DOC))
+        self._assert_names_cell(OVERFLOW_DOC, runner, command, message, tmp_path)
+
+    def test_nan_entropy_cell_names_its_field(self, tmp_path):
+        # the NaN phase rows stay out of the entropy column's eigensolver
+        document = dict(OVERFLOW_DOC, outputs=dict(OVERFLOW_DOC["outputs"], entropy=True))
+        message = r"^outputs.entropy: column 'entropy' is not finite at t = 2500000000$"
+        self._assert_names_cell(document, run_scenario, "evolve", message, tmp_path)
+
+    @staticmethod
+    def _assert_names_cell(document, runner, command, message, tmp_path):
         with pytest.raises(NumericalError, match=message):
-            runner(spec)
+            runner(parse_scenario(json.dumps(document)))
         path, summary = tmp_path / "scenario.json", tmp_path / "summary.json"
-        path.write_text(json.dumps(OVERFLOW_DOC))
+        path.write_text(json.dumps(document))
         assert cli_main([command, str(path), "--out", str(tmp_path / "out.csv"), "--summary", str(summary)]) == 1
         assert not summary.exists()
 
