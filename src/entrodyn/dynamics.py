@@ -13,7 +13,7 @@ import numpy as np
 
 from .ensembles import as_density_matrix, as_orthonormal_basis, as_pure_state
 from .errors import DomainError, NumericalError, ShapeError
-from .linalg import EigenDecomposition, as_matrix, hermitian_eig, require_hermitian
+from .linalg import EigenDecomposition, as_matrix, float_times, hermitian_eig, require_hermitian
 
 EXPECTATION_IMAG_ATOL = 1e-10
 
@@ -24,12 +24,8 @@ def _check_dim(dim: int, other: int, what: str) -> None:
 
 
 def _spectrum(h) -> EigenDecomposition:
-    """The generator's spectrum: h itself when it is one, else hermitian_eig(h), which checks
-    Hermiticity. Either way it is one generator: a stack of them raises ShapeError."""
-    spectrum = h if isinstance(h, EigenDecomposition) else hermitian_eig(as_matrix(h))
-    if spectrum.eigenvalues.ndim != 1:
-        raise ShapeError(f"expected one generator, got a stack of {len(spectrum.eigenvalues)}")
-    return spectrum
+    """The generator's spectrum: h itself when it is one, else hermitian_eig(h), which checks Hermiticity."""
+    return h if isinstance(h, EigenDecomposition) else hermitian_eig(h)
 
 
 def evolve_state(psi, h, t: float) -> np.ndarray:
@@ -110,7 +106,8 @@ def transition_probability_exact(basis, j: int, k: int, h_prime, t: float) -> fl
 
 
 def transition_probability_first_order(basis, j: int, k: int, h_prime, t: float) -> float:
-    """Small-time law P(j -> k) ~ t^2 |<psi_k| H' |psi_j>|^2, defined for k != j."""
+    """Small-time law P(j -> k) ~ t^2 |<psi_k| H' |psi_j>|^2, defined for k != j and for a real t
+    where it is a finite float64 (else DomainError)."""
     b = as_orthonormal_basis(basis)
     j = _check_index(j, b.shape[0], "source")
     k = _check_index(k, b.shape[0], "target")
@@ -119,4 +116,8 @@ def transition_probability_first_order(basis, j: int, k: int, h_prime, t: float)
     hp = require_hermitian(h_prime, what="perturbation")
     _check_dim(hp.shape[0], b.shape[1], "basis")
     element = np.vdot(b[k], hp @ b[j])
-    return float(t) ** 2 * float(abs(element) ** 2)
+    t = float(float_times(t))
+    probability = t * t * float(abs(element) ** 2)
+    if not np.isfinite(probability):
+        raise DomainError(f"t^2 |<psi_k| H' |psi_j>|^2 is not a finite float64 at t = {t!r}")
+    return probability

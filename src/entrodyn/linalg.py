@@ -36,23 +36,22 @@ class EigenDecomposition(NamedTuple):
     fixed input. Inside a degenerate eigenvalue cluster only the spanned
     subspace is meaningful. ``phases`` and ``propagator`` evaluate exp(-i h t)
     from the stored spectrum, so h is diagonalised once however many times
-    it is evolved. The decomposition of a stack holds (T, n) eigenvalues and
-    (T, n, n) eigenvectors, and both methods then work member by member.
+    it is evolved.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def phases(self, times) -> np.ndarray:
-        """P[t, j] = exp(-i w_j t) for each time of a grid (a scalar is a grid of one), built in place;
-        for a stack, one such table per member, shaped (T, times, n). Raises DomainError when some
-        w_j t is not finite (t infinite, NaN or past float64's range, or the product overflowing):
-        exp(-i h t) is undefined there, and a NaN phase would only spread silently through every product."""
-        t = _float_times(times).ravel()
+        """P[t, j] = exp(-i w_j t) for each time of a grid (a scalar is a grid of one), built in place.
+        Raises DomainError for a non-real time (``float_times``) and when some w_j t is not finite
+        (t infinite, NaN or past float64's range, or the product overflowing): exp(-i h t) is
+        undefined there, and a NaN phase would only spread silently through every product."""
+        t = float_times(times).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            p = t[:, None] * (-1j * self.eigenvalues)[..., None, :]
+            p = t[:, None] * (-1j * self.eigenvalues)
         if not np.isfinite(p).all():
-            first = np.argwhere(~np.isfinite(p))[0][-2]
+            first = np.argwhere(~np.isfinite(p))[0][0]
             raise DomainError(
                 f"w t is not finite at t = {float(t[first])!r} "
                 f"(largest |w| = {np.abs(self.eigenvalues).max():.3e}); exp(-i h t) is undefined there"
@@ -60,15 +59,22 @@ class EigenDecomposition(NamedTuple):
         return np.exp(p, out=p)
 
     def propagator(self, t: float) -> np.ndarray:
-        """Unitary U(t) = exp(-i h t) = V diag(exp(-i w t)) V† (one per member of a stack)."""
+        """Unitary U(t) = exp(-i h t) = V diag(exp(-i w t)) V†."""
         v = self.eigenvectors
-        return (v * self.phases(float(_float_times(t)))) @ v.conj().swapaxes(-1, -2)
+        return (v * self.phases(float(float_times(t)))) @ v.conj().T
 
 
-def _float_times(times) -> np.ndarray:
-    """``times`` as float64 (a finite time keeps its bits); DomainError for a number beyond float64's range."""
+def float_times(times) -> np.ndarray:
+    """``times`` as float64 (a finite time keeps its bits); DomainError for a non-real time, under
+    which exp(-i h t) is not unitary, and for a number beyond float64's range."""
+    values = np.asarray(times)
+    if np.iscomplexobj(values):
+        if values.imag.any():
+            nonreal = complex(values.ravel()[np.flatnonzero(values.imag)[0]])
+            raise DomainError(f"t = {nonreal!r} is not real; exp(-i h t) is unitary only for a real time")
+        values = values.real
     try:
-        return np.asarray(times, dtype=np.float64)
+        return np.asarray(values, dtype=np.float64)
     except OverflowError:
         huge = next((x for x in np.ravel(np.array(times, dtype=object)) if abs(x) > sys.float_info.max), times)
         raise DomainError(f"t = {huge} lies beyond the float64 range; exp(-i h t) is undefined there") from None
@@ -153,8 +159,9 @@ def _norms(m: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray, rtol: float, what: str) -> np.ndarray:
-    """Raise DomainError unless ||m - m†||_F <= rtol * ||m||_F for each matrix of
-    the stack m; return the norms ||m||_F.
+    """Raise DomainError unless ||m - m†||_F <= rtol * ||m||_F for m, or for each
+    matrix of a stack m (the message names the first failing member); return the
+    norms ||m||_F.
 
     m must already be rescaled by ``_scale_exponent``, member by member.
     """
@@ -164,15 +171,10 @@ def _check_hermitian(m: np.ndarray, rtol: float, what: str) -> np.ndarray:
     if bad.any():
         i = np.flatnonzero(bad)[0]
         raise DomainError(
-            f"{_member(what, m.ndim == 3, i)} is not Hermitian: ||m - m†||_F / ||m||_F = "
-            f"{defect.flat[i] / norm.flat[i]:.3e} exceeds {rtol:g}"
+            f"{what}{f' (stack member {i})' if m.ndim == 3 else ''} is not Hermitian: "
+            f"||m - m†||_F / ||m||_F = {defect.flat[i] / norm.flat[i]:.3e} exceeds {rtol:g}"
         )
     return norm
-
-
-def _member(what: str, stacked: bool, i: int) -> str:
-    """Name member i of a stack in a message; a lone matrix is just ``what``."""
-    return f"{what} (stack member {i})" if stacked else what
 
 
 def require_hermitian(m, *, rtol: float = HERMITICITY_RTOL, what: str = "matrix") -> np.ndarray:
@@ -228,147 +230,139 @@ def jacobi_schedule(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rounds)
 
 
-def hermitian_eig(h) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack, by cyclic Jacobi rotations.
+def _jacobi_storage(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, e, tol) for a finite matrix h (n, n), or for each member of a stack (T, n, n).
 
-    ``h`` is one (n, n) matrix or a (T, n, n) stack; eigenvalues come shaped
-    (n,) or (T, n) and eigenvectors (n, n) or (T, n, n). A matrix is solved
-    as a stack of one, and each member of a stack is solved on its own terms:
-    it is rescaled by a power of two near its own largest entry (so the result
-    is correct at any magnitude of the entries), checked for Hermiticity, and
-    swept until its own off-diagonal Frobenius norm is at most
-    ``JACOBI_OFF_TOL * ||h||_F``, after which it is swept no more. A member
-    still above that after ``JACOBI_MAX_SWEEPS`` sweeps raises
-    ConvergenceError, and one whose spectrum exceeds the float64 range raises
-    DomainError; a message names the failing member of a stack. So every
-    member's bits are those of solving it alone.
-
-    A sweep follows ``jacobi_schedule``, the round-robin ordering of Brent &
-    Luk (1985): each round annihilates n // 2 disjoint off-diagonal entries
-    (p, q), p < q, at once with complex plane rotations, so one sweep still
-    visits every pair exactly once; a stack adds a batch axis to the rounds.
-    O(n^3) per sweep and member; intended for the dense, desk-scale matrices
-    this package works with (n <= ~128).
+    s is the zero-padded working storage [A; V], (2m, m) per member with
+    m = n + n % 2 (odd n gets a phantom zero row and column), holding
+    A = h 2^-e and V = 1; e is the member's ``_scale_exponent``, so A's norms
+    neither overflow nor underflow. The member's Hermiticity is checked, and
+    tol = JACOBI_OFF_TOL * ||A||_F is its stopping rule (see ``hermitian_eig``).
     """
-    h = np.asarray(h, dtype=np.complex128)
-    stacked = h.ndim == 3
-    if stacked:
-        if 0 in h.shape:
-            raise ShapeError(f"expected a nonempty stack of matrices, got shape {h.shape}")
-        if not np.isfinite(h).all():
-            raise DomainError("matrix entries must be finite")
-        h = np.ascontiguousarray(h)
-    else:
-        h = as_matrix(h)
-    if h.shape[-2] != h.shape[-1]:
-        raise ShapeError(f"eigensolver input must be square, got shape {h.shape}")
-    h = h if stacked else h[None]
-    count, n = h.shape[0], h.shape[-1]
-    m = n + n % 2  # odd n gets a phantom zero row and column
-    # Each member's exponent, as _scale_exponent gives it.
-    e = np.frexp(np.abs(h.view(np.float64)).reshape(count, -1).max(axis=1))[1]
-    s = np.zeros((count, 2 * m, m), dtype=np.complex128)  # [A; V] of each member, as in _Rounds
-    np.ldexp(h.view(np.float64), -e[:, None, None], out=s[:, :n, :n].view(np.float64))
-    scaled = s[:, :n, :n] if stacked else s[0, :n, :n]
-    tol = JACOBI_OFF_TOL * _check_hermitian(scaled, HERMITICITY_RTOL, "eigensolver input").reshape(-1)
-    entries = s.reshape(count, -1)
-    entries[:, m * m :: m + 1] = 1.0  # V = 1
-
-    # The members still sweeping are s[members], held in `work` (a lone
-    # member's rounds run on s[0]): a copy once some are certified, written
-    # back whenever that set shrinks. Rounds are set up at the first sweep.
-    index = np.arange(count)
-    members, work = index, s if stacked else s[0]
-    rounds = None
-    sweeps = 0
-    while True:
-        sweeping = _norms(_off_diagonal(work)) > tol
-        if not sweeping.all():
-            if members.size < count:  # work is a copy
-                s[members] = work
-            members, tol = members[sweeping], tol[sweeping]
-            if not members.size:
-                break
-            work, rounds = s[members], None
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise ConvergenceError(
-                f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-                + (f" (stack member {members[0]})" if stacked else "")
-            )
-        if rounds is None:
-            rounds = _Rounds(work)
-        rounds.sweep()
-        sweeps += 1
-
-    w = entries[:, : (m + 1) * n : m + 1].real
-    order = w.argsort(axis=1, kind="stable")
-    member, columns = index[:, None], np.arange(n)
-    w = w[member, order]
-    # Scaled, |w| <= ||A||_F < 2^(n.bit_length() + 1), so a member can leave
-    # the float64 range only if its exponent e is above this bound.
-    if e.max() > 1023 - n.bit_length():
-        over = np.flatnonzero(e + np.frexp(np.maximum(-w[:, 0], w[:, -1]))[1] > 1024)
-        if over.size:
-            raise DomainError(f"{_member('eigenvalues', stacked, over[0])} exceed the float64 range")
-    w = np.ldexp(w, e[:, None])
-    v = s[member[:, None], m + columns[:, None], order[:, None, :]]
-    # Make each column's largest component (lowest index on ties) real and positive.
-    pivots = v[member[:, None], np.abs(v).argmax(axis=1)[:, None, :], columns]
-    v *= pivots.conj() / np.abs(pivots)
-    return EigenDecomposition(w, v) if stacked else EigenDecomposition(w[0], v[0])
+    batch, n = h.shape[:-2], h.shape[-1]
+    m = n + n % 2
+    e = np.frexp(np.abs(h.view(np.float64)).reshape(batch + (-1,)).max(axis=-1))[1]
+    s = np.zeros(batch + (2 * m, m), dtype=np.complex128)
+    np.ldexp(h.view(np.float64), -e[..., None, None], out=s[..., :n, :n].view(np.float64))
+    tol = JACOBI_OFF_TOL * _check_hermitian(s[..., :n, :n], HERMITICITY_RTOL, "eigensolver input")
+    s.reshape(batch + (-1,))[..., m * m :: m + 1] = 1.0  # V = 1
+    return s, e, tol
 
 
 def _off_diagonal(s: np.ndarray) -> np.ndarray:
-    """View of A's off-diagonal entries in working storage s = [A; V], (2m, m) or
-    (T, 2m, m): row i holds the m entries of A's flat storage strictly between
-    diagonal entries i and i + 1."""
+    """View of A's off-diagonal entries in working storage s = [A; V] (of each
+    member of a stack): row i holds the m entries of A's flat storage strictly
+    between diagonal entries i and i + 1."""
     m, batch = s.shape[-1], s.shape[:-2]
     flat = s[..., :m, :].reshape(batch + (m * m,))
     return flat[..., 1:].reshape(batch + (m - 1, m + 1))[..., :m]
 
 
-class _Rounds:
-    """Brent-Luk rounds, in place, on the working storage s of one member (2m, m)
-    or of a stack of them (T, 2m, m).
+def hermitian_eig(h) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
-    A member [A; V] holds the working matrix A and the product V of the
-    rotations so far, both in the current round's slot layout, where slots
-    (2j, 2j + 1) hold the round's j-th pair (in either order). A sweep's
-    m - 1 shifts take the ring once around, so every sweep starts and ends in
-    the identity layout. The views below are built once per storage.
+    The input is first rescaled by a power of two near its largest entry, so
+    the result is correct at any magnitude of the entries, and checked for
+    Hermiticity. A sweep follows ``jacobi_schedule``, the round-robin ordering
+    of Brent & Luk (1985): each round annihilates n // 2 disjoint off-diagonal
+    entries (p, q), p < q, at once with complex plane rotations, so one sweep
+    still visits every pair exactly once. Sweeping repeats until the
+    off-diagonal Frobenius norm is at most ``JACOBI_OFF_TOL * ||h||_F``,
+    raising ConvergenceError after ``JACOBI_MAX_SWEEPS`` sweeps; a spectrum
+    beyond the float64 range raises DomainError. O(n^3) per sweep; intended
+    for the dense, desk-scale matrices this package works with (n <= ~128).
+    """
+    h = as_matrix(h)
+    _require_square(h, "eigensolver input")
+    n = h.shape[0]
+    s, e, tol = _jacobi_storage(h)
+    rounds = None  # set up at the first sweep
+    sweeps = 0
+    while _norms(_off_diagonal(s)) > tol:
+        if sweeps >= JACOBI_MAX_SWEEPS:
+            raise ConvergenceError(f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+        if rounds is None:
+            rounds = _Rounds(s)
+        rounds.sweep()
+        sweeps += 1
+
+    w = s.diagonal()[:n].real  # A's
+    order = w.argsort(kind="stable")
+    w = w[order]
+    if e + math.frexp(max(-w[0], w[-1]))[1] > 1024:
+        raise DomainError("eigenvalues exceed the float64 range")
+    w = np.ldexp(w, e)
+    v = s[s.shape[1] + np.arange(n)[:, None], order]
+    # Make each column's largest component (lowest index on ties) real and positive.
+    pivots = v[np.abs(v).argmax(axis=0), np.arange(n)]
+    v *= pivots.conj() / np.abs(pivots)
+    return EigenDecomposition(w, v)
+
+
+def stack_eigenvalues(stack) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix of a (T, n, n) stack, shaped (T, n).
+
+    Row i has the bits of ``hermitian_eig(stack[i]).eigenvalues``. All
+    members are rescaled, checked for Hermiticity and tested against
+    ``hermitian_eig``'s stopping rule in one vectorised pass. A member already
+    within the rule gets its sorted diagonal, which is what ``hermitian_eig``
+    returns after zero sweeps; any other member is handed to ``hermitian_eig``
+    on its own. An error names the failing stack member.
+    """
+    h = np.ascontiguousarray(stack, dtype=np.complex128)
+    if h.ndim != 3 or 0 in h.shape or h.shape[1] != h.shape[2]:
+        raise ShapeError(f"expected a nonempty stack of square matrices, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise DomainError("matrix entries must be finite")
+    s, e, tol = _jacobi_storage(h)
+    w = s.diagonal(0, 1, 2)[:, : h.shape[-1]].real  # each A's
+    w = np.ldexp(np.take_along_axis(w, w.argsort(axis=1, kind="stable"), axis=1), e[:, None])
+    for i in np.flatnonzero(_norms(_off_diagonal(s)) > tol):
+        try:
+            w[i] = hermitian_eig(h[i]).eigenvalues
+        except (ConvergenceError, DomainError) as error:
+            raise type(error)(f"{error} (stack member {i})") from None
+    return w
+
+
+class _Rounds:
+    """Brent-Luk rounds, in place, on the working storage s = [A; V], (2m, m).
+
+    s holds the working matrix A and the product V of the rotations so far,
+    both in the current round's slot layout, where slots (2j, 2j + 1) hold the
+    round's j-th pair (in either order). A sweep's m - 1 shifts take the ring
+    once around, so every sweep starts and ends in the identity layout. The
+    views below are built once per storage.
     """
 
     def __init__(self, s: np.ndarray):
         m = s.shape[-1]
-        k, batch = m // 2, s.shape[:-2]
-        self.s, self.m = s, m
-        self.entries = s.reshape(batch + (-1,))
-        flat = self.entries[..., : m * m]  # A
+        k = m // 2
+        self.m = m
+        self.entries = s.reshape(-1)
+        flat = self.entries[: m * m]  # A
         if m > 2:  # a round's shift moves A's rows and the columns of [A; V] by _round_shift
             shift = _round_shift(m)
             self.gather = (np.concatenate([shift, np.arange(m, 2 * m)])[:, None] * m + shift).ravel()
         # Entries (2j, 2j), (2j + 1, 2j + 1), (2j, 2j + 1) and (2j + 1, 2j) of A.
         step = 2 * (m + 1)
-        self.a_pp = flat[..., ::step].real
-        self.a_qq = flat[..., m + 1 :: step].real
-        self.a_pq = flat[..., 1::step]
-        self.a_qp = flat[..., m::step]
-        self.rows = flat.reshape(batch + (k, 2, m))  # rows (2j, 2j + 1) of A
-        # Columns (2j, 2j + 1) of A and V, as rows of the transpose.
-        self.cols = s.swapaxes(-1, -2).reshape(batch + (k, 2, 2 * m))
-        self.rot = np.empty(batch + (k, 2, 2), dtype=np.complex128)
-        self.rot_diag = self.rot.reshape(batch + (k, 4))[..., ::3]
-        self.rot_pq, self.rot_qp = self.rot[..., 0, 1], self.rot[..., 1, 0]
+        self.a_pp = flat[::step].real
+        self.a_qq = flat[m + 1 :: step].real
+        self.a_pq = flat[1::step]
+        self.a_qp = flat[m::step]
+        self.rows = flat.reshape(k, 2, m)  # rows (2j, 2j + 1) of A
+        self.cols = s.T.reshape(k, 2, 2 * m)  # columns (2j, 2j + 1) of A and V, as rows of the transpose
+        self.rot = np.empty((k, 2, 2), dtype=np.complex128)
+        self.rot_diag = self.rot.reshape(k, 4)[:, ::3]
+        self.rot_pq, self.rot_qp = self.rot[:, 0, 1], self.rot[:, 1, 0]
 
     def sweep(self) -> None:
-        """One sweep. A member none of whose pairs is nonzero in a round is left
-        untouched in that round, as a lone solve leaves it."""
+        """One sweep."""
         a_pp, a_qq, a_pq, a_qp = self.a_pp, self.a_qq, self.a_pq, self.a_qp
         rows, cols, rot, entries = self.rows, self.cols, self.rot, self.entries
         for _ in range(self.m - 1):
             r = np.abs(a_pq)
-            if r.any():  # else every pair of every member is already zero
-                live = r.any(axis=-1) if r.ndim > 1 else None  # members with a nonzero pair
+            if r.any():  # else every pair of the round is already zero
                 dead = r == 0.0  # a pair that is already zero gets the identity
                 r += dead
                 tau = (a_pp - a_qq) / (r + r)
@@ -378,22 +372,16 @@ class _Rounds:
                 t[dead] = 0.0
                 c = 1.0 / np.hypot(1.0, t)  # 1 / sqrt(1 + t^2)
                 su = t * c * (a_pq / r)  # s times the phase of a_pq
-                # rot[..., j, :, :] = [[c, -s u], [s conj(u), c]] = J†, the adjoint of pair j's rotation.
-                self.rot_diag[...] = c[..., None]
+                # rot[j] = [[c, -s u], [s conj(u), c]] = J†, the adjoint of pair j's rotation.
+                self.rot_diag[...] = c[:, None]
                 np.negative(su, out=self.rot_pq)
                 np.conjugate(su, out=self.rot_qp)
-                if live is None or live.all():
-                    rows[...] = rot @ rows  # A <- J† A
-                    cols[...] = rot.conj() @ cols  # A <- A J and V <- V J
-                    a_pq[...] = 0.0
-                    a_qp[...] = 0.0
-                else:  # members without a nonzero pair keep their bits
-                    np.copyto(rows, rot @ rows, where=live[:, None, None, None])
-                    np.copyto(cols, rot.conj() @ cols, where=live[:, None, None, None])
-                    np.copyto(a_pq, 0.0, where=live[:, None])
-                    np.copyto(a_qp, 0.0, where=live[:, None])
+                rows[...] = rot @ rows  # A <- J† A
+                cols[...] = rot.conj() @ cols  # A <- A J and V <- V J
+                a_pq[...] = 0.0
+                a_qp[...] = 0.0
             if self.m > 2:  # for m = 2 the shift changes nothing
-                entries[...] = entries.take(self.gather, axis=-1)
+                entries[...] = entries.take(self.gather)
 
 
 def expm_hermitian(h, t: float) -> np.ndarray:

@@ -34,7 +34,7 @@ from .ensembles import (
     spectrum_entropy,
 )
 from .errors import DomainError, NumericalError, ShapeError
-from .linalg import hermitian_eig, require_hermitian
+from .linalg import hermitian_eig, require_hermitian, stack_eigenvalues
 from .systems import (
     LatticeFreeParticle,
     SpinHalfSystem,
@@ -56,8 +56,9 @@ CSV_DIGITS = 15
 # CSV lines joined into one write: a bounded buffer, and few enough writes that
 # an in-memory stream (a redirected stdout) costs no more than one large write
 CSV_BLOCK_ROWS = 64
-# Matrix entries per stacked solve of the entropy column: a block of grid
-# points bounds its working set whatever the grid length (n = 2: 256 points).
+# Matrix entries per block of the entropy column, certified by one
+# stack_eigenvalues call: a block of grid points bounds its working set
+# whatever the grid length (n = 2: 256 points).
 ENTROPY_BLOCK_ENTRIES = 1024
 
 # named initial state -> (the basis it is a ket of, its index there; None when the document gives it)
@@ -753,12 +754,14 @@ def _entropies(rho0: np.ndarray, phases: np.ndarray, densities: Callable) -> np.
     no error carries from one point to the next. The grid is taken a block
     of ENTROPY_BLOCK_ENTRIES // n² points (at least one) at a time:
     ``densities(rows)`` gives rho(t)' for the grid rows ``rows`` (indices)
-    as a stack, and one stacked ``hermitian_eig`` solves every
-    A_t = W_t† rho(t)' W_t of the block, starting warm, to its usual
-    tolerance relative to ||A_t||_F = ||rho(t)||_F, each member as if alone.
-    So by Weyl's inequality each point's eigenvalues measure the spectrum of
-    the rho(t) given, a rho(t) that is not unitarily related to rho(0) shows
-    in the column, and the working set stays bounded whatever the grid length.
+    as a stack, and one ``stack_eigenvalues`` call certifies every
+    A_t = W_t† rho(t)' W_t of the block by ``hermitian_eig``'s stopping rule,
+    relative to ||A_t||_F = ||rho(t)||_F: an A_t already within it is
+    diagonal to that tolerance, and any other is solved on its own, with the
+    bits of a lone ``hermitian_eig`` either way. So by Weyl's inequality each
+    point's eigenvalues measure the spectrum of the rho(t) given, a rho(t)
+    that is not unitarily related to rho(0) shows in the column, and the
+    working set stays bounded whatever the grid length.
     A row with no phases (NaN, from ``_grid_phases``) is left NaN and never
     reaches the eigensolver, so ``_report`` names the column and its time.
     """
@@ -770,7 +773,7 @@ def _entropies(rho0: np.ndarray, phases: np.ndarray, densities: Callable) -> np.
         rows = defined[start : start + block]
         basis = phases[rows, :, None] * x0
         a = basis.conj().swapaxes(1, 2) @ densities(rows) @ basis
-        entropies[rows] = spectrum_entropy(hermitian_eig(a).eigenvalues)
+        entropies[rows] = spectrum_entropy(stack_eigenvalues(a))
     return entropies
 
 
@@ -890,8 +893,10 @@ def run_scenario(spec: ScenarioSpec) -> EvolutionReport:
     for p = P_t. Expectations, populations and transition probabilities are
     computed a column at a time over the whole grid. The entropy column is
     certified for every initial state alike in the basis W_t = diag(P_t) X0
-    built from rho(0)' = X0 Λ X0†, by one stacked ``hermitian_eig`` per block
-    of grid points (``_entropies``).
+    built from rho(0)' = X0 Λ X0†, by one ``stack_eigenvalues`` call per
+    block of grid points (``_entropies``). A run calls ``hermitian_eig`` for
+    H and for rho(0)', and once more only for an A_t not already diagonal to
+    its stopping rule, which exact unitary evolution does not produce.
     """
     resolved, v, times, phases = _frame(spec, _require_distinct_columns)
     table = np.empty((times.size, len(resolved.columns)))

@@ -27,6 +27,7 @@ from entrodyn.linalg import (
     matmul,
     partial_trace,
     require_hermitian,
+    stack_eigenvalues,
     trace,
 )
 from entrodyn.sampling import random_hermitian, rng_for
@@ -246,29 +247,16 @@ def _assert_bits_equal(got, want):
 
 
 def _assert_stack_matches_solo(stack):
-    """Each member of a stacked solve has the bits of solving it alone."""
-    w, v = hermitian_eig(stack)
-    assert w.shape == stack.shape[:2] and v.shape == stack.shape
+    """Each row of stack_eigenvalues has the eigenvalue bits of solving that member alone."""
+    w = stack_eigenvalues(stack)
+    assert w.shape == stack.shape[:2]
     for i, h in enumerate(stack):
-        w_solo, v_solo = hermitian_eig(h)
-        _assert_bits_equal(w[i], w_solo)
-        _assert_bits_equal(v[i], v_solo)
-
-
-def _sweep_sizes(monkeypatch) -> list:
-    """Record the number of members each Jacobi sweep works on."""
-    sizes = []
-    sweep = linalg._Rounds.sweep
-
-    def recording(self):
-        sizes.append(len(self.s))
-        sweep(self)
-
-    monkeypatch.setattr(linalg._Rounds, "sweep", recording)
-    return sizes
+        _assert_bits_equal(w[i], hermitian_eig(h).eigenvalues)
 
 
 class TestStackedHermitianEig:
+    """stack_eigenvalues, checked member by member against lone hermitian_eig solves."""
+
     @pytest.mark.parametrize("n", range(1, 17))
     def test_gue_stack_matches_solo(self, n):
         # odd n pads a phantom index; member magnitudes spread over 1e±150
@@ -280,29 +268,27 @@ class TestStackedHermitianEig:
         h = lattice_hamiltonian(LatticeFreeParticle(64, 2 * np.pi, 1.0))
         _assert_stack_matches_solo(np.stack([h, -2.0**-600 * h, random_hermitian(rng_for(32), 64)]))
 
-    def test_certified_members_are_not_swept(self, monkeypatch):
+    def test_certified_members_are_not_swept(self, eig_calls):
         rng = rng_for(33)
         members = []
         for i in range(9):
             h = random_hermitian(rng, 9)
-            if i % 3 == 0:  # already diagonal: certified with 0 sweeps
+            if i % 3 == 0:  # diagonal: certified with 0 sweeps
                 h = np.diag(np.diag(h))
-            if i % 3 == 1:  # block-diagonal: some rounds have no nonzero pair
-                h[:4, 4:] = 0.0
-                h[4:, :4] = 0.0
+            if i % 3 == 1:  # off-diagonal part within the stopping rule: certified, not diagonal
+                h = np.diag(np.diag(h)) + 1e-16 * (h - np.diag(np.diag(h)))
             members.append(h)
         stack = np.stack(members)
-        sizes = _sweep_sizes(monkeypatch)
-        w, v = hermitian_eig(stack)
-        assert sizes[0] == 6 and sizes == sorted(sizes, reverse=True)
-        for i in range(0, 9, 3):
+        w = stack_eigenvalues(stack)
+        assert len(eig_calls) == 3
+        for call, i in zip(eig_calls, (2, 5, 8)):
+            _assert_bits_equal(call, stack[i])
+        for i in (0, 1, 3, 4, 6, 7):
             _assert_bits_equal(w[i], np.sort(np.diag(stack[i]).real))
-            _assert_bits_equal(v[i], np.eye(9, dtype=complex)[:, np.argsort(np.diag(stack[i]).real, kind="stable")])
         _assert_stack_matches_solo(stack)
 
     def test_sparse_members_with_signed_zeros_match_solo(self):
-        # a member whose pairs are all zero in a round is left as a lone solve leaves it;
-        # rotating it by the identity could flip the sign of its zeros
+        # whether a member is certified or solved, its zeros keep the signs of a lone solve
         rng = rng_for(36)
         for _ in range(30):
             n = int(rng.integers(3, 9))
@@ -315,11 +301,14 @@ class TestStackedHermitianEig:
                 members.append(h)
             _assert_stack_matches_solo(np.stack(members))
 
-    def test_stack_of_diagonal_members_needs_no_sweep(self, monkeypatch):
-        sizes = _sweep_sizes(monkeypatch)
-        w, _ = hermitian_eig(np.stack([np.diag([2.0, 1.0]), np.diag([0.0, -3.0])]).astype(complex))
-        assert sizes == []
-        np.testing.assert_array_equal(w, [[1.0, 2.0], [-3.0, 0.0]])
+    def test_stack_of_diagonal_members_needs_no_sweep(self, eig_calls):
+        # signed zeros keep the order a stable sort gives them, as in a lone solve
+        diagonals = [[2.0, 1.0, 0.0], [0.0, -3.0, 0.0], [-0.0, 0.0, -0.0]]
+        stack = np.stack([np.diag(d) for d in diagonals]).astype(complex)
+        w = stack_eigenvalues(stack)
+        assert eig_calls == []
+        np.testing.assert_array_equal(w, [[0.0, 1.0, 2.0], [-3.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        _assert_stack_matches_solo(stack)
 
     @pytest.mark.parametrize("bad", ["non_hermitian", "nan", "inf"])
     def test_bad_member_raises_domain_error(self, bad):
@@ -329,37 +318,27 @@ class TestStackedHermitianEig:
         else:
             stack[1, 2, 2] = float(bad)
         with pytest.raises(DomainError, match="stack member 2" if bad == "non_hermitian" else "finite"):
-            hermitian_eig(stack)
+            stack_eigenvalues(stack)
 
     def test_member_beyond_float64_rejected(self):
         stack = np.stack([np.eye(2), 1e308 * np.ones((2, 2))]).astype(complex)
         with pytest.raises(DomainError, match="stack member 1"):
-            hermitian_eig(stack)
+            stack_eigenvalues(stack)
 
-    @pytest.mark.parametrize("shape", [(3, 2, 3), (0, 2, 2), (2, 0, 0), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (0, 2, 2), (2, 0, 0), (2, 2, 2, 2), (2, 2)])
     def test_malformed_stack_raises_shape_error(self, shape):
         with pytest.raises(ShapeError):
-            hermitian_eig(np.zeros(shape, dtype=complex))
+            stack_eigenvalues(np.zeros(shape, dtype=complex))
 
     def test_sweep_budget_names_the_member(self, monkeypatch):
         stack = np.stack([np.diag([1.0, 2.0]).astype(complex), SX])
         monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
         with pytest.raises(ConvergenceError, match="stack member 1"):
-            hermitian_eig(stack)
+            stack_eigenvalues(stack)
 
-    def test_phases_and_propagator_per_member(self):
-        stack = np.stack([random_hermitian(rng_for(35, i), 5) for i in range(3)])
-        times = np.linspace(0.0, 2.0, 7)
-        spectra = hermitian_eig(stack)
-        phases = spectra.phases(times)
-        assert phases.shape == (3, 7, 5)
-        u = spectra.propagator(0.7)
-        assert u.shape == (3, 5, 5)
-        for i, h in enumerate(stack):
-            solo = hermitian_eig(h)
-            _assert_bits_equal(phases[i], solo.phases(times))
-            _assert_bits_equal(u[i], solo.propagator(0.7))
-            _assert_bits_equal(u[i], expm_hermitian(h, 0.7))
+    def test_hermitian_eig_takes_one_matrix(self):
+        with pytest.raises(ShapeError):
+            hermitian_eig(np.stack([SZ, SX]))
 
 
 class TestFrobenius:
@@ -442,7 +421,22 @@ class TestPhaseTable:
             with pytest.raises(DomainError, match=r"at t = 200000000\.0 "):
                 spectrum.phases([0.0, 1.0, 2e8, 1e10])
             with pytest.raises(DomainError, match="at t = nan"):
-                hermitian_eig(np.stack([SZ, SX])).phases([0.0, np.nan])
+                hermitian_eig(SX).phases([0.0, np.nan])
+
+    def test_non_real_time_raises(self):
+        # numpy would warn and drop the imaginary part, leaving exp(-i h Re t)
+        spectrum = hermitian_eig(SZ)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^t = \(1\+1j\) is not real"):
+                spectrum.phases(np.array([1 + 1j]))
+            with pytest.raises(DomainError, match=r"^t = \(2-0\.5j\) is not real"):
+                spectrum.phases([0.0, 2.0 - 0.5j])
+            with pytest.raises(DomainError, match="is not real"):
+                spectrum.propagator(1j)
+            # a zero imaginary part leaves the real time
+            assert np.array_equal(spectrum.phases(np.array([0.5 + 0j, -1.0])), spectrum.phases([0.5, -1.0]))
+            assert np.array_equal(spectrum.propagator(0.5 + 0j), spectrum.propagator(0.5))
 
     def test_integer_beyond_float_range_raises(self):
         spectrum = hermitian_eig(SZ)

@@ -584,10 +584,10 @@ def _entropy_column(h, rho0, times, gamma=0.0, growth=0.0) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def long_mixture():
-    """(warm entropies, ||W_t†W_t - 1||_F at each point, cold entropies) of a
-    seeded n = 8 mixture over 2000 points; each warm solve starts from
-    W_t = P_t ∘ X0 for rho(0)' = X0 Λ X0†, and the cold ones are one stacked
-    solve of the site-basis rho(t)."""
+    """(entropy column, ||W_t†W_t - 1||_F at each point, oracle entropies) of a
+    seeded n = 8 mixture over 2000 points; the column is certified in
+    W_t = P_t ∘ X0 for rho(0)' = X0 Λ X0†, and the oracle takes LAPACK's
+    eigvalsh of the site-basis rho(t), an independent route."""
     h, rho0 = _mixture(8)
     times = np.linspace(0.0, 40.0, 2000)
     rho0p, phases = _eigenbasis(h, rho0, times)
@@ -597,7 +597,7 @@ def long_mixture():
     defects = [np.linalg.norm(basis.conj().T @ basis - eye) for basis in bases]
     w, v = hermitian_eig(h)
     u = (v * np.exp(-1j * np.multiply.outer(times, w))[:, None, :]) @ v.conj().T
-    cold = spectrum_entropy(hermitian_eig(u @ rho0 @ u.conj().swapaxes(1, 2)).eigenvalues)
+    cold = spectrum_entropy(np.linalg.eigvalsh(u @ rho0 @ u.conj().swapaxes(1, 2)))
     return _entropy_column(h, rho0, times), np.array(defects), cold
 
 
@@ -677,8 +677,8 @@ class TestWarmStartEntropy:
         assert report.passed
 
 
-def _lattice_mixture_frame(points: int) -> tuple:
-    """(rho(0)', P) of a seeded 64-site lattice mixture over a grid of ``points``."""
+def _lattice_mixture_spec(points: int) -> ScenarioSpec:
+    """A seeded 64-site lattice mixture over a grid of ``points``, entropy on."""
     weights = np.random.default_rng(20260808).standard_exponential(64)
     document = {
         "system": {"kind": "lattice", "sites": 64, "length": 2 * math.pi, "mass": 1.0},
@@ -686,9 +686,28 @@ def _lattice_mixture_frame(points: int) -> tuple:
         "time": {"start": 0.0, "stop": 1.0, "points": points},
         "outputs": {"entropy": True, "expectations": False},
     }
-    spec = parse_scenario(json.dumps(document))
+    return parse_scenario(json.dumps(document))
+
+
+def _lattice_mixture_frame(points: int) -> tuple:
+    """(rho(0)', P) of the seeded 64-site lattice mixture over a grid of ``points``."""
+    spec = _lattice_mixture_spec(points)
     resolved = resolve_scenario(spec)
     return _eigenbasis(resolved.hamiltonian, resolved.initial_density, spec.time.values())
+
+
+class TestEntropySolverTraffic:
+    @pytest.mark.parametrize("fixture", ["spin_static.json", "spin_rabi.json", "lattice_momentum.json", None])
+    def test_run_diagonalises_h_and_rho0_only(self, fixture, eig_calls):
+        # every A_t of the entropy column is certified without a solve of its own
+        spec = _lattice_mixture_spec(201) if fixture is None else load_scenario(SCENARIOS / fixture)
+        assert spec.outputs.entropy
+        h = resolve_scenario(spec).hamiltonian
+        eig_calls.clear()
+        run_scenario(spec)
+        assert len(eig_calls) == 2
+        np.testing.assert_array_equal(eig_calls[0], h)
+        assert eig_calls[1].shape == h.shape
 
 
 class TestEntropyWorkingSet:
