@@ -8,7 +8,9 @@ Subcommands:
   basis-check  orthonormality/completeness residuals for the built-in bases
 
 Exit codes: 0 success, 1 invariant or validation failure, 2 malformed input.
-No environment variables are consulted; every input is explicit.
+Each command raises what it cannot do; ``main`` alone maps the error to its
+exit code and prints ``error: <message>``. No environment variables are
+consulted; every input is explicit.
 """
 
 from __future__ import annotations
@@ -96,6 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UsageError(Exception):
+    """A flag or file the command cannot use: malformed input."""
+
+
 def _output(path: str | None):
     """The file at ``path`` opened for writing, or stdout when there is none."""
     if path is None:
@@ -103,103 +109,65 @@ def _output(path: str | None):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _write_report(report: EvolutionReport, out: str | None, summary: str | None) -> int:
-    with _output(out) as handle:
+def _load(path: str):
+    try:
+        return load_scenario(path)
+    except OSError as exc:
+        raise _UsageError(f"cannot read scenario: {exc}") from None
+
+
+def _write_report(report: EvolutionReport, args) -> int:
+    with _output(args.out) as handle:
         report.to_csv(handle)
-    if summary is not None:
-        with _output(summary) as handle:
+    if args.summary is not None:
+        with _output(args.summary) as handle:
             handle.write(report.summary_json())
-    if not report.passed:
-        for check in report.checks:
-            if not check.passed:
-                print(
-                    f"FAIL {check.name}: residual={check.residual:.3e} "
-                    f"(tolerance {check.tolerance:.3e})",
-                    file=sys.stderr,
-                )
-        return EXIT_FAILURE
-    return EXIT_OK
+    for check in report.checks:
+        if not check.passed:
+            print(check.line(), file=sys.stderr)
+    return EXIT_OK if report.passed else EXIT_FAILURE
 
 
 def _cmd_verify(args) -> int:
     try:
         dims = tuple(int(part) for part in args.dims.split(",") if part.strip())
     except ValueError:
-        print(f"error: --dims must be comma-separated integers, got {args.dims!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise _UsageError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
     if not dims or not all(2 <= d <= MAX_DIMENSION for d in dims):
-        print(
-            f"error: --dims must lie between 2 and MAX_DIMENSION = {MAX_DIMENSION}, got {args.dims!r}",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_INPUT
+        raise _UsageError(f"--dims must lie between 2 and MAX_DIMENSION = {MAX_DIMENSION}, got {args.dims!r}")
     if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale > 0.0):
-        print(f"error: --tolerance-scale must be finite and positive, got {args.tolerance_scale}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        report = run_invariant_suite(seed=args.seed, dims=dims, tolerance_scale=args.tolerance_scale)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise _UsageError(f"--tolerance-scale must be finite and positive, got {args.tolerance_scale}")
+    report = run_invariant_suite(seed=args.seed, dims=dims, tolerance_scale=args.tolerance_scale)
     print(report.format())
     return EXIT_OK if report.passed else EXIT_FAILURE
-
-
-def _run_scenario_command(args, runner) -> int:
-    try:
-        spec = load_scenario(args.scenario)
-        report = runner(spec)
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ScenarioParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ScenarioValidationError, DomainError, ShapeError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    return _write_report(report, args.out, args.summary)
 
 
 def _cmd_rabi(args) -> int:
     max_points = MAX_GRID_CELLS // len(RABI_COLUMNS)
     if not 1 <= args.points <= max_points:
-        print(
-            f"error: --points must lie between 1 and MAX_GRID_CELLS / {len(RABI_COLUMNS)} = {max_points}, "
-            f"got {args.points}",
-            file=sys.stderr,
+        raise _UsageError(
+            f"--points must lie between 1 and MAX_GRID_CELLS / {len(RABI_COLUMNS)} = {max_points}, got {args.points}"
         )
-        return EXIT_BAD_INPUT
     if not math.isfinite(args.t_max):
-        print(f"error: --t-max must be finite, got {args.t_max}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise _UsageError(f"--t-max must be finite, got {args.t_max}")
     try:
         system = SpinHalfSystem(delta=args.delta, coupling=args.omega)
         # H's eigenvalues are ±hypot(delta, omega)/2; the phases exp(-iwt) need w t finite
         energy = math.hypot(args.delta / 2.0, args.omega / 2.0)
         if not math.isfinite(energy * args.t_max):
-            print(
-                f"error: energy {energy:.3e} times --t-max {args.t_max:.3e} overflows; shorten the grid",
-                file=sys.stderr,
-            )
-            return EXIT_BAD_INPUT
+            raise _UsageError(f"energy {energy:.3e} times --t-max {args.t_max:.3e} overflows; shorten the grid")
         times = np.linspace(0.0, args.t_max, args.points)
         # the computed eigenvalues can exceed that estimate by a rounding, and phases then raise
         populations = rabi_populations(system, times)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise _UsageError(str(exc)) from None
     write_csv(sys.stdout, "rabi", RABI_COLUMNS, np.column_stack((times, *populations)))
     return EXIT_OK
 
 
 def _cmd_basis_check(args) -> int:
     if not 2 <= args.lattice_n <= MAX_DIMENSION:
-        print(
-            f"error: --lattice-n must lie between 2 and MAX_DIMENSION = {MAX_DIMENSION}, got {args.lattice_n}",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_INPUT
+        raise _UsageError(f"--lattice-n must lie between 2 and MAX_DIMENSION = {MAX_DIMENSION}, got {args.lattice_n}")
     print(f"# entrodyn {__version__} basis-check")
     bases = [("spin-half basis", np.eye(2, dtype=complex))] + [
         (f"lattice momentum basis n={n}", lattice_momentum_basis(LatticeFreeParticle(sites=n, length=1.0, mass=1.0)))
@@ -217,11 +185,26 @@ def _cmd_basis_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
+# Each command raises what it cannot do; main alone turns that into an exit code.
+_COMMANDS = {
+    "verify": _cmd_verify,
+    "evolve": lambda args: _write_report(run_scenario(_load(args.scenario)), args),
+    "perturb": lambda args: _write_report(run_perturbation(_load(args.scenario)), args),
+    "rabi": _cmd_rabi,
+    "basis-check": _cmd_basis_check,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command in ("evolve", "perturb"):
-        return _run_scenario_command(args, run_scenario if args.command == "evolve" else run_perturbation)
-    return {"verify": _cmd_verify, "rabi": _cmd_rabi, "basis-check": _cmd_basis_check}[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (_UsageError, ScenarioParseError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except (ScenarioValidationError, DomainError, ShapeError, NumericalError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -28,10 +28,17 @@ def _spectrum(h) -> EigenDecomposition:
     return h if isinstance(h, EigenDecomposition) else hermitian_eig(h)
 
 
+def _propagator(h, t) -> np.ndarray:
+    """U(t) of the generator for one time t; a grid of times, which ``propagator`` stacks, raises ShapeError."""
+    if np.ndim(t) != 0:
+        raise ShapeError(f"t must be a single time, got an array of shape {np.shape(t)}")
+    return _spectrum(h).propagator(t)
+
+
 def evolve_state(psi, h, t: float) -> np.ndarray:
     """psi(t) = U(t) psi(0); preserves the norm."""
     v = as_pure_state(psi)
-    u = _spectrum(h).propagator(t)
+    u = _propagator(h, t)
     _check_dim(u.shape[0], v.shape[0], "state")
     return u @ v
 
@@ -39,7 +46,7 @@ def evolve_state(psi, h, t: float) -> np.ndarray:
 def evolve_density(rho, h, t: float) -> np.ndarray:
     """rho(t) = U rho(0) U†; preserves trace, Hermiticity, spectrum, entropy."""
     r = as_density_matrix(rho, check_psd=False)
-    u = _spectrum(h).propagator(t)
+    u = _propagator(h, t)
     _check_dim(u.shape[0], r.shape[0], "density matrix")
     return u @ r @ u.conj().T
 
@@ -47,7 +54,7 @@ def evolve_density(rho, h, t: float) -> np.ndarray:
 def heisenberg_observable(x0, h, t: float) -> np.ndarray:
     """x(t) = U† x(0) U; unitary conjugation preserves the spectrum."""
     x = require_hermitian(x0, what="observable")
-    u = _spectrum(h).propagator(t)
+    u = _propagator(h, t)
     _check_dim(u.shape[0], x.shape[0], "observable")
     return u.conj().T @ x @ u
 
@@ -99,7 +106,7 @@ def transition_probability_exact(basis, j: int, k: int, h_prime, t: float) -> fl
     b = as_orthonormal_basis(basis)
     j = _check_index(j, b.shape[0], "source")
     k = _check_index(k, b.shape[0], "target")
-    u = _spectrum(h_prime).propagator(t)
+    u = _propagator(h_prime, t)
     _check_dim(u.shape[0], b.shape[1], "basis")
     amplitude = np.vdot(b[k], u @ b[j])
     return min(1.0, float(abs(amplitude) ** 2))

@@ -94,9 +94,7 @@ def as_orthonormal_basis(vectors) -> np.ndarray:
 
 def shannon_entropy(p) -> float:
     """S = -sum_j P_j ln P_j in nats, with 0 ln 0 = 0."""
-    w = as_probability_vector(p)
-    pos = w[w > 0.0]
-    return max(0.0, float(-np.sum(pos * np.log(pos))))
+    return spectrum_entropy(as_probability_vector(p))
 
 
 def von_neumann_entropy(rho) -> float:

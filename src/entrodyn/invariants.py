@@ -4,10 +4,12 @@ Each check is a generator of (draw label, residual) pairs, such as
 ``("dim=8 rep=3", r)``, over its own reproducible random stream
 ``rng_for(seed, check index)``. The ``_check`` decorator, the suite's one
 reducer, keeps the worst draw and compares its residual against the check's
-base tolerance times the tolerance scale. A FAIL line names that draw, so the
-same seed and dims reproduce it. ``corrupt_evolution`` is a negative control
-for the suite itself: it injects a dephasing (non-unitary) map into the
-entropy-invariance check, which must then fail.
+base tolerance times the tolerance scale. Each check returns a
+``scenario.CheckResult``, whose ``line()`` is also what ``evolve`` prints for
+a failing summary check: a FAIL line names the draw, so the same seed and
+dims reproduce it. ``corrupt_evolution`` is a negative control for the suite
+itself: it injects a dephasing (non-unitary) map into the entropy-invariance
+check, which must then fail.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .sampling import (
     random_real_symmetric,
     rng_for,
 )
-from .scenario import MAX_DIMENSION
+from .scenario import MAX_DIMENSION, CheckResult
 from .systems import (
     LatticeFreeParticle,
     SpinHalfSystem,
@@ -77,15 +79,6 @@ KRON_FACTOR_MAX = 16
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    residual: float
-    tolerance: float
-    passed: bool
-    worst: str | None  # label of the draw that set the residual; None when no residual exceeded 0
-
-
-@dataclass(frozen=True)
 class SuiteReport:
     seed: int
     dims: tuple
@@ -101,12 +94,7 @@ class SuiteReport:
             f"invariant suite: seed={self.seed} dims={list(self.dims)} "
             f"tolerance_scale={self.tolerance_scale:g}"
         ]
-        for result in self.results:
-            verdict = "PASS" if result.passed else "FAIL"
-            lines.append(
-                f"{verdict} {result.name}: residual={result.residual:.3e} "
-                f"(tolerance {result.tolerance:.3e})" + ("" if result.passed else f" worst at {result.worst}")
-            )
+        lines.extend(result.line() for result in self.results)
         failed = sum(not r.passed for r in self.results)
         lines.append(
             f"{len(self.results) - failed}/{len(self.results)} checks passed"
@@ -120,7 +108,8 @@ def _check(name: str, tolerance: float):
 
     The suite's one reducer: the residual starts at 0.0 and is replaced only
     by a strictly larger draw, so a tie keeps the first draw and -0.0 never
-    shows; ``worst`` is that draw's label, and the tolerance is
+    shows, or by the first NaN draw, which no later draw replaces and which
+    fails the check; ``worst`` is that draw's label, and the tolerance is
     ``tolerance * scale``. ``options`` pass through to the generator.
     """
 
@@ -129,7 +118,7 @@ def _check(name: str, tolerance: float):
         def check(rng, dims, scale, **options) -> CheckResult:
             residual, worst = 0.0, None
             for label, value in draws(rng, dims, **options):
-                if value > residual:
+                if value > residual or (math.isnan(value) and not math.isnan(residual)):
                     residual, worst = value, label
             residual, limit = float(residual), float(tolerance * scale)
             return CheckResult(name, residual, limit, residual <= limit, worst)

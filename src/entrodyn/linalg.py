@@ -58,10 +58,12 @@ class EigenDecomposition(NamedTuple):
             )
         return np.exp(p, out=p)
 
-    def propagator(self, t: float) -> np.ndarray:
-        """Unitary U(t) = exp(-i h t) = V diag(exp(-i w t)) V†."""
+    def propagator(self, times) -> np.ndarray:
+        """Unitary U(t) = exp(-i h t) = V diag(exp(-i w t)) V†: (n, n) for a scalar time,
+        a (T, n, n) stack for a grid of T times, each member the same product."""
         v = self.eigenvectors
-        return (v * self.phases(float(float_times(t)))) @ v.conj().T
+        u = (v * self.phases(times)[:, None, :]) @ v.conj().T
+        return u[0] if np.ndim(times) == 0 else u
 
 
 def float_times(times) -> np.ndarray:

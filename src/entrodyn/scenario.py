@@ -12,7 +12,9 @@ dimension, its Hamiltonian and its named bases. Parsing, the document echo,
 the dimension bound and resolution all read the same row.
 
 Reports are deterministic: the same document and package version produce
-byte-identical CSV and summary output.
+byte-identical CSV and summary output. A report's checks, like those of the
+invariant suite, are CheckResults: each summary check carries ``worst``, the
+grid time that set its residual, and a FAIL line names it.
 """
 
 from __future__ import annotations
@@ -680,11 +682,20 @@ def resolve_scenario(spec: ScenarioSpec) -> ResolvedScenario:
 
 
 @dataclass(frozen=True)
-class ReportCheck:
+class CheckResult:
+    """A residual against its tolerance: a summary check of a run, or one check of ``verify``."""
+
     name: str
     residual: float
     tolerance: float
     passed: bool
+    worst: str | None  # the input that set the residual; None when no residual exceeded 0
+
+    def line(self) -> str:
+        """The PASS/FAIL line; a FAIL line ends with the input that set the residual."""
+        verdict = "PASS" if self.passed else "FAIL"
+        text = f"{verdict} {self.name}: residual={self.residual:.3e} (tolerance {self.tolerance:.3e})"
+        return text if self.passed else f"{text} worst at {self.worst}"
 
 
 def write_csv(handle, kind: str, columns, table: np.ndarray) -> None:
@@ -734,14 +745,18 @@ class EvolutionReport:
         return json.dumps(self.summary(), indent=2, sort_keys=True) + "\n"
 
 
-def entropy_constancy(entropies) -> ReportCheck:
-    """Pass iff every entropy lies within ENTROPY_CONSTANCY_TOL of the first."""
-    residual = float(np.max(np.abs(entropies - entropies[0])))
-    return ReportCheck(
+def entropy_constancy(entropies, times) -> CheckResult:
+    """Pass iff every entropy lies within ENTROPY_CONSTANCY_TOL of the first; ``worst`` names
+    the grid time farthest from it (the first NaN, if any)."""
+    drift = np.abs(entropies - entropies[0])
+    farthest = int(np.argmax(drift))
+    residual = float(drift[farthest])
+    return CheckResult(
         name="entropy-constancy",
         residual=residual,
         tolerance=ENTROPY_CONSTANCY_TOL,
         passed=residual <= ENTROPY_CONSTANCY_TOL,
+        worst=f"t = {times[farthest]:.15g}" if residual else None,
     )
 
 
@@ -906,7 +921,7 @@ def run_scenario(spec: ScenarioSpec) -> EvolutionReport:
         block = np.reshape(block, (times.size, -1))
         table[:, col : col + block.shape[1]] = block
         col += block.shape[1]
-    checks = (entropy_constancy(table[:, 1]),) if spec.outputs.entropy else ()
+    checks = (entropy_constancy(table[:, 1], times),) if spec.outputs.entropy else ()
     tolerances = {"entropy_constancy": ENTROPY_CONSTANCY_TOL}
     return _report("evolution", spec, resolved.columns, resolved.column_paths, table, tolerances, checks)
 

@@ -47,23 +47,20 @@ def rabi_populations(system: SpinHalfSystem, times) -> tuple[np.ndarray, np.ndar
 
     Computed by exact evolution under the spin Hamiltonian, diagonalised once,
     not from any closed form. The grid is evaluated RABI_BLOCK_POINTS points at
-    a time: the block's propagators U(t) = (V diag(P_t)) V† are one stacked
-    product, which runs the same product on each member as
-    ``EigenDecomposition.propagator`` runs on one, and U(t) alpha is column 0
-    of each. Each modulus is Python's scalar ``abs``, squared, so a population
-    has the bits of ``abs(evolve_state(alpha, h, t)[k]) ** 2``; numpy's
+    a time: ``EigenDecomposition.propagator`` gives the block's U(t) as one
+    stacked product, and U(t) alpha is column 0 of each. Each modulus is
+    Python's scalar ``abs``, squared, so a population has the bits of
+    ``abs(evolve_state(alpha, h, t)[k]) ** 2``; numpy's
     vectorised complex ``abs`` rounds differently in the last bit. Both arrays
     have the shape of ``times``; a non-finite w t raises DomainError.
     """
     spectrum = hermitian_eig(spin_hamiltonian(system))
-    v = spectrum.eigenvectors
-    v_dagger = v.conj().T
     flat = np.ravel(times)
     populations = np.empty((*np.shape(times), 2))
     cells = populations.reshape(-1)  # (p_alpha, p_beta) pairs in grid order
     for start in range(0, flat.size, RABI_BLOCK_POINTS):
         block = flat[start : start + RABI_BLOCK_POINTS]
-        amplitudes = ((v * spectrum.phases(block)[:, None, :]) @ v_dagger)[:, :, 0]
+        amplitudes = spectrum.propagator(block)[:, :, 0]
         cells[2 * start : 2 * (start + block.size)] = [abs(a) ** 2 for a in amplitudes.ravel().tolist()]
     return populations[..., 0], populations[..., 1]
 

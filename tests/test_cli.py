@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,11 +12,17 @@ import numpy as np
 import pytest
 
 from entrodyn.cli import RABI_COLUMNS, main
-from entrodyn import invariants
+from entrodyn import invariants, scenario
 from entrodyn.invariants import run_invariant_suite
 from entrodyn.linalg import hermitian_eig
 from entrodyn.sampling import DEFAULT_SEED, rng_for
-from entrodyn.scenario import MAX_DIMENSION, MAX_GRID_CELLS
+from entrodyn.scenario import (
+    MAX_DIMENSION,
+    MAX_GRID_CELLS,
+    ScenarioParseError,
+    ScenarioValidationError,
+    parse_scenario,
+)
 from entrodyn.systems import SpinHalfSystem, spin_hamiltonian
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -126,13 +133,19 @@ class TestInvariantSuite:
             assert (alone.worst is None) == (alone.residual == 0.0)
 
     def test_reducer_keeps_the_first_of_tied_draws(self):
-        @invariants._check("stub", 1.0)
-        def stub(rng, dims):
-            yield from (("zero", -0.0), ("first", 2.0), ("second", 2.0), ("nan", math.nan), ("lower", 1.0))
+        draws = (("zero", -0.0), ("first", 2.0), ("second", 2.0))
+        draws += (("nan", math.nan), ("lower", 1.0), ("nan again", math.nan))
 
-        result = stub(None, (2,), 0.5)
-        assert result == invariants.CheckResult("stub", 2.0, 0.5, False, "first")
+        @invariants._check("stub", 1.0)
+        def stub(rng, dims, count):
+            yield from draws[:count]
+
+        assert stub(None, (2,), 0.5, count=3) == invariants.CheckResult("stub", 2.0, 0.5, False, "first")
         assert stub.__name__ == "stub"
+        # a NaN draw fails the check, and the first one is named
+        result = stub(None, (2,), 1e300, count=len(draws))
+        assert math.isnan(result.residual) and (result.passed, result.worst) == (False, "nan")
+        assert result.line() == "FAIL stub: residual=nan (tolerance 1.000e+300) worst at nan"
         negative = invariants._check("stub", 1.0)(lambda rng, dims: iter([("a", -0.0), ("b", -1.0)]))(None, (), 1.0)
         assert negative.worst is None and math.copysign(1.0, negative.residual) == 1.0
         assert f"{negative.residual:.3e}" == "0.000e+00"
@@ -206,6 +219,29 @@ class TestEvolveCommand:
         assert code == 2
         assert "not UTF-8" in err and "0xff" in err
 
+    def test_entropy_drift_fails_naming_its_time(self, capsys, tmp_path, monkeypatch):
+        evolved = scenario._evolved
+
+        def dephased(rho0, phases):
+            """Shrink rho(t)'s coherences by |Re P_t0|: untouched at t = 0, not unitary after."""
+            rho = evolved(rho0, phases)
+            return np.where(np.eye(len(rho0), dtype=bool), rho, rho * np.abs(phases[:, :1, None].real))
+
+        monkeypatch.setattr(scenario, "_evolved", dephased)
+        out_path, summary_path = tmp_path / "series.csv", tmp_path / "summary.json"
+        code, _, err = run_cli(
+            ["evolve", str(SCENARIOS / "spin_rabi.json"), "--out", str(out_path), "--summary", str(summary_path)],
+            capsys,
+        )
+        assert code == 1
+        table = np.loadtxt(out_path, delimiter=",", skiprows=2)
+        drift = np.abs(table[:, 1] - table[0, 1])
+        worst = f"t = {table[np.argmax(drift), 0]:.15g}"
+        summary = json.loads(summary_path.read_text())
+        assert summary["passed"] is False
+        assert summary["checks"][0]["worst"] == worst and summary["checks"][0]["residual"] > 1e-3
+        assert re.fullmatch(rf"FAIL entropy-constancy: residual=\S+ \(tolerance 1\.000e-09\) worst at {worst}\n", err)
+
     def test_validation_failure_is_exit_one(self, capsys, tmp_path):
         path = tmp_path / "badprob.json"
         path.write_text(
@@ -220,6 +256,125 @@ class TestEvolveCommand:
         code, _, err = run_cli(["evolve", str(path)], capsys)
         assert code == 1
         assert "sum to 1" in err
+
+
+# A small valid document; each case below replaces one top-level section.
+BASE_DOCUMENT = {
+    "system": {"kind": "spin-half", "delta": 1.0},
+    "initial": {"state": "alpha"},
+    "time": {"start": 0.0, "stop": 1.0, "points": 3},
+}
+PARSE, INVALID = (ScenarioParseError, 2), (ScenarioValidationError, 1)
+
+# (section replaced in BASE_DOCUMENT, (error type, CLI exit code), message pattern from its field path on)
+ERROR_CASES = {
+    "two initial states": (
+        {"initial": {"state": "alpha", "probabilities": [1.0, 0.0]}},
+        PARSE,
+        r"initial: give exactly one of 'state', 'amplitudes', 'probabilities'",
+    ),
+    "unknown named state": (
+        {"initial": {"state": "gamma"}},
+        PARSE,
+        r"initial\.state: unknown named state 'gamma'; expected alpha, beta, site, or momentum",
+    ),
+    "index required": ({"initial": {"state": "site"}}, PARSE, r"initial: named state 'site' requires an 'index'"),
+    "index meaningless": (
+        {"initial": {"state": "alpha", "index": 0}},
+        PARSE,
+        r"initial\.index: meaningless for named state 'alpha'",
+    ),
+    "index without a state": (
+        {"initial": {"amplitudes": [1.0, 0.0], "index": 0}},
+        PARSE,
+        r"initial\.index: only valid together with a named 'state'",
+    ),
+    "empty probabilities": (
+        {"initial": {"probabilities": []}},
+        PARSE,
+        r"initial\.probabilities: expected a nonempty array",
+    ),
+    "alpha beyond two levels": (
+        {"system": {"kind": "lattice", "sites": 4, "length": 1.0, "mass": 1.0}},
+        INVALID,
+        r"initial\.state: 'alpha' needs a two-level system, dimension is 4",
+    ),
+    "index out of range": (
+        {"initial": {"state": "site", "index": 5}},
+        INVALID,
+        r"initial\.index: site index 5 out of range for dimension 2",
+    ),
+    "wrong entry count": (
+        {"initial": {"probabilities": [1.0]}},
+        INVALID,
+        r"initial\.probabilities: expected 2 entries, got 1",
+    ),
+    "unknown observable": (
+        {"observables": [{"name": "spin"}]},
+        PARSE,
+        r"observables\[0\]\.name: unknown observable 'spin'; expected one of \(",
+    ),
+    "matrix of a named observable": (
+        {"observables": [{"name": "sigma_x", "matrix": [[1.0]]}]},
+        PARSE,
+        r"observables\[0\]\.matrix: only valid when name is 'matrix'",
+    ),
+    "observables not an array": ({"observables": {"name": "sigma_x"}}, PARSE, r"observables: expected an array"),
+    "matrix of the wrong shape": (
+        {"observables": [{"name": "sigma_z"}, {"name": "matrix", "matrix": [[1.0]]}]},
+        INVALID,
+        r"observables\[1\]\.matrix: expected shape \(2, 2\), got \(1, 1\)",
+    ),
+    "non-Hermitian matrix": (
+        {"observables": [{"name": "matrix", "matrix": [[0.0, 1.0], [0.0, 0.0]]}]},
+        INVALID,
+        r"observables\[0\]\.matrix is not Hermitian: \|\|m - m†\|\|_F / \|\|m\|\|_F = ",
+    ),
+    "targets a bad string": (
+        {"outputs": {"transitions": {"source": 0, "targets": "some"}}},
+        PARSE,
+        r"outputs\.transitions\.targets: expected 'all' or an index array, got 'some'",
+    ),
+    "targets empty": (
+        {"outputs": {"transitions": {"source": 0, "targets": []}}},
+        PARSE,
+        r"outputs\.transitions\.targets: expected 'all' or a nonempty index array",
+    ),
+    "source out of range": (
+        {"outputs": {"transitions": {"source": 5}}},
+        INVALID,
+        r"outputs\.transitions\.source: index 5 out of range for dimension 2",
+    ),
+    "NaN number": (
+        {"system": {"kind": "spin-half", "delta": math.nan}},
+        PARSE,
+        r"system\.delta: expected a finite number, got nan",
+    ),
+    "non-boolean entropy flag": ({"outputs": {"entropy": 1}}, PARSE, r"outputs\.entropy: expected true/false, got 1"),
+    "unequal matrix rows": (
+        {"system": {"kind": "explicit-matrices", "hamiltonian": [[1.0, 0.0], [0.0]]}},
+        PARSE,
+        r"system\.hamiltonian: rows have unequal lengths",
+    ),
+}
+
+
+class TestScenarioErrorTable:
+    """Each malformed or invalid document raises its error type with a message that starts at the
+    field path, and the CLI prints that message and exits with the type's code."""
+
+    @pytest.mark.parametrize("case", sorted(ERROR_CASES))
+    def test_error_names_its_field(self, case, capsys, tmp_path):
+        section, (error, exit_code), pattern = ERROR_CASES[case]
+        text = json.dumps({**BASE_DOCUMENT, **section})
+        with pytest.raises(error, match=f"^{pattern}"):
+            parse_scenario(text)
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        code, out, err = run_cli(["evolve", str(path)], capsys)
+        assert code == exit_code
+        assert out == ""
+        assert re.match(f"error: {pattern}", err) and err.count("\n") == 1
 
 
 class TestPerturbCommand:

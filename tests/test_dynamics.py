@@ -64,9 +64,12 @@ class TestPropagator:
         phases = spectrum.phases(times)
         assert phases.shape == (7, 6)
         np.testing.assert_allclose(phases, np.exp(-1j * np.outer(times, w)), rtol=0, atol=1e-15)
-        for t, row in zip(times, phases):
+        stack = spectrum.propagator(times)
+        assert stack.shape == (7, 6, 6)
+        for t, row, u in zip(times, phases, stack):
             np.testing.assert_array_equal((v * row) @ v.conj().T, spectrum.propagator(t))
             np.testing.assert_array_equal(spectrum.propagator(t), expm_hermitian(h, t))
+            np.testing.assert_array_equal(u, spectrum.propagator(t))
 
 
 class TestSpectrumArgument:
@@ -113,6 +116,18 @@ class TestSpectrumArgument:
             evolve_density(pure_density(ALPHA), stack, 1.0)
         with pytest.raises(ShapeError):
             heisenberg_observable(SZ, stack, 1.0)
+
+    def test_grid_of_times_rejected(self):
+        # a grid would give a stack of propagators; each function takes one time
+        times = np.array([0.5, 1.0])
+        with pytest.raises(ShapeError, match=r"^t must be a single time, got an array of shape \(2,\)"):
+            evolve_state(ALPHA, SZ, times)
+        with pytest.raises(ShapeError):
+            evolve_density(pure_density(ALPHA), SZ, times)
+        with pytest.raises(ShapeError):
+            heisenberg_observable(SZ, SX, times)
+        with pytest.raises(ShapeError):
+            transition_probability_exact(np.eye(2), 0, 1, SX, times)
 
     def test_dimension_checked_against_spectrum(self):
         with pytest.raises(ShapeError):

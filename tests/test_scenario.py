@@ -582,6 +582,9 @@ def _entropy_column(h, rho0, times, gamma=0.0, growth=0.0) -> np.ndarray:
     return _entropies(rho0p, phases, _eigenbasis_densities(rho0p, phases, times, gamma))
 
 
+LONG_TIMES = np.linspace(0.0, 40.0, 2000)
+
+
 @pytest.fixture(scope="module")
 def long_mixture():
     """(entropy column, ||W_t†W_t - 1||_F at each point, oracle entropies) of a
@@ -589,7 +592,7 @@ def long_mixture():
     W_t = P_t ∘ X0 for rho(0)' = X0 Λ X0†, and the oracle takes LAPACK's
     eigvalsh of the site-basis rho(t), an independent route."""
     h, rho0 = _mixture(8)
-    times = np.linspace(0.0, 40.0, 2000)
+    times = LONG_TIMES
     rho0p, phases = _eigenbasis(h, rho0, times)
     x0 = hermitian_eig(rho0p).eigenvectors
     eye = np.eye(8)
@@ -617,7 +620,7 @@ class TestWarmStartEntropy:
     def test_mixture_warm_matches_cold_over_long_grid(self, long_mixture):
         column, _, cold = long_mixture
         assert np.max(np.abs(column - cold)) <= 1e-12
-        assert entropy_constancy(column).passed
+        assert entropy_constancy(column, LONG_TIMES).passed
 
     def test_warm_basis_stays_unitary(self, long_mixture):
         _, defects, _ = long_mixture
@@ -626,11 +629,12 @@ class TestWarmStartEntropy:
     def test_dephased_sequence_fails_entropy_constancy(self):
         h, rho0 = _mixture(8)
         times = np.linspace(0.0, 4.0, 200)
-        assert entropy_constancy(_entropy_column(h, rho0, times)).passed
+        assert entropy_constancy(_entropy_column(h, rho0, times), times).passed
         dephased = _entropy_column(h, rho0, times, gamma=0.05)
-        check = entropy_constancy(dephased)
+        check = entropy_constancy(dephased, times)
         assert not check.passed
         assert check.residual > 1e3 * check.tolerance
+        assert check.worst == f"t = {times[np.argmax(np.abs(dephased - dephased[0]))]:.15g}"
         # the basis built for unitary evolution does not hide the change: cold solves of the same matrices agree
         rho0p, phases = _eigenbasis(h, rho0, times)
         cold = [von_neumann_entropy(rho) for rho in _eigenbasis_densities(rho0p, phases, times, gamma=0.05)(slice(None))]
@@ -639,7 +643,7 @@ class TestWarmStartEntropy:
     def test_growing_phases_fail_entropy_constancy(self):
         h, rho0 = _mixture(8)
         times = np.linspace(0.0, 4.0, 200)
-        check = entropy_constancy(_entropy_column(h, rho0, times, growth=0.05))
+        check = entropy_constancy(_entropy_column(h, rho0, times, growth=0.05), times)
         assert not check.passed
         assert check.residual > 1e3 * check.tolerance
 
