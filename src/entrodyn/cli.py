@@ -102,11 +102,12 @@ class _UsageError(Exception):
     """A flag or file the command cannot use: malformed input."""
 
 
-def _output(path: str | None):
-    """The file at ``path`` opened for writing, or stdout when there is none."""
-    if path is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+def _output(flag: str, path: str):
+    """The file at ``path`` opened for writing; a path that cannot be written is a bad ``flag``."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {flag}: {exc}") from None
 
 
 def _load(path: str):
@@ -117,11 +118,13 @@ def _load(path: str):
 
 
 def _write_report(report: EvolutionReport, args) -> int:
-    with _output(args.out) as handle:
-        report.to_csv(handle)
-    if args.summary is not None:
-        with _output(args.summary) as handle:
-            handle.write(report.summary_json())
+    """Write the CSV and the summary; both targets are opened before either is written."""
+    with contextlib.ExitStack() as stack:
+        out = sys.stdout if args.out is None else stack.enter_context(_output("--out", args.out))
+        summary = None if args.summary is None else stack.enter_context(_output("--summary", args.summary))
+        report.to_csv(out)
+        if summary is not None:
+            summary.write(report.summary_json())
     for check in report.checks:
         if not check.passed:
             print(check.line(), file=sys.stderr)

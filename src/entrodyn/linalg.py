@@ -160,8 +160,8 @@ def _norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat).real)
 
 
-def _check_hermitian(m: np.ndarray, rtol: float, what: str) -> np.ndarray:
-    """Raise DomainError unless ||m - m†||_F <= rtol * ||m||_F for m, or for each
+def _check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """Raise DomainError unless ||m - m†||_F <= HERMITICITY_RTOL * ||m||_F for m, or for each
     matrix of a stack m (the message names the first failing member); return the
     norms ||m||_F.
 
@@ -169,18 +169,18 @@ def _check_hermitian(m: np.ndarray, rtol: float, what: str) -> np.ndarray:
     """
     norm = _norms(m)
     defect = _norms(m - m.conj().swapaxes(-1, -2))
-    bad = defect > rtol * norm
+    bad = defect > HERMITICITY_RTOL * norm
     if bad.any():
         i = np.flatnonzero(bad)[0]
         raise DomainError(
             f"{what}{f' (stack member {i})' if m.ndim == 3 else ''} is not Hermitian: "
-            f"||m - m†||_F / ||m||_F = {defect.flat[i] / norm.flat[i]:.3e} exceeds {rtol:g}"
+            f"||m - m†||_F / ||m||_F = {defect.flat[i] / norm.flat[i]:.3e} exceeds {HERMITICITY_RTOL:g}"
         )
     return norm
 
 
-def require_hermitian(m, *, rtol: float = HERMITICITY_RTOL, what: str = "matrix") -> np.ndarray:
-    """Validate ||m - m†||_F <= rtol * ||m||_F and return m as a fresh array.
+def require_hermitian(m, *, what: str = "matrix") -> np.ndarray:
+    """Validate ||m - m†||_F <= HERMITICITY_RTOL * ||m||_F and return m as a fresh array.
 
     Both norms are taken after a power-of-two rescaling, so the test means the
     same at any magnitude of the entries.
@@ -188,7 +188,7 @@ def require_hermitian(m, *, rtol: float = HERMITICITY_RTOL, what: str = "matrix"
     m = as_matrix(m)
     _require_square(m, what)
     scaled = np.ldexp(m.view(np.float64), -_scale_exponent(m)).view(np.complex128)
-    _check_hermitian(scaled, rtol, what)
+    _check_hermitian(scaled, what)
     return m
 
 
@@ -246,7 +246,7 @@ def _jacobi_storage(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e = np.frexp(np.abs(h.view(np.float64)).reshape(batch + (-1,)).max(axis=-1))[1]
     s = np.zeros(batch + (2 * m, m), dtype=np.complex128)
     np.ldexp(h.view(np.float64), -e[..., None, None], out=s[..., :n, :n].view(np.float64))
-    tol = JACOBI_OFF_TOL * _check_hermitian(s[..., :n, :n], HERMITICITY_RTOL, "eigensolver input")
+    tol = JACOBI_OFF_TOL * _check_hermitian(s[..., :n, :n], "eigensolver input")
     s.reshape(batch + (-1,))[..., m * m :: m + 1] = 1.0  # V = 1
     return s, e, tol
 

@@ -19,16 +19,16 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) % 2**64, *(int(s) % 2**64 for s in stream)])
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     """GUE-style Hermitian matrix (A + A†)/2."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (a + a.conj().T) / 2.0
+    return (a + a.conj().T) / 2.0
 
 
-def random_real_symmetric(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def random_real_symmetric(rng: np.random.Generator, dim: int) -> np.ndarray:
     """GOE-style real symmetric matrix (A + Aᵀ)/2, as a complex array."""
     a = rng.standard_normal((dim, dim))
-    return (scale * (a + a.T) / 2.0).astype(np.complex128)
+    return ((a + a.T) / 2.0).astype(np.complex128)
 
 
 def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -7,9 +7,17 @@ problems raise ScenarioParseError; documents that parse but violate a
 mathematical invariant (non-Hermitian Hamiltonian, probabilities that do not
 sum to one, ...) raise ScenarioValidationError naming the invariant.
 
+A spec is the document as parsed, in its normal form: a plain dict with
+every default filled in, each number as its field's reader returns it, a
+complex entry as a plain real when its imaginary part is 0 and as [re, im]
+otherwise, and absent optional fields (an index, a label, a matrix, the
+transitions, an empty observables list) left out. A report's summary echoes
+it as it is. Each section's fields and defaults are written once: in a table
+of Fields, or in the one function that reads the section.
+
 What a system kind is lives in one table, SYSTEM_KINDS: its parameters, its
-dimension, its Hamiltonian and its named bases. Parsing, the document echo,
-the dimension bound and resolution all read the same row.
+dimension, its Hamiltonian and its named bases. Parsing, the dimension bound
+and resolution all read the same row.
 
 Reports are deterministic: the same document and package version produce
 byte-identical CSV and summary output. A report's checks, like those of the
@@ -23,7 +31,7 @@ import json
 import math
 from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -145,21 +153,23 @@ def _string(node, path) -> str:
     return node
 
 
-def _complex_scalar(node, path) -> complex:
+def _complex_scalar(node, path):
+    """A complex entry in document form: a plain real when its imaginary part is 0, else [re, im]."""
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return complex(_float(node, path), 0.0)
+        return _number(node, path)
     if isinstance(node, list) and len(node) == 2:
-        return complex(_number(node[0], f"{path}[0]"), _number(node[1], f"{path}[1]"))
+        re, im = _number(node[0], f"{path}[0]"), _number(node[1], f"{path}[1]")
+        return re if im == 0.0 else [re, im]
     raise ScenarioParseError(f"{path}: expected a number or [re, im] pair, got {node!r}")
 
 
-def _complex_vector(node, path) -> tuple:
+def _complex_vector(node, path) -> list:
     if not isinstance(node, list) or not node:
         raise ScenarioParseError(f"{path}: expected a nonempty array")
-    return tuple(_complex_scalar(entry, f"{path}[{i}]") for i, entry in enumerate(node))
+    return [_complex_scalar(entry, f"{path}[{i}]") for i, entry in enumerate(node)]
 
 
-def _complex_matrix(node, path) -> tuple:
+def _complex_matrix(node, path) -> list:
     if not isinstance(node, list) or not node:
         raise ScenarioParseError(f"{path}: expected a nonempty array of rows")
     rows = []
@@ -170,7 +180,12 @@ def _complex_matrix(node, path) -> tuple:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ScenarioParseError(f"{path}: rows have unequal lengths")
-    return tuple(rows)
+    return rows
+
+
+def _complex_array(rows) -> np.ndarray:
+    """The complex matrix of document-form rows: an [re, im] pair is re + im j."""
+    return np.array([[complex(*e) if isinstance(e, list) else e for e in row] for row in rows], dtype=complex)
 
 
 def _require(mapping, key, path):
@@ -184,14 +199,20 @@ _REQUIRED = object()
 Field = namedtuple("Field", ("name", "read", "default"), defaults=(_REQUIRED,))
 
 
+def _given(values: dict) -> dict:
+    """The mapping without its absent (None) fields, which the document form leaves out."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _read_fields(node, path, schema, also=()) -> dict:
-    """{name: value} for each Field in ``schema`` of the mapping at ``path``, which holds no other field but ``also``."""
+    """{name: value} for each Field in ``schema`` of the mapping at ``path``, which holds no other field but ``also``;
+    a field whose reader returns None is left out."""
     node = _as_mapping(node, path, (*also, *(f.name for f in schema)))
     values = {}
     for f in schema:
         value = _require(node, f.name, path) if f.default is _REQUIRED else node.get(f.name, f.default)
         values[f.name] = f.read(value, f"{path}.{f.name}")
-    return values
+    return _given(values)
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +245,18 @@ class SystemKind:
 
     fields: tuple  # Field per parameter, in document order
     dimension: int | str  # a fixed dimension, or the field whose value (a count or a matrix) sets it
-    hamiltonian: Callable  # {name: value} -> H in the site basis
-    bases: dict = field(default_factory=dict)  # named bases besides "site": name -> ({name: value} -> Basis)
+    hamiltonian: Callable  # system section -> H in the site basis; an error's message starts with its field
+    bases: dict = field(default_factory=dict)  # named bases besides "site": name -> (system section -> Basis)
     levels: tuple = ()  # names of the site states in 'pop_*' headers; their indices when empty
 
 
-def _lattice(params: dict) -> LatticeFreeParticle:
-    return LatticeFreeParticle(**params)
+def _lattice(system: dict) -> LatticeFreeParticle:
+    return LatticeFreeParticle(sites=system["sites"], length=system["length"], mass=system["mass"])
 
 
-def _momentum_basis(params: dict) -> Basis:
+def _momentum_basis(system: dict) -> Basis:
     """Plane waves, labelled by k for momentum 2 pi k / length."""
-    lattice = _lattice(params)
+    lattice = _lattice(system)
     n = lattice.sites
     return Basis(labels=tuple(range(-(n // 2), (n + 1) // 2)), kets=lattice_momentum_basis(lattice))
 
@@ -256,82 +277,14 @@ SYSTEM_KINDS = {
     "composite": SystemKind(
         fields=(Field("delta_a", _number), Field("delta_b", _number), Field("g", _number, 0.0)),
         dimension=4,
-        hamiltonian=lambda p: composite_hamiltonian(coupled_spin_pair(**p)),
+        hamiltonian=lambda p: composite_hamiltonian(coupled_spin_pair(p["delta_a"], p["delta_b"], p["g"])),
     ),
     "explicit-matrices": SystemKind(
         fields=(Field("hamiltonian", _complex_matrix),),
         dimension="hamiltonian",
-        hamiltonian=lambda p: require_hermitian(np.array(p["hamiltonian"], dtype=complex), what="system.hamiltonian"),
+        hamiltonian=lambda p: require_hermitian(_complex_array(p["hamiltonian"]), what="hamiltonian"),
     ),
 }
-
-
-# ---------------------------------------------------------------------------
-# Spec dataclasses (plain values only, so equality and round-trips are exact)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    """A system kind and its parameters, as (name, value) pairs in the kind's field order."""
-
-    kind: str
-    params: tuple
-
-    def __getitem__(self, name: str):
-        return dict(self.params)[name]
-
-
-@dataclass(frozen=True)
-class InitialSpec:
-    """Exactly one of: a named state (with an index for site and momentum), amplitudes, probabilities."""
-
-    state: str | None = None
-    index: int | None = None
-    amplitudes: tuple | None = None
-    probabilities: tuple | None = None
-
-
-@dataclass(frozen=True)
-class TimeGridSpec:
-    start: float
-    stop: float
-    points: int
-
-    def values(self) -> np.ndarray:
-        if self.points == 1:
-            return np.array([self.start])
-        return np.linspace(self.start, self.stop, self.points)
-
-
-@dataclass(frozen=True)
-class ObservableSpec:
-    name: str
-    matrix: tuple | None = None
-    label: str | None = None
-
-
-@dataclass(frozen=True)
-class TransitionsSpec:
-    source: int
-    targets: tuple | str = "all"
-
-
-@dataclass(frozen=True)
-class OutputsSpec:
-    entropy: bool = True
-    expectations: bool = True
-    populations: bool = False
-    transitions: TransitionsSpec | None = None
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    system: SystemSpec
-    initial: InitialSpec
-    time: TimeGridSpec
-    observables: tuple = ()
-    outputs: OutputsSpec = field(default_factory=OutputsSpec)
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +292,17 @@ class ScenarioSpec:
 # ---------------------------------------------------------------------------
 
 
-def _parse_system(node) -> SystemSpec:
+def _parse_system(node) -> dict:
     if not isinstance(node, dict):
         raise ScenarioParseError(f"system: expected a mapping, got {type(node).__name__}")
     kind = _string(_require(node, "kind", "system"), "system.kind")
     if kind not in SYSTEM_KINDS:
         raise ScenarioParseError(f"system.kind: unknown kind {kind!r}; expected one of {tuple(SYSTEM_KINDS)}")
-    params = _read_fields(node, "system", SYSTEM_KINDS[kind].fields, also=("kind",))
-    return SystemSpec(kind=kind, params=tuple(params.items()))
+    return {"kind": kind, **_read_fields(node, "system", SYSTEM_KINDS[kind].fields, also=("kind",))}
 
 
-def _parse_initial(node) -> InitialSpec:
+def _parse_initial(node) -> dict:
+    """Exactly one of: a named state (with an index for site and momentum), amplitudes, probabilities."""
     node = _as_mapping(node, "initial", ("state", "index", "amplitudes", "probabilities"))
     given = [k for k in ("state", "amplitudes", "probabilities") if k in node]
     if len(given) != 1:
@@ -368,17 +321,15 @@ def _parse_initial(node) -> InitialSpec:
             raise ScenarioParseError(f"initial: named state {state!r} requires an 'index'")
         if NAMED_STATES[state][1] is not None and index is not None:
             raise ScenarioParseError(f"initial.index: meaningless for named state {state!r}")
-        return InitialSpec(state=state, index=index)
+        return _given({"state": state, "index": index})
     if "index" in node:
         raise ScenarioParseError("initial.index: only valid together with a named 'state'")
     if "amplitudes" in node:
-        return InitialSpec(amplitudes=_complex_vector(node["amplitudes"], "initial.amplitudes"))
+        return {"amplitudes": _complex_vector(node["amplitudes"], "initial.amplitudes")}
     probs = node["probabilities"]
     if not isinstance(probs, list) or not probs:
         raise ScenarioParseError("initial.probabilities: expected a nonempty array")
-    return InitialSpec(
-        probabilities=tuple(_number(p, f"initial.probabilities[{i}]") for i, p in enumerate(probs)),
-    )
+    return {"probabilities": [_number(p, f"initial.probabilities[{i}]") for i, p in enumerate(probs)]}
 
 
 def _time_points(node, path) -> int:
@@ -391,7 +342,14 @@ def _time_points(node, path) -> int:
 TIME_FIELDS = (Field("start", _number), Field("stop", _number), Field("points", _time_points))
 
 
-def _parse_observable(node, path) -> ObservableSpec:
+def time_grid(time: dict) -> np.ndarray:
+    """The grid of a time section: ``points`` times from start to stop, or start alone."""
+    if time["points"] == 1:
+        return np.array([time["start"]])
+    return np.linspace(time["start"], time["stop"], time["points"])
+
+
+def _parse_observable(node, path) -> dict:
     node = _as_mapping(node, path, ("name", "matrix", "label"))
     name = _string(_require(node, "name", path), f"{path}.name")
     if name != "matrix" and name not in NAMED_OBSERVABLES:
@@ -403,7 +361,14 @@ def _parse_observable(node, path) -> ObservableSpec:
         raise ScenarioParseError(f"{path}.matrix: only valid when name is 'matrix'")
     matrix = _complex_matrix(_require(node, "matrix", path), f"{path}.matrix") if name == "matrix" else None
     label = _string(node["label"], f"{path}.label") if "label" in node else None
-    return ObservableSpec(name=name, matrix=matrix, label=label)
+    return _given({"name": name, "matrix": matrix, "label": label})
+
+
+def _observables(node, path) -> list | None:
+    """The observables in document order; None, so left out, when there are none."""
+    if not isinstance(node, list):
+        raise ScenarioParseError(f"{path}: expected an array")
+    return [_parse_observable(entry, f"{path}[{i}]") for i, entry in enumerate(node)] or None
 
 
 def _targets(node, path):
@@ -413,13 +378,13 @@ def _targets(node, path):
         raise ScenarioParseError(f"{path}: expected 'all' or an index array, got {node!r}")
     if not isinstance(node, list) or not node:
         raise ScenarioParseError(f"{path}: expected 'all' or a nonempty index array")
-    return tuple(_integer(t, f"{path}[{i}]") for i, t in enumerate(node))
+    return [_integer(t, f"{path}[{i}]") for i, t in enumerate(node)]
 
 
-def _transitions(node, path) -> TransitionsSpec | None:
+def _transitions(node, path) -> dict | None:
     if node is None:
         return None
-    return TransitionsSpec(**_read_fields(node, path, (Field("source", _integer), Field("targets", _targets, "all"))))
+    return _read_fields(node, path, (Field("source", _integer), Field("targets", _targets, "all")))
 
 
 OUTPUT_FIELDS = (
@@ -430,8 +395,8 @@ OUTPUT_FIELDS = (
 )
 
 
-def parse_scenario(text: str) -> ScenarioSpec:
-    """Parse and validate a scenario document; returns a resolvable spec."""
+def parse_scenario(text: str) -> dict:
+    """Parse and validate a scenario document; returns the spec, the document in its normal form."""
     try:
         document = json.loads(text, parse_int=_json_integer)
     except json.JSONDecodeError as exc:
@@ -441,20 +406,20 @@ def parse_scenario(text: str) -> ScenarioSpec:
     except RecursionError:
         raise ScenarioParseError("invalid JSON: arrays or objects nested too deeply") from None
     document = _as_mapping(document, "document", ("system", "initial", "time", "observables", "outputs"))
-    system = _parse_system(_require(document, "system", "document"))
-    initial = _parse_initial(_require(document, "initial", "document"))
-    time = TimeGridSpec(**_read_fields(_require(document, "time", "document"), "time", TIME_FIELDS))
-    observables = document.get("observables", [])
-    if not isinstance(observables, list):
-        raise ScenarioParseError("observables: expected an array")
-    observables = tuple(_parse_observable(entry, f"observables[{i}]") for i, entry in enumerate(observables))
-    outputs = OutputsSpec(**_read_fields(document.get("outputs", {}), "outputs", OUTPUT_FIELDS))
-    spec = ScenarioSpec(system=system, initial=initial, time=time, observables=observables, outputs=outputs)
+    spec = _given(
+        {
+            "system": _parse_system(_require(document, "system", "document")),
+            "initial": _parse_initial(_require(document, "initial", "document")),
+            "time": _read_fields(_require(document, "time", "document"), "time", TIME_FIELDS),
+            "observables": _observables(document.get("observables", []), "observables"),
+            "outputs": _read_fields(document.get("outputs", {}), "outputs", OUTPUT_FIELDS),
+        }
+    )
     resolve_scenario(spec)  # validation: every reference must resolve
     return spec
 
 
-def load_scenario(path) -> ScenarioSpec:
+def load_scenario(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -464,30 +429,8 @@ def load_scenario(path) -> ScenarioSpec:
     return parse_scenario(text)
 
 
-# ---------------------------------------------------------------------------
-# Serialization (round-trip support and report echoes)
-# ---------------------------------------------------------------------------
-
-
-def scenario_document(value):
-    """Plain JSON-able document equivalent to the spec, or to a value in it: a
-    spec becomes a mapping of its set fields (a system, its kind and
-    parameters), a tuple an array, a complex number a plain real or an
-    [re, im] pair."""
-    if isinstance(value, SystemSpec):
-        return {"kind": value.kind, **{name: scenario_document(v) for name, v in value.params}}
-    if is_dataclass(value):
-        items = ((f.name, getattr(value, f.name)) for f in fields(value))
-        return {name: scenario_document(v) for name, v in items if v is not None and v != ()}
-    if isinstance(value, tuple):
-        return [scenario_document(v) for v in value]
-    if isinstance(value, complex):
-        return value.real if value.imag == 0.0 else [value.real, value.imag]
-    return value
-
-
-def serialize_scenario(spec: ScenarioSpec) -> str:
-    return json.dumps(scenario_document(spec), indent=2, sort_keys=True) + "\n"
+def serialize_scenario(spec: dict) -> str:
+    return json.dumps(spec, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +452,9 @@ class ResolvedScenario:
     column_paths: tuple  # the field each header name comes from
 
 
-def _dimension(system: SystemSpec) -> int:
+def _dimension(system: dict) -> int:
     """Dimension of the system's Hilbert space, read off the spec without building H."""
-    size = SYSTEM_KINDS[system.kind].dimension
+    size = SYSTEM_KINDS[system["kind"]].dimension
     if isinstance(size, int):
         return size
     value = system[size]
@@ -521,79 +464,89 @@ def _dimension(system: SystemSpec) -> int:
     return dim
 
 
-def _check_grid(points: int, columns: int, dim: int) -> None:
-    """Bound the run's tables: points x (columns + dim) covers the CSV table and the phase table.
+def _check_grid(time: dict, columns: int, dim: int) -> None:
+    """Bound the run's tables: points x (columns + dim) covers the CSV table and the phase table;
+    and require a grid of two or more points to span a finite float64 stop - start.
 
     With the evolve header's column count this also covers ``perturb``,
     whose 1 + 2 x targets columns never exceed columns + dim.
     """
+    points = time["points"]
     cells = points * (columns + dim)
     if cells > MAX_GRID_CELLS:
         raise ScenarioValidationError(
             f"time.points: {points} points x ({columns} columns + dimension {dim}) = "
             f"{cells} grid cells exceed MAX_GRID_CELLS = {MAX_GRID_CELLS}"
         )
+    if points > 1 and not math.isfinite(time["stop"] - time["start"]):
+        raise ScenarioValidationError(
+            f"time.stop: the span stop - start from {time['start']:.15g} to {time['stop']:.15g} "
+            "is not a finite float64"
+        )
 
 
-def _named_basis(system: SystemSpec, name: str, dim: int, what: str) -> Basis:
+def _named_basis(system: dict, name: str, dim: int, what: str) -> Basis:
     """The named basis of the system; ``what`` names the reference in the error when it has none."""
     if name == "site":
         return Basis(labels=tuple(range(dim)))
-    build = SYSTEM_KINDS[system.kind].bases.get(name)
+    build = SYSTEM_KINDS[system["kind"]].bases.get(name)
     if build is None:
         kinds = " or ".join(kind for kind, row in SYSTEM_KINDS.items() if name in row.bases)
         raise ScenarioValidationError(f"{what} needs a {kinds} system")
-    return build(dict(system.params))
+    return build(system)
 
 
-def _resolve_initial(spec: ScenarioSpec, dim: int) -> np.ndarray:
-    initial = spec.initial
-    if initial.state is not None:
-        name, index = NAMED_STATES[initial.state]
+def _resolve_initial(spec: dict, dim: int) -> np.ndarray:
+    initial = spec["initial"]
+    if "state" in initial:
+        state = initial["state"]
+        name, index = NAMED_STATES[state]
         if index is None:
-            index = initial.index
+            index = initial["index"]
         elif dim != 2:  # alpha and beta are the levels of a two-level system
             raise ScenarioValidationError(
-                f"initial.state: {initial.state!r} needs a two-level system, dimension is {dim}"
+                f"initial.state: {state!r} needs a two-level system, dimension is {dim}"
             )
-        basis = _named_basis(spec.system, name, dim, f"initial.state: {initial.state!r}")
+        basis = _named_basis(spec["system"], name, dim, f"initial.state: {state!r}")
         if not 0 <= index < dim:
             raise ScenarioValidationError(
                 f"initial.index: {name} index {index} out of range for dimension {dim}"
             )
         return pure_density(basis.ket(index))
-    if initial.amplitudes is not None:
-        path, values = "initial.amplitudes", np.array(initial.amplitudes, dtype=complex)
+    amplitudes = "amplitudes" in initial
+    if amplitudes:
+        path, values = "initial.amplitudes", _complex_array([initial["amplitudes"]])[0]
     else:
-        path, values = "initial.probabilities", np.array(initial.probabilities, dtype=float)
+        path, values = "initial.probabilities", np.array(initial["probabilities"], dtype=float)
     if values.size != dim:
         raise ScenarioValidationError(f"{path}: expected {dim} entries, got {values.size}")
     try:
-        if initial.amplitudes is not None:
+        if amplitudes:
             return pure_density(as_pure_state(values))
         return np.diag(as_probability_vector(values)).astype(complex)
     except (DomainError, ShapeError) as exc:
         raise ScenarioValidationError(f"{path}: {exc}") from exc
 
 
-def _resolve_observables(spec: ScenarioSpec, dim: int, h: np.ndarray) -> tuple:
-    """((path, labels, source), ...), one entry per observables[i]; see ResolvedScenario."""
+def _resolve_observables(spec: dict, dim: int, h: np.ndarray) -> tuple:
+    """((path, labels, source), ...), one entry per observables[i]; see ResolvedScenario.
+    An empty label falls back like an absent one."""
     entries = []
     named = {**dict(zip(("sigma_x", "sigma_y", "sigma_z"), pauli())), "energy": h}
-    for i, obs in enumerate(spec.observables):
-        path = f"observables[{i}]"
-        if obs.name in named:
-            if obs.name != "energy" and dim != 2:
+    for i, obs in enumerate(spec.get("observables", ())):
+        path, name, label = f"observables[{i}]", obs["name"], obs.get("label")
+        if name in named:
+            if name != "energy" and dim != 2:
                 raise ScenarioValidationError(
-                    f"{path}: {obs.name} needs a two-level system, dimension is {dim}"
+                    f"{path}: {name} needs a two-level system, dimension is {dim}"
                 )
-            entries.append((path, (obs.label or obs.name,), named[obs.name]))
-        elif obs.name in POPULATION_OBSERVABLES:
-            name, prefix = POPULATION_OBSERVABLES[obs.name]
-            basis = _named_basis(spec.system, name, dim, f"{path}: {obs.name}")
-            entries.append((path, tuple(f"{prefix}{label}" for label in basis.labels), basis))
+            entries.append((path, (label or name,), named[name]))
+        elif name in POPULATION_OBSERVABLES:
+            basis_name, prefix = POPULATION_OBSERVABLES[name]
+            basis = _named_basis(spec["system"], basis_name, dim, f"{path}: {name}")
+            entries.append((path, tuple(f"{prefix}{ket}" for ket in basis.labels), basis))
         else:  # explicit matrix
-            matrix = np.array(obs.matrix, dtype=complex)
+            matrix = _complex_array(obs["matrix"])
             if matrix.shape != (dim, dim):
                 raise ScenarioValidationError(
                     f"{path}.matrix: expected shape ({dim}, {dim}), got {matrix.shape}"
@@ -602,14 +555,14 @@ def _resolve_observables(spec: ScenarioSpec, dim: int, h: np.ndarray) -> tuple:
                 matrix = require_hermitian(matrix, what=f"{path}.matrix")
             except DomainError as exc:
                 raise ScenarioValidationError(str(exc)) from exc
-            entries.append((path, (obs.label or f"obs_{i}",), matrix))
+            entries.append((path, (label or f"obs_{i}",), matrix))
     return tuple(entries)
 
 
-def _columns(spec: ScenarioSpec, sources: tuple, pairs: tuple) -> tuple:
+def _columns(spec: dict, sources: tuple, pairs: tuple) -> tuple:
     """(names, paths): the evolve CSV header and the field each name comes from."""
     named = [("t", "time")]
-    if spec.outputs.entropy:
+    if spec["outputs"]["entropy"]:
         named.append(("entropy", "outputs.entropy"))
     named.extend((label, path) for path, labels, _ in sources for label in labels)
     named.extend((f"trans_{j}_to_{k}", "outputs.transitions.targets") for j, k in pairs)
@@ -626,32 +579,33 @@ def _require_distinct_columns(resolved: ResolvedScenario) -> None:
         owner[name] = path
 
 
-def resolve_scenario(spec: ScenarioSpec) -> ResolvedScenario:
+def resolve_scenario(spec: dict) -> ResolvedScenario:
     """Materialize all matrices a run needs, validating every reference.
 
     The dimension bound is checked before any matrix is built, and the grid
-    bound as soon as the evolve header is known.
+    bounds as soon as the evolve header is known.
     """
-    dim = _dimension(spec.system)
+    system, outputs = spec["system"], spec["outputs"]
+    dim = _dimension(system)
     try:
-        h = SYSTEM_KINDS[spec.system.kind].hamiltonian(dict(spec.system.params))
+        h = SYSTEM_KINDS[system["kind"]].hamiltonian(system)
     except (DomainError, ShapeError) as exc:
-        raise ScenarioValidationError(str(exc)) from exc
+        raise ScenarioValidationError(f"system.{exc}") from exc
     rho0 = _resolve_initial(spec, dim)
     observables = _resolve_observables(spec, dim, h)  # checked whether or not they are written
-    sources = observables if spec.outputs.expectations else ()
-    if spec.outputs.populations:
-        site = Basis(labels=SYSTEM_KINDS[spec.system.kind].levels or tuple(range(dim)))
+    sources = observables if outputs["expectations"] else ()
+    if outputs["populations"]:
+        site = Basis(labels=SYSTEM_KINDS[system["kind"]].levels or tuple(range(dim)))
         sources += (("outputs.populations", tuple(f"pop_{level}" for level in site.labels), site),)
 
     pairs = ()
-    if spec.outputs.transitions is not None:
-        source = spec.outputs.transitions.source
+    if "transitions" in outputs:
+        source = outputs["transitions"]["source"]
         if not 0 <= source < dim:
             raise ScenarioValidationError(
                 f"outputs.transitions.source: index {source} out of range for dimension {dim}"
             )
-        targets = spec.outputs.transitions.targets
+        targets = outputs["transitions"]["targets"]
         if targets == "all":
             targets = tuple(k for k in range(dim) if k != source)
         for i, k in enumerate(targets):
@@ -664,7 +618,7 @@ def resolve_scenario(spec: ScenarioSpec) -> ResolvedScenario:
         pairs = tuple((source, k) for k in targets)
 
     columns, column_paths = _columns(spec, sources, pairs)
-    _check_grid(spec.time.points, len(columns), dim)
+    _check_grid(spec["time"], len(columns), dim)
     return ResolvedScenario(
         dimension=dim,
         hamiltonian=h,
@@ -845,14 +799,14 @@ def _transition_probabilities(v: np.ndarray, phases: np.ndarray, pairs: tuple) -
     return np.square(probabilities, out=probabilities)
 
 
-def _frame(spec: ScenarioSpec, require: Callable) -> tuple:
+def _frame(spec: dict, require: Callable) -> tuple:
     """(resolved, V, times, phase table P): what both runs share, from one
     ``hermitian_eig(H)``. ``require`` rejects a resolved scenario the run
     cannot use, before H is diagonalised."""
     resolved = resolve_scenario(spec)
     require(resolved)
     spectrum = hermitian_eig(resolved.hamiltonian)
-    times = spec.time.values()
+    times = time_grid(spec["time"])
     return resolved, spectrum.eigenvectors, times, _grid_phases(spectrum, times)
 
 
@@ -873,7 +827,7 @@ def _grid_phases(spectrum, times: np.ndarray) -> np.ndarray:
 
 
 def _report(
-    kind: str, spec: ScenarioSpec, columns: tuple, paths: tuple, table: np.ndarray, tolerances: dict, checks: tuple
+    kind: str, spec: dict, columns: tuple, paths: tuple, table: np.ndarray, tolerances: dict, checks: tuple
 ) -> EvolutionReport:
     """The report of a run; a non-finite cell raises NumericalError naming the field of its column."""
     bad = np.argwhere(~np.isfinite(table))
@@ -881,15 +835,15 @@ def _report(
         row, col = bad[0]
         raise NumericalError(f"{paths[col]}: column {columns[col]!r} is not finite at t = {table[row, 0]:.15g}")
     return EvolutionReport(
-        kind=kind, columns=columns, table=table, scenario=scenario_document(spec), tolerances=tolerances, checks=checks
+        kind=kind, columns=columns, table=table, scenario=spec, tolerances=tolerances, checks=checks
     )
 
 
-def _evolve_columns(spec: ScenarioSpec, resolved: ResolvedScenario, v: np.ndarray, phases: np.ndarray):
+def _evolve_columns(spec: dict, resolved: ResolvedScenario, v: np.ndarray, phases: np.ndarray):
     """Yield the evolve table's columns after t in header order; the transitions come as one block."""
     conj_phases = phases.conj()
     rho0 = v.conj().T @ resolved.initial_density @ v
-    if spec.outputs.entropy:
+    if spec["outputs"]["entropy"]:
         yield _entropies(rho0, phases, lambda rows: _evolved(rho0, phases[rows]))
     for path, _, source in resolved.column_sources:
         if isinstance(source, Basis):
@@ -900,7 +854,7 @@ def _evolve_columns(spec: ScenarioSpec, resolved: ResolvedScenario, v: np.ndarra
         yield _transition_probabilities(v, phases, resolved.transition_pairs)
 
 
-def run_scenario(spec: ScenarioSpec) -> EvolutionReport:
+def run_scenario(spec: dict) -> EvolutionReport:
     """Evolve the scenario over its time grid and collect the requested columns.
 
     Every column is a phase sum in H's eigenbasis: with H = V diag(w) V†,
@@ -921,7 +875,7 @@ def run_scenario(spec: ScenarioSpec) -> EvolutionReport:
         block = np.reshape(block, (times.size, -1))
         table[:, col : col + block.shape[1]] = block
         col += block.shape[1]
-    checks = (entropy_constancy(table[:, 1], times),) if spec.outputs.entropy else ()
+    checks = (entropy_constancy(table[:, 1], times),) if spec["outputs"]["entropy"] else ()
     tolerances = {"entropy_constancy": ENTROPY_CONSTANCY_TOL}
     return _report("evolution", spec, resolved.columns, resolved.column_paths, table, tolerances, checks)
 
@@ -939,7 +893,7 @@ def _require_transitions(resolved: ResolvedScenario) -> None:
             )
 
 
-def run_perturbation(spec: ScenarioSpec) -> EvolutionReport:
+def run_perturbation(spec: dict) -> EvolutionReport:
     """Exact vs first-order transition probabilities for the scenario generator.
 
     The scenario Hamiltonian plays the role of the perturbing generator; the

@@ -67,7 +67,13 @@ def rabi_populations(system: SpinHalfSystem, times) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class LatticeFreeParticle:
-    """Free particle on an n-site periodic lattice of physical length ``length``."""
+    """Free particle on an n-site periodic lattice of physical length ``length``.
+
+    Each error message starts with the field it names. The largest kinetic
+    energy (2 pi (n // 2) / length)^2 / (2 mass) must be a finite float64:
+    ``length`` is named when the squared momentum overflows, ``mass`` when the
+    division by 2 mass does.
+    """
 
     sites: int
     length: float
@@ -75,11 +81,18 @@ class LatticeFreeParticle:
 
     def __post_init__(self):
         if int(self.sites) != self.sites or self.sites < 2:
-            raise DomainError(f"need at least 2 sites, got {self.sites}")
+            raise DomainError(f"sites: need at least 2 sites, got {self.sites}")
         if not (self.length > 0 and math.isfinite(self.length)):
-            raise DomainError(f"length must be positive, got {self.length}")
+            raise DomainError(f"length: must be positive, got {self.length}")
         if not (self.mass > 0 and math.isfinite(self.mass)):
-            raise DomainError(f"mass must be positive, got {self.mass}")
+            raise DomainError(f"mass: must be positive, got {self.mass}")
+        # the float64 operations of lattice_momenta and lattice_hamiltonian, in their order
+        momentum = 2.0 * math.pi * (self.sites // 2) / self.length
+        square = momentum * momentum
+        if not math.isfinite(square):
+            raise DomainError(f"length: {self.length:g} is too short: the largest momentum squared overflows float64")
+        if not math.isfinite(square / (2.0 * self.mass)):
+            raise DomainError(f"mass: {self.mass:g} is too small: the largest kinetic energy overflows float64")
 
 
 def lattice_momenta(system: LatticeFreeParticle) -> np.ndarray:

@@ -242,6 +242,19 @@ class TestEvolveCommand:
         assert summary["checks"][0]["worst"] == worst and summary["checks"][0]["residual"] > 1e-3
         assert re.fullmatch(rf"FAIL entropy-constancy: residual=\S+ \(tolerance 1\.000e-09\) worst at {worst}\n", err)
 
+    @pytest.mark.parametrize("flag", ["--out", "--summary"])
+    def test_unwritable_output_is_input_error(self, flag, capsys, tmp_path):
+        # both targets are opened before either is written, so neither gets a line
+        paths = {"--out": tmp_path / "series.csv", "--summary": tmp_path / "summary.json"}
+        paths[flag] = tmp_path / "missing" / "target"
+        argv = ["evolve", str(SCENARIOS / "spin_static.json")]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert re.fullmatch(rf"error: cannot write {flag}: .*{re.escape(repr(str(paths[flag])))}\n", err)
+        assert all(not path.exists() or path.read_text() == "" for path in paths.values())
+
     def test_validation_failure_is_exit_one(self, capsys, tmp_path):
         path = tmp_path / "badprob.json"
         path.write_text(
@@ -355,6 +368,41 @@ ERROR_CASES = {
         {"system": {"kind": "explicit-matrices", "hamiltonian": [[1.0, 0.0], [0.0]]}},
         PARSE,
         r"system\.hamiltonian: rows have unequal lengths",
+    ),
+    "NaN matrix entry": (
+        {"system": {"kind": "explicit-matrices", "hamiltonian": [[math.nan, 0.0], [0.0, 1.0]]}},
+        PARSE,
+        r"system\.hamiltonian\[0\]\[0\]: expected a finite number, got nan",
+    ),
+    "one lattice site": (
+        {"system": {"kind": "lattice", "sites": 1, "length": 1.0, "mass": 1.0}},
+        INVALID,
+        r"system\.sites: need at least 2 sites, got 1",
+    ),
+    "zero lattice length": (
+        {"system": {"kind": "lattice", "sites": 2, "length": 0.0, "mass": 1.0}},
+        INVALID,
+        r"system\.length: must be positive, got 0\.0",
+    ),
+    "negative mass": (
+        {"system": {"kind": "lattice", "sites": 2, "length": 1.0, "mass": -1.0}},
+        INVALID,
+        r"system\.mass: must be positive, got -1\.0",
+    ),
+    "momentum squared overflows": (
+        {"system": {"kind": "lattice", "sites": 2, "length": 1e-300, "mass": 1.0}},
+        INVALID,
+        r"system\.length: 1e-300 is too short: the largest momentum squared overflows float64",
+    ),
+    "kinetic energy overflows": (
+        {"system": {"kind": "lattice", "sites": 2, "length": 1.0, "mass": 1e-320}},
+        INVALID,
+        r"system\.mass: 9\.99989e-321 is too small: the largest kinetic energy overflows float64",
+    ),
+    "time span overflows": (
+        {"time": {"start": -1e308, "stop": 1e308, "points": 2}},
+        INVALID,
+        r"time\.stop: the span stop - start from -1e\+308 to 1e\+308 is not a finite float64",
     ),
 }
 

@@ -1,11 +1,14 @@
 """Tests for scenario parsing, runs, reports, and round-trips."""
 
+import contextlib
 import io
 import json
 import math
 import re
+import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,6 @@ from entrodyn.scenario import (
     MAX_DIMENSION,
     EvolutionReport,
     ScenarioParseError,
-    ScenarioSpec,
     ScenarioValidationError,
     entropy_constancy,
     load_scenario,
@@ -32,8 +34,8 @@ from entrodyn.scenario import (
     resolve_scenario,
     run_perturbation,
     run_scenario,
-    scenario_document,
     serialize_scenario,
+    time_grid,
     write_csv,
     _entropies,
     _evolved,
@@ -71,11 +73,11 @@ RABI_DOC = """
 class TestParsing:
     def test_valid_spin_document(self):
         spec = parse_scenario(SPIN_DOC)
-        assert isinstance(spec, ScenarioSpec)
-        assert spec.system.kind == "spin-half"
-        assert spec.system["delta"] == 2.0
-        assert spec.initial.state == "alpha"
-        assert spec.time.points == 5
+        assert isinstance(spec, dict)
+        assert spec["system"]["kind"] == "spin-half"
+        assert spec["system"]["delta"] == 2.0
+        assert spec["initial"]["state"] == "alpha"
+        assert spec["time"]["points"] == 5
 
     def test_probabilities_must_sum_to_one(self):
         document = json.loads(SPIN_DOC)
@@ -295,8 +297,50 @@ class TestRunPerturbation:
 class TestDocumentEcho:
     def test_document_is_json_compatible(self):
         spec = parse_scenario(RABI_DOC)
-        document = scenario_document(spec)
-        assert json.loads(json.dumps(document)) == document
+        assert json.loads(json.dumps(spec)) == spec
+
+    @pytest.mark.parametrize("fixture", ["spin_static.json", "spin_rabi.json", "lattice_momentum.json"])
+    def test_summary_echoes_the_spec(self, fixture):
+        spec = load_scenario(SCENARIOS / fixture)
+        assert type(spec) is dict
+        assert json.loads(run_scenario(spec).summary_json())["scenario"] == spec
+
+    def test_normal_form(self):
+        document = {
+            "system": {"kind": "explicit-matrices", "hamiltonian": [[1, [2, 0]], [[2, -0.0], 3]]},
+            "initial": {"amplitudes": [[0, 1], 0]},
+            "time": {"start": 0, "stop": 1, "points": 2},
+            "observables": [{"name": "matrix", "matrix": [[0, [0, -1]], [[0, 1], 0]]}],
+            "outputs": {"transitions": {"source": 0}},
+        }
+        spec = parse_scenario(json.dumps(document))
+        assert spec == {
+            "system": {"kind": "explicit-matrices", "hamiltonian": [[1.0, 2.0], [2.0, 3.0]]},
+            "initial": {"amplitudes": [[0.0, 1.0], 0.0]},
+            "time": {"start": 0.0, "stop": 1.0, "points": 2},
+            "observables": [{"name": "matrix", "matrix": [[0.0, [0.0, -1.0]], [[0.0, 1.0], 0.0]]}],
+            "outputs": {
+                "entropy": True,
+                "expectations": True,
+                "populations": False,
+                "transitions": {"source": 0, "targets": "all"},
+            },
+        }
+        assert type(spec["time"]["start"]) is float and type(spec["system"]["hamiltonian"][0][0]) is float
+        del document["observables"], document["outputs"]
+        assert "observables" not in parse_scenario(json.dumps({**document, "observables": []}))
+        assert "transitions" not in parse_scenario(json.dumps(document))["outputs"]
+
+    def test_empty_label_falls_back(self):
+        # an empty label names the column like an absent one, and the echo keeps it
+        document = json.loads(SPIN_DOC)
+        document["observables"] = [
+            {"name": "sigma_z", "label": ""},
+            {"name": "matrix", "matrix": [[1.0, 0.0], [0.0, -1.0]], "label": ""},
+        ]
+        report = run_scenario(parse_scenario(json.dumps(document)))
+        assert report.columns[2:4] == ("sigma_z", "obs_1")
+        assert [obs["label"] for obs in report.summary()["scenario"]["observables"]] == ["", ""]
 
 
 def _cli_exit(document: dict, command: str, tmp_path) -> int:
@@ -456,7 +500,7 @@ class TestResourceBounds:
                 "transitions": {"source": 0, "targets": "all"},
             },
         }
-        assert parse_scenario(json.dumps(document)).time.points == 10**6
+        assert parse_scenario(json.dumps(document))["time"]["points"] == 10**6
 
     @pytest.mark.parametrize("fixture", ["spin_static.json", "spin_rabi.json", "lattice_momentum.json"])
     def test_fixtures_accepted(self, fixture):
@@ -524,7 +568,7 @@ class TestEigenbasisColumns:
         observables = [("energy", h), ("x", x)] + [
             (f"site_pop_{i}", np.diag(np.eye(4)[i]).astype(complex)) for i in range(4)
         ]
-        for i, t in enumerate(spec.time.values()):
+        for i, t in enumerate(time_grid(spec["time"])):
             u = (v * np.exp(-1j * w * t)) @ v.conj().T
             rho = u @ rho0 @ u.conj().T
             row = dict(zip(report.columns, report.table[i]))
@@ -609,7 +653,7 @@ class TestWarmStartEntropy:
     def test_fixture_warm_matches_cold(self, fixture):
         spec = load_scenario(SCENARIOS / fixture)
         resolved = resolve_scenario(spec)
-        h, rho0, times = resolved.hamiltonian, resolved.initial_density, spec.time.values()
+        h, rho0, times = resolved.hamiltonian, resolved.initial_density, time_grid(spec["time"])
         cold = [von_neumann_entropy(evolve_density(rho0, h, t)) for t in times]
         column = _entropy_column(h, rho0, times)
         assert np.max(np.abs(column - cold)) <= 1e-12
@@ -673,7 +717,7 @@ class TestWarmStartEntropy:
         resolved = resolve_scenario(spec)
         w, v = np.linalg.eigh(resolved.hamiltonian)
         oracle = []
-        for t in spec.time.values():
+        for t in time_grid(spec["time"]):
             u = (v * np.exp(-1j * w * t)) @ v.conj().T
             oracle.append(spectrum_entropy(np.linalg.eigvalsh(u @ resolved.initial_density @ u.conj().T)))
         report = run_scenario(spec)
@@ -681,7 +725,7 @@ class TestWarmStartEntropy:
         assert report.passed
 
 
-def _lattice_mixture_spec(points: int) -> ScenarioSpec:
+def _lattice_mixture_spec(points: int) -> dict:
     """A seeded 64-site lattice mixture over a grid of ``points``, entropy on."""
     weights = np.random.default_rng(20260808).standard_exponential(64)
     document = {
@@ -697,7 +741,7 @@ def _lattice_mixture_frame(points: int) -> tuple:
     """(rho(0)', P) of the seeded 64-site lattice mixture over a grid of ``points``."""
     spec = _lattice_mixture_spec(points)
     resolved = resolve_scenario(spec)
-    return _eigenbasis(resolved.hamiltonian, resolved.initial_density, spec.time.values())
+    return _eigenbasis(resolved.hamiltonian, resolved.initial_density, time_grid(spec["time"]))
 
 
 class TestEntropySolverTraffic:
@@ -705,7 +749,7 @@ class TestEntropySolverTraffic:
     def test_run_diagonalises_h_and_rho0_only(self, fixture, eig_calls):
         # every A_t of the entropy column is certified without a solve of its own
         spec = _lattice_mixture_spec(201) if fixture is None else load_scenario(SCENARIOS / fixture)
-        assert spec.outputs.entropy
+        assert spec["outputs"]["entropy"]
         h = resolve_scenario(spec).hamiltonian
         eig_calls.clear()
         run_scenario(spec)
@@ -767,7 +811,7 @@ class TestBasisPopulations:
         w, v = np.linalg.eigh(resolved.hamiltonian)
         sites = 7
         waves = np.exp(2j * np.pi * np.outer(np.arange(-3, 4), np.arange(sites)) / sites) / math.sqrt(sites)
-        for i, t in enumerate(spec.time.values()):
+        for i, t in enumerate(time_grid(spec["time"])):
             u = (v * np.exp(-1j * w * t)) @ v.conj().T
             rho = u @ resolved.initial_density @ u.conj().T
             for k, wave in zip(range(-3, 4), waves):
@@ -1080,7 +1124,26 @@ class TestParserProperties:
             spec = parse_scenario(json.dumps(document))
         except (ScenarioParseError, ScenarioValidationError):
             return
-        assert isinstance(spec, ScenarioSpec)
+        assert isinstance(spec, dict)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_near_documents(), _documents_of_any_kind()))
+    def test_evolve_exits_with_one_error_line(self, document):
+        # the whole command: an exit code of 0, 1 or 2, and a failure is one line, never a traceback or a warning;
+        # near documents rarely get past the readers, so valid ones of every kind make runs
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "scenario.json"
+            path.write_text(json.dumps(document))
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = cli_main(["evolve", str(path)])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2)
+        if code:
+            assert err.startswith(("error: ", "FAIL ")) and err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert err == ""
 
     @settings(max_examples=100)
     @given(_documents_of_any_kind())
