@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -103,9 +105,10 @@ class _UsageError(Exception):
 
 
 def _output(flag: str, path: str):
-    """The file at ``path`` opened for writing; a path that cannot be written is a bad ``flag``."""
+    """The file at ``path`` opened for appending, which changes nothing in it; a path that cannot be
+    opened is a bad ``flag``."""
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        return open(path, "a", encoding="utf-8", newline="")
     except OSError as exc:
         raise _UsageError(f"cannot write {flag}: {exc}") from None
 
@@ -118,13 +121,26 @@ def _load(path: str):
 
 
 def _write_report(report: EvolutionReport, args) -> int:
-    """Write the CSV and the summary; both targets are opened before either is written."""
+    """Write the CSV and the summary. Both targets are opened before either is emptied or written,
+    so a target that cannot be opened leaves the other as it was: an existing file keeps what it
+    held, and a file that opening it created is removed again."""
+    paths = {flag: path for flag, path in (("--out", args.out), ("--summary", args.summary)) if path is not None}
+    new = [path for path in paths.values() if not os.path.lexists(path)]
     with contextlib.ExitStack() as stack:
-        out = sys.stdout if args.out is None else stack.enter_context(_output("--out", args.out))
-        summary = None if args.summary is None else stack.enter_context(_output("--summary", args.summary))
-        report.to_csv(out)
-        if summary is not None:
-            summary.write(report.summary_json())
+        try:
+            targets = {flag: stack.enter_context(_output(flag, path)) for flag, path in paths.items()}
+        except _UsageError:
+            stack.close()
+            for path in new:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
+        for handle in targets.values():
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):  # a pipe or a device is written as it is
+                handle.truncate(0)
+        report.to_csv(targets.get("--out", sys.stdout))
+        if "--summary" in targets:
+            targets["--summary"].write(report.summary_json())
     for check in report.checks:
         if not check.passed:
             print(check.line(), file=sys.stderr)

@@ -23,6 +23,13 @@ HERMITICITY_RTOL = 1e-10
 # JACOBI_OFF_TOL * ||input||_F.
 JACOBI_OFF_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
+# A seed basis Q of hermitian_eig must satisfy ||Q†Q - 1||_F <= SEED_UNITARITY_TOL.
+# By Ostrowski's theorem (Horn & Johnson, Thm 4.5.9) each eigenvalue of Q†hQ
+# is theta_k lambda_k(h) with |theta_k - 1| <= ||Q†Q - 1||_2, so a seed within
+# the bound moves the spectrum by at most 1e-12 ||h||_2 beyond the stopping
+# rule's JACOBI_OFF_TOL ||h||_F. It is the completeness tolerance that
+# ``entrodyn basis-check`` holds the built-in bases to.
+SEED_UNITARITY_TOL = 1e-12
 # Taylor degree for the scaling-and-squaring exponential.
 TAYLOR_DEGREE = 12
 
@@ -232,23 +239,42 @@ def jacobi_schedule(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rounds)
 
 
-def _jacobi_storage(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _jacobi_storage(h: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(s, e, tol) for a finite matrix h (n, n), or for each member of a stack (T, n, n).
 
     s is the zero-padded working storage [A; V], (2m, m) per member with
     m = n + n % 2 (odd n gets a phantom zero row and column), holding
-    A = h 2^-e and V = 1; e is the member's ``_scale_exponent``, so A's norms
-    neither overflow nor underflow. The member's Hermiticity is checked, and
-    tol = JACOBI_OFF_TOL * ||A||_F is its stopping rule (see ``hermitian_eig``).
+    A = h 2^-e and V = 1, or for a seed ``basis`` Q of a lone h (see
+    ``hermitian_eig``) A = Q† h 2^-e Q and V = Q; e is the member's
+    ``_scale_exponent``, so A's norms neither overflow nor underflow. A's
+    Hermiticity is checked, which for a unitary Q is the check on h, and
+    tol = JACOBI_OFF_TOL * ||A||_F is its stopping rule.
     """
     batch, n = h.shape[:-2], h.shape[-1]
     m = n + n % 2
     e = np.frexp(np.abs(h.view(np.float64)).reshape(batch + (-1,)).max(axis=-1))[1]
     s = np.zeros(batch + (2 * m, m), dtype=np.complex128)
-    np.ldexp(h.view(np.float64), -e[..., None, None], out=s[..., :n, :n].view(np.float64))
-    tol = JACOBI_OFF_TOL * _check_hermitian(s[..., :n, :n], "eigensolver input")
+    a = s[..., :n, :n]
+    np.ldexp(h.view(np.float64), -e[..., None, None], out=a.view(np.float64))
     s.reshape(batch + (-1,))[..., m * m :: m + 1] = 1.0  # V = 1
+    if basis is not None:
+        a[...] = basis.conj().T @ a @ basis
+        s[..., m : m + n, :n] = basis
+    tol = JACOBI_OFF_TOL * _check_hermitian(a, "eigensolver input")
     return s, e, tol
+
+
+def _seed(basis, n: int) -> np.ndarray:
+    """``basis`` as an (n, n) matrix Q; DomainError unless ||Q†Q - 1||_F <= SEED_UNITARITY_TOL."""
+    q = as_matrix(basis)
+    if q.shape != (n, n):
+        raise ShapeError(f"seed basis must be {n} x {n}, got shape {q.shape}")
+    defect = frobenius(q.conj().T @ q - identity(n))
+    if not defect <= SEED_UNITARITY_TOL:
+        raise DomainError(
+            f"seed basis is not unitary: ||Q†Q - 1||_F = {defect:.3e} exceeds {SEED_UNITARITY_TOL:g}"
+        )
+    return q
 
 
 def _off_diagonal(s: np.ndarray) -> np.ndarray:
@@ -260,7 +286,7 @@ def _off_diagonal(s: np.ndarray) -> np.ndarray:
     return flat[..., 1:].reshape(batch + (m - 1, m + 1))[..., :m]
 
 
-def hermitian_eig(h) -> EigenDecomposition:
+def hermitian_eig(h, basis=None) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     The input is first rescaled by a power of two near its largest entry, so
@@ -273,11 +299,19 @@ def hermitian_eig(h) -> EigenDecomposition:
     raising ConvergenceError after ``JACOBI_MAX_SWEEPS`` sweeps; a spectrum
     beyond the float64 range raises DomainError. O(n^3) per sweep; intended
     for the dense, desk-scale matrices this package works with (n <= ~128).
+
+    An optional seed ``basis``, an (n, n) matrix Q whose columns are believed
+    to be (near) eigenvectors of h, sets where the solve starts, never its
+    answer or its stopping rule: Q must be unitary to SEED_UNITARITY_TOL (else
+    DomainError), and the sweeps start from A = Q† h Q with V = Q under the
+    same rule relative to ||A||_F. From a good seed A is diagonal to rounding
+    and no sweep is needed; from a poor one Jacobi sweeps as from a cold
+    start. Without a seed the solve starts from A = h and V = 1.
     """
     h = as_matrix(h)
     _require_square(h, "eigensolver input")
     n = h.shape[0]
-    s, e, tol = _jacobi_storage(h)
+    s, e, tol = _jacobi_storage(h, None if basis is None else _seed(basis, n))
     rounds = None  # set up at the first sweep
     sweeps = 0
     while _norms(_off_diagonal(s)) > tol:

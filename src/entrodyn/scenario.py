@@ -63,13 +63,16 @@ MAX_DIMENSION = 128
 # T x n phase table of a run together hold about that many numbers.
 MAX_GRID_CELLS = 2**24
 CSV_DIGITS = 15
-# CSV lines joined into one write: a bounded buffer, and few enough writes that
-# an in-memory stream (a redirected stdout) costs no more than one large write
-CSV_BLOCK_ROWS = 64
-# Matrix entries per block of the entropy column, certified by one
-# stack_eigenvalues call: a block of grid points bounds its working set
-# whatever the grid length (n = 2: 256 points).
-ENTROPY_BLOCK_ENTRIES = 1024
+# CSV cells (rows x columns) joined into one write: a buffer bounded whatever
+# the table's width (a 64-site lattice's 194 columns: 5 rows), and few enough
+# writes that an in-memory stream (a redirected stdout) costs no more than one
+# large write
+CSV_BLOCK_CELLS = 1024
+# Bytes of the (points, n, n) complex stack of one block of the entropy
+# column, certified by one stack_eigenvalues call: a block of grid points
+# bounds its working set whatever the grid length (n = 2: 2048 points,
+# n = 64: 2, n = 128: 1).
+ENTROPY_BLOCK_BYTES = 2**17
 
 # named initial state -> (the basis it is a ket of, its index there; None when the document gives it)
 NAMED_STATES = {"alpha": ("site", 0), "beta": ("site", 1), "site": ("site", None), "momentum": ("momentum", None)}
@@ -248,6 +251,8 @@ class SystemKind:
     hamiltonian: Callable  # system section -> H in the site basis; an error's message starts with its field
     bases: dict = field(default_factory=dict)  # named bases besides "site": name -> (system section -> Basis)
     levels: tuple = ()  # names of the site states in 'pop_*' headers; their indices when empty
+    # system section -> an eigenbasis of H as columns, the seed of H's solve; None: H is solved cold
+    eigenbasis: Callable | None = None
 
 
 def _lattice(system: dict) -> LatticeFreeParticle:
@@ -273,6 +278,7 @@ SYSTEM_KINDS = {
         dimension="sites",
         hamiltonian=lambda p: lattice_hamiltonian(_lattice(p)),
         bases={"momentum": _momentum_basis},
+        eigenbasis=lambda p: lattice_momentum_basis(_lattice(p)).T,  # H is diagonal in the plane waves
     ),
     "composite": SystemKind(
         fields=(Field("delta_a", _number), Field("delta_b", _number), Field("g", _number, 0.0)),
@@ -443,6 +449,7 @@ class ResolvedScenario:
     dimension: int
     hamiltonian: np.ndarray
     initial_density: np.ndarray
+    initial_basis: Basis | None  # a basis rho(0) is diagonal in; None for a state given by amplitudes
     # ((path, labels, source), ...): the columns between entropy and the
     # transitions, as the Hermitian matrix of one expectation column or the
     # Basis whose populations make one column per ket
@@ -496,7 +503,8 @@ def _named_basis(system: dict, name: str, dim: int, what: str) -> Basis:
     return build(system)
 
 
-def _resolve_initial(spec: dict, dim: int) -> np.ndarray:
+def _resolve_initial(spec: dict, dim: int) -> tuple:
+    """(rho(0), a basis it is diagonal in, or None for a state given by amplitudes)."""
     initial = spec["initial"]
     if "state" in initial:
         state = initial["state"]
@@ -512,7 +520,7 @@ def _resolve_initial(spec: dict, dim: int) -> np.ndarray:
             raise ScenarioValidationError(
                 f"initial.index: {name} index {index} out of range for dimension {dim}"
             )
-        return pure_density(basis.ket(index))
+        return pure_density(basis.ket(index)), basis
     amplitudes = "amplitudes" in initial
     if amplitudes:
         path, values = "initial.amplitudes", _complex_array([initial["amplitudes"]])[0]
@@ -522,8 +530,8 @@ def _resolve_initial(spec: dict, dim: int) -> np.ndarray:
         raise ScenarioValidationError(f"{path}: expected {dim} entries, got {values.size}")
     try:
         if amplitudes:
-            return pure_density(as_pure_state(values))
-        return np.diag(as_probability_vector(values)).astype(complex)
+            return pure_density(as_pure_state(values)), None
+        return np.diag(as_probability_vector(values)).astype(complex), Basis(labels=tuple(range(dim)))
     except (DomainError, ShapeError) as exc:
         raise ScenarioValidationError(f"{path}: {exc}") from exc
 
@@ -591,7 +599,7 @@ def resolve_scenario(spec: dict) -> ResolvedScenario:
         h = SYSTEM_KINDS[system["kind"]].hamiltonian(system)
     except (DomainError, ShapeError) as exc:
         raise ScenarioValidationError(f"system.{exc}") from exc
-    rho0 = _resolve_initial(spec, dim)
+    rho0, rho0_basis = _resolve_initial(spec, dim)
     observables = _resolve_observables(spec, dim, h)  # checked whether or not they are written
     sources = observables if outputs["expectations"] else ()
     if outputs["populations"]:
@@ -623,6 +631,7 @@ def resolve_scenario(spec: dict) -> ResolvedScenario:
         dimension=dim,
         hamiltonian=h,
         initial_density=rho0,
+        initial_basis=rho0_basis,
         column_sources=sources,
         transition_pairs=pairs,
         columns=columns,
@@ -656,14 +665,16 @@ def write_csv(handle, kind: str, columns, table: np.ndarray) -> None:
     """Write a versioned banner, the header and one line per row of the float ``table``
     to ``handle``, each value at CSV_DIGITS significant digits.
 
-    Lines go out CSV_BLOCK_ROWS at a time, and each block is one %-format of a
-    template repeated per row: ``%.15g`` and ``"{:.15g}".format`` print a float
-    through the same routine, so the text is that of formatting value by value.
+    Lines go out a block of CSV_BLOCK_CELLS // width rows (at least one) at a
+    time, and each block is one %-format of a template repeated per row:
+    ``%.15g`` and ``"{:.15g}".format`` print a float through the same
+    routine, so the text is that of formatting value by value.
     """
     handle.write(f"# entrodyn {__version__} {kind}\n{','.join(columns)}\n")
     line = ",".join([f"%.{CSV_DIGITS}g"] * table.shape[1]) + "\n"
-    for start in range(0, len(table), CSV_BLOCK_ROWS):
-        block = table[start : start + CSV_BLOCK_ROWS]
+    rows = max(1, CSV_BLOCK_CELLS // table.shape[1])
+    for start in range(0, len(table), rows):
+        block = table[start : start + rows]
         handle.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -714,14 +725,15 @@ def entropy_constancy(entropies, times) -> CheckResult:
     )
 
 
-def _entropies(rho0: np.ndarray, phases: np.ndarray, densities: Callable) -> np.ndarray:
+def _entropies(rho0: np.ndarray, phases: np.ndarray, densities: Callable, seed: np.ndarray | None) -> np.ndarray:
     """The von Neumann entropy of rho(t)' at each grid point, all in H's eigenbasis.
 
     Under unitary evolution rho(t)' = D_t rho(0)' D_t† with D_t = diag(P_t),
     so if rho(0)' = X0 Λ X0†, W_t = D_t X0 diagonalises rho(t)' exactly:
-    ``rho0`` is solved once, and W_t is built afresh from each phase row, so
+    ``rho0`` is solved once, from the eigenbasis ``seed`` when one is known
+    (see ``hermitian_eig``), and W_t is built afresh from each phase row, so
     no error carries from one point to the next. The grid is taken a block
-    of ENTROPY_BLOCK_ENTRIES // n² points (at least one) at a time:
+    of ENTROPY_BLOCK_BYTES // (16 n²) points (at least one) at a time:
     ``densities(rows)`` gives rho(t)' for the grid rows ``rows`` (indices)
     as a stack, and one ``stack_eigenvalues`` call certifies every
     A_t = W_t† rho(t)' W_t of the block by ``hermitian_eig``'s stopping rule,
@@ -734,8 +746,8 @@ def _entropies(rho0: np.ndarray, phases: np.ndarray, densities: Callable) -> np.
     A row with no phases (NaN, from ``_grid_phases``) is left NaN and never
     reaches the eigensolver, so ``_report`` names the column and its time.
     """
-    x0 = hermitian_eig(rho0).eigenvectors
-    block = max(1, ENTROPY_BLOCK_ENTRIES // x0.size)
+    x0 = hermitian_eig(rho0, seed).eigenvectors
+    block = max(1, ENTROPY_BLOCK_BYTES // x0.nbytes)
     defined = np.flatnonzero(np.isfinite(phases).all(axis=1))
     entropies = np.full(len(phases), np.nan)
     for start in range(0, defined.size, block):
@@ -768,7 +780,7 @@ def _expectations(
     the observable's defect, never rounding in the real column.
     """
     vh = v.conj().T
-    skew = (x - x.conj().T) / 2.0
+    skew = x / 2.0 - x.conj().T / 2.0  # halved first, so no entry near the float64 limit overflows
     if skew.any():
         imag = float(np.abs(_phase_sum((vh @ skew @ v).T * rho0, phases, conj_phases)).max())
         if imag > EXPECTATION_IMAG_ATOL:
@@ -776,7 +788,7 @@ def _expectations(
                 f"{what}: expectation value has imaginary part {imag:.3e}; "
                 "operands are not Hermitian enough"
             )
-    hermitian = (x + x.conj().T) / 2.0
+    hermitian = x / 2.0 + x.conj().T / 2.0
     return _phase_sum((vh @ hermitian @ v).T * rho0, phases, conj_phases).real
 
 
@@ -799,13 +811,25 @@ def _transition_probabilities(v: np.ndarray, phases: np.ndarray, pairs: tuple) -
     return np.square(probabilities, out=probabilities)
 
 
+def _hamiltonian_seed(system: dict) -> np.ndarray | None:
+    """The system kind's eigenbasis of H, the seed of H's solve; None when the kind has none."""
+    eigenbasis = SYSTEM_KINDS[system["kind"]].eigenbasis
+    return None if eigenbasis is None else eigenbasis(system)
+
+
+def _initial_seed(basis: Basis | None, v: np.ndarray) -> np.ndarray | None:
+    """V† B for the basis B that rho(0) is diagonal in, which diagonalises rho(0)' = V† rho(0) V:
+    the adjoint of ``basis.coefficient_rows(v)`` = B† V. None (a cold solve) without a basis."""
+    return None if basis is None else basis.coefficient_rows(v).conj().T
+
+
 def _frame(spec: dict, require: Callable) -> tuple:
     """(resolved, V, times, phase table P): what both runs share, from one
-    ``hermitian_eig(H)``. ``require`` rejects a resolved scenario the run
-    cannot use, before H is diagonalised."""
+    ``hermitian_eig(H)``, seeded by the system kind's eigenbasis when it has one.
+    ``require`` rejects a resolved scenario the run cannot use, before H is diagonalised."""
     resolved = resolve_scenario(spec)
     require(resolved)
-    spectrum = hermitian_eig(resolved.hamiltonian)
+    spectrum = hermitian_eig(resolved.hamiltonian, _hamiltonian_seed(spec["system"]))
     times = time_grid(spec["time"])
     return resolved, spectrum.eigenvectors, times, _grid_phases(spectrum, times)
 
@@ -844,7 +868,8 @@ def _evolve_columns(spec: dict, resolved: ResolvedScenario, v: np.ndarray, phase
     conj_phases = phases.conj()
     rho0 = v.conj().T @ resolved.initial_density @ v
     if spec["outputs"]["entropy"]:
-        yield _entropies(rho0, phases, lambda rows: _evolved(rho0, phases[rows]))
+        seed = _initial_seed(resolved.initial_basis, v)
+        yield _entropies(rho0, phases, lambda rows: _evolved(rho0, phases[rows]), seed)
     for path, _, source in resolved.column_sources:
         if isinstance(source, Basis):
             yield from _populations(source, v, rho0, phases, conj_phases)
@@ -864,7 +889,9 @@ def run_scenario(spec: dict) -> EvolutionReport:
     certified for every initial state alike in the basis W_t = diag(P_t) X0
     built from rho(0)' = X0 Λ X0†, by one ``stack_eigenvalues`` call per
     block of grid points (``_entropies``). A run calls ``hermitian_eig`` for
-    H and for rho(0)', and once more only for an A_t not already diagonal to
+    H and for rho(0)', each seeded by an eigenbasis the run already holds when
+    there is one (a lattice's plane waves for H; V† B for a rho(0) diagonal
+    in the basis B), and once more only for an A_t not already diagonal to
     its stopping rule, which exact unitary evolution does not produce.
     """
     resolved, v, times, phases = _frame(spec, _require_distinct_columns)
@@ -907,6 +934,7 @@ def run_perturbation(spec: dict) -> EvolutionReport:
     table = np.empty((times.size, len(columns)))
     table[:, 0] = times
     table[:, 1::2] = _transition_probabilities(v, phases, pairs)
-    table[:, 2::2] = np.outer(times**2, [abs(h[k, j]) ** 2 for j, k in pairs])
+    with np.errstate(over="ignore", invalid="ignore"):  # a t² |H_kj|² beyond float64 is named by _report
+        table[:, 2::2] = np.outer(times**2, [abs(h[k, j]) ** 2 for j, k in pairs])
     paths = ("time",) + ("outputs.transitions.targets",) * (len(columns) - 1)
     return _report("perturbation", spec, columns, paths, table, {}, ())

@@ -123,7 +123,8 @@ def lattice_hamiltonian(system: LatticeFreeParticle) -> np.ndarray:
     b = lattice_momentum_basis(system)
     energies = lattice_momenta(system) ** 2 / (2.0 * system.mass)
     h = (b.T * energies) @ b.conj()
-    return (h + h.conj().T) / 2.0
+    # halving each term first keeps a diagonal near the float64 limit from overflowing, with the same bits
+    return h / 2.0 + h.conj().T / 2.0
 
 
 @dataclass(frozen=True)

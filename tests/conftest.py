@@ -17,13 +17,14 @@ settings.load_profile("ci")
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """A list that gains the input of every hermitian_eig call, whichever entrodyn module makes it."""
+    """A list that gains (h, basis) for every hermitian_eig call, whichever entrodyn module makes it;
+    basis is the seed, None for a cold solve."""
     calls = []
     original = linalg.hermitian_eig
 
-    def counting(h):
-        calls.append(h)
-        return original(h)
+    def counting(h, basis=None):
+        calls.append((h, basis))
+        return original(h, basis)
 
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "entrodyn" and getattr(module, "hermitian_eig", None) is original:

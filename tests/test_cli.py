@@ -2,10 +2,12 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,16 +246,43 @@ class TestEvolveCommand:
 
     @pytest.mark.parametrize("flag", ["--out", "--summary"])
     def test_unwritable_output_is_input_error(self, flag, capsys, tmp_path):
-        # both targets are opened before either is written, so neither gets a line
-        paths = {"--out": tmp_path / "series.csv", "--summary": tmp_path / "summary.json"}
-        paths[flag] = tmp_path / "missing" / "target"
+        # both targets are opened before either is emptied or written, so each file keeps what it held
+        held = {"--out": tmp_path / "series.csv", "--summary": tmp_path / "summary.json"}
+        for name, path in held.items():
+            path.write_text(f"held by {name}\n")
+        paths = {**held, flag: tmp_path / "missing" / "target"}
         argv = ["evolve", str(SCENARIOS / "spin_static.json")]
         for name, path in paths.items():
             argv += [name, str(path)]
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
         assert re.fullmatch(rf"error: cannot write {flag}: .*{re.escape(repr(str(paths[flag])))}\n", err)
-        assert all(not path.exists() or path.read_text() == "" for path in paths.values())
+        assert not paths[flag].exists()
+        assert all(path.read_text() == f"held by {name}\n" for name, path in held.items())
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary"])
+    def test_unwritable_output_creates_no_file(self, flag, capsys, tmp_path):
+        paths = {"--out": tmp_path / "series.csv", "--summary": tmp_path / "summary.json"}
+        paths[flag] = tmp_path / "missing" / "target"
+        argv = ["evolve", str(SCENARIOS / "spin_static.json")]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        assert run_cli(argv, capsys)[0] == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_outputs_are_replaced(self, capsys, tmp_path):
+        fresh = {"--out": tmp_path / "fresh.csv", "--summary": tmp_path / "fresh.json"}
+        held = {"--out": tmp_path / "series.csv", "--summary": tmp_path / "summary.json"}
+        for path in held.values():
+            path.write_text("an older and longer file\n" * 1000)
+        for paths in (fresh, held):
+            argv = ["evolve", str(SCENARIOS / "spin_static.json")]
+            for name, path in paths.items():
+                argv += [name, str(path)]
+            assert run_cli(argv, capsys)[0] == 0
+        assert all(held[flag].read_bytes() == fresh[flag].read_bytes() for flag in held)
+        # a target that is not a regular file is written as it is
+        assert run_cli(["evolve", str(SCENARIOS / "spin_static.json"), "--out", os.devnull], capsys)[0] == 0
 
     def test_validation_failure_is_exit_one(self, capsys, tmp_path):
         path = tmp_path / "badprob.json"
@@ -423,6 +452,36 @@ class TestScenarioErrorTable:
         assert code == exit_code
         assert out == ""
         assert re.match(f"error: {pattern}", err) and err.count("\n") == 1
+
+
+class TestNearFloat64Limit:
+    # the mean kinetic energy, H's diagonal, is 0.96e308 here: (h + h†) once doubled it past the float64 range
+    DOCUMENT = {
+        "system": {"kind": "lattice", "sites": 3, "length": 1.0, "mass": 1.373e-307},
+        "initial": {"probabilities": [0.5, 0.3, 0.2]},
+        "time": {"start": 0.0, "stop": 1.0, "points": 3},
+        "observables": [{"name": "energy"}],
+        "outputs": {"populations": True, "transitions": {"source": 0}},
+    }
+
+    def _run(self, command, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(self.DOCUMENT))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_cli([command, str(path), "--out", str(tmp_path / "series.csv")], capsys)
+
+    def test_evolve_runs_without_a_warning(self, capsys, tmp_path):
+        assert self._run("evolve", capsys, tmp_path) == (0, "", "")
+        table = np.loadtxt(tmp_path / "series.csv", delimiter=",", skiprows=2)
+        np.testing.assert_allclose(table[:, 2], 2.0 / 3.0 * (2 * math.pi) ** 2 / (2 * 1.373e-307), rtol=1e-13)
+
+    def test_perturb_names_the_column_beyond_float64(self, capsys, tmp_path):
+        # t² |H_kj|² is beyond float64 for every t > 0; the error names the column's field, with no warning
+        code, out, err = self._run("perturb", capsys, tmp_path)
+        assert code == 1 and out == ""
+        pattern = r"error: outputs\.transitions\.targets: column 'first_order_0_to_1' is not finite at t = 0\n"
+        assert re.fullmatch(pattern, err)
 
 
 class TestPerturbCommand:

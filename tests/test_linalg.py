@@ -31,7 +31,7 @@ from entrodyn.linalg import (
     trace,
 )
 from entrodyn.sampling import random_hermitian, rng_for
-from entrodyn.systems import LatticeFreeParticle, lattice_hamiltonian, pauli
+from entrodyn.systems import LatticeFreeParticle, lattice_hamiltonian, lattice_momentum_basis, pauli
 
 SX, SY, SZ = pauli()
 
@@ -241,6 +241,108 @@ class TestHermitianEig:
             hermitian_eig(h)
 
 
+def _plane_waves(system: LatticeFreeParticle) -> np.ndarray:
+    """The lattice's plane waves as columns: the eigenbasis a scenario run seeds H's solve with."""
+    return lattice_momentum_basis(system).T
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """A list that gains one entry per Jacobi sweep."""
+    counted = []
+    sweep = linalg._Rounds.sweep
+
+    def counting(rounds):
+        counted.append(1)
+        sweep(rounds)
+
+    monkeypatch.setattr(linalg._Rounds, "sweep", counting)
+    return counted
+
+
+# (sites, length, mass): even and odd sizes, short and long lattices, light and heavy particles
+SEEDED_LATTICES = [
+    (2, 1.0, 1.0),
+    (3, 2 * np.pi, 0.5),
+    (5, 0.1, 3.0),
+    (8, 2 * np.pi, 1.0),
+    (17, 100.0, 1e-3),
+    (32, 1.0, 7.0),
+    (64, 2 * np.pi, 1.0),
+    (128, 3.0, 0.25),
+]
+
+
+class TestSeededHermitianEig:
+    """hermitian_eig(h, basis): a seed sets where the sweeps start, never the answer."""
+
+    @pytest.mark.parametrize("sites, length, mass", SEEDED_LATTICES)
+    def test_lattice_seeded_matches_cold(self, sites, length, mass, sweeps):
+        system = LatticeFreeParticle(sites, length, mass)
+        h = lattice_hamiltonian(system)
+        norm = frobenius(h)
+        cold = hermitian_eig(h)
+        sweeps.clear()
+        seeded = hermitian_eig(h, _plane_waves(system))
+        assert sweeps == []  # the plane waves diagonalise H to rounding
+        np.testing.assert_allclose(seeded.eigenvalues, cold.eigenvalues, rtol=0, atol=1e-13 * norm)
+        w, v = seeded
+        assert frobenius((v * w) @ v.conj().T - h) <= 1e-10 * norm
+        assert frobenius(v.conj().T @ v - identity(sites)) <= 1e-10 * sites
+
+    @pytest.mark.parametrize("length, mass", [(1.0, 1.0), (2 * np.pi, 0.5), (37.0, 4.0)])
+    def test_lattice_seeded_matches_lapack_at_every_size(self, length, mass):
+        for sites in range(2, 129):
+            system = LatticeFreeParticle(sites, length, mass)
+            h = lattice_hamiltonian(system)
+            w = hermitian_eig(h, _plane_waves(system)).eigenvalues
+            np.testing.assert_allclose(w, np.linalg.eigvalsh(h), rtol=0, atol=1e-13 * frobenius(h))
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 16])
+    def test_random_unitary_seed_still_sweeps_to_the_spectrum(self, n, sweeps):
+        # negative control: a seed that is no eigenbasis of h only costs sweeps
+        rng = rng_for(40 + n)
+        h = random_hermitian(rng, n)
+        q = hermitian_eig(random_hermitian(rng, n)).eigenvectors
+        cold = hermitian_eig(h)
+        sweeps.clear()
+        w, v = hermitian_eig(h, q)
+        assert len(sweeps) > 0
+        np.testing.assert_allclose(w, cold.eigenvalues, rtol=0, atol=1e-13 * frobenius(h))
+        assert frobenius((v * w) @ v.conj().T - h) <= 1e-10 * frobenius(h)
+
+    def test_seed_at_the_unitarity_bound(self):
+        h = random_hermitian(rng_for(47), 4)
+        within = np.diag([1.0 + 0.4 * linalg.SEED_UNITARITY_TOL, 1.0, 1.0, 1.0])  # ||Q†Q - 1||_F = 0.8 tol
+        beyond = np.diag([1.0 + linalg.SEED_UNITARITY_TOL, 1.0, 1.0, 1.0])  # 2 tol
+        np.testing.assert_allclose(hermitian_eig(h, within).eigenvalues, np.linalg.eigvalsh(h), atol=1e-13)
+        with pytest.raises(DomainError, match="seed basis is not unitary"):
+            hermitian_eig(h, beyond)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [2.0 * identity(3), np.ones((3, 3)), np.zeros((3, 3)), np.triu(np.ones((3, 3))), np.full((3, 3), np.nan)],
+    )
+    def test_non_unitary_seed_raises_domain_error(self, seed):
+        with pytest.raises(DomainError):
+            hermitian_eig(random_hermitian(rng_for(48), 3), seed)
+
+    def test_seed_of_the_wrong_shape_raises_shape_error(self):
+        with pytest.raises(ShapeError):
+            hermitian_eig(random_hermitian(rng_for(49), 3), identity(4))
+
+    def test_seeded_input_is_checked_for_hermiticity(self):
+        with pytest.raises(DomainError, match="not Hermitian"):
+            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex), identity(2))
+
+    def test_identity_seed_is_a_cold_start(self):
+        h = random_hermitian(rng_for(50), 7)
+        cold = hermitian_eig(h)
+        seeded = hermitian_eig(h, identity(7))
+        _assert_bits_equal(seeded.eigenvalues, cold.eigenvalues)
+        _assert_bits_equal(seeded.eigenvectors, cold.eigenvectors)
+
+
 def _assert_bits_equal(got, want):
     assert got.shape == want.shape
     np.testing.assert_array_equal(got.view(np.uint8), np.ascontiguousarray(want).view(np.uint8))
@@ -281,8 +383,9 @@ class TestStackedHermitianEig:
         stack = np.stack(members)
         w = stack_eigenvalues(stack)
         assert len(eig_calls) == 3
-        for call, i in zip(eig_calls, (2, 5, 8)):
+        for (call, basis), i in zip(eig_calls, (2, 5, 8)):
             _assert_bits_equal(call, stack[i])
+            assert basis is None
         for i in (0, 1, 3, 4, 6, 7):
             _assert_bits_equal(w[i], np.sort(np.diag(stack[i]).real))
         _assert_stack_matches_solo(stack)

@@ -23,7 +23,7 @@ from entrodyn.ensembles import spectrum_entropy, von_neumann_entropy
 from entrodyn.errors import NumericalError
 from entrodyn.linalg import hermitian_eig
 from entrodyn.scenario import (
-    CSV_BLOCK_ROWS,
+    CSV_BLOCK_CELLS,
     MAX_DIMENSION,
     EvolutionReport,
     ScenarioParseError,
@@ -37,8 +37,11 @@ from entrodyn.scenario import (
     serialize_scenario,
     time_grid,
     write_csv,
+    Basis,
     _entropies,
     _evolved,
+    _hamiltonian_seed,
+    _initial_seed,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -600,12 +603,18 @@ def _mixture(n: int, seed: int = 20260808) -> tuple:
     return (a + a.conj().T) / (2.0 * n**0.5), np.diag(weights / weights.sum()).astype(complex)
 
 
-def _eigenbasis(h, rho0, times, growth=0.0):
-    """(rho(0)', P): rho0 in H's eigenbasis and H's phase table, each row P_t scaled
-    by exp(growth t), so that |P_t| = 1 only when growth is 0."""
-    spectrum = hermitian_eig(h)
+def _eigenbasis(h, rho0, times, growth=0.0, h_seed=None):
+    """(rho(0)', P, V): rho0 in H's eigenbasis, H's phase table, each row P_t scaled
+    by exp(growth t), so that |P_t| = 1 only when growth is 0, and H's eigenvectors;
+    H is solved from ``h_seed``, as a run seeds it."""
+    spectrum = hermitian_eig(h, h_seed)
     v = spectrum.eigenvectors
-    return v.conj().T @ rho0 @ v, spectrum.phases(times) * np.exp(growth * times)[:, None]
+    return v.conj().T @ rho0 @ v, spectrum.phases(times) * np.exp(growth * times)[:, None], v
+
+
+def _site_basis(n: int) -> Basis:
+    """The basis a probabilities mixture is diagonal in."""
+    return Basis(labels=tuple(range(n)))
 
 
 def _eigenbasis_densities(rho0p, phases, times, gamma=0.0):
@@ -620,10 +629,13 @@ def _eigenbasis_densities(rho0p, phases, times, gamma=0.0):
     return densities
 
 
-def _entropy_column(h, rho0, times, gamma=0.0, growth=0.0) -> np.ndarray:
-    """The column ``_entropies`` gives for rho0 under H, dephased by gamma or with growing phases."""
-    rho0p, phases = _eigenbasis(h, rho0, times, growth)
-    return _entropies(rho0p, phases, _eigenbasis_densities(rho0p, phases, times, gamma))
+def _entropy_column(h, rho0, times, gamma=0.0, growth=0.0, h_seed=None, basis=None) -> np.ndarray:
+    """The column ``_entropies`` gives for rho0 under H, dephased by gamma or with growing phases,
+    from the seeds a run passes: ``h_seed`` for H, and V† B for the basis B rho0 is diagonal in
+    (``basis``, the site basis of a mixture when None)."""
+    rho0p, phases, v = _eigenbasis(h, rho0, times, growth, h_seed)
+    seed = _initial_seed(basis or _site_basis(len(h)), v)
+    return _entropies(rho0p, phases, _eigenbasis_densities(rho0p, phases, times, gamma), seed)
 
 
 LONG_TIMES = np.linspace(0.0, 40.0, 2000)
@@ -637,8 +649,8 @@ def long_mixture():
     eigvalsh of the site-basis rho(t), an independent route."""
     h, rho0 = _mixture(8)
     times = LONG_TIMES
-    rho0p, phases = _eigenbasis(h, rho0, times)
-    x0 = hermitian_eig(rho0p).eigenvectors
+    rho0p, phases, v = _eigenbasis(h, rho0, times)
+    x0 = hermitian_eig(rho0p, _initial_seed(_site_basis(8), v)).eigenvectors
     eye = np.eye(8)
     bases = (p[:, None] * x0 for p in phases)
     defects = [np.linalg.norm(basis.conj().T @ basis - eye) for basis in bases]
@@ -655,7 +667,8 @@ class TestWarmStartEntropy:
         resolved = resolve_scenario(spec)
         h, rho0, times = resolved.hamiltonian, resolved.initial_density, time_grid(spec["time"])
         cold = [von_neumann_entropy(evolve_density(rho0, h, t)) for t in times]
-        column = _entropy_column(h, rho0, times)
+        h_seed = _hamiltonian_seed(spec["system"])
+        column = _entropy_column(h, rho0, times, h_seed=h_seed, basis=resolved.initial_basis)
         assert np.max(np.abs(column - cold)) <= 1e-12
         # the column run_scenario writes, pure state or mixture, is this helper's
         report = run_scenario(spec)
@@ -680,7 +693,7 @@ class TestWarmStartEntropy:
         assert check.residual > 1e3 * check.tolerance
         assert check.worst == f"t = {times[np.argmax(np.abs(dephased - dephased[0]))]:.15g}"
         # the basis built for unitary evolution does not hide the change: cold solves of the same matrices agree
-        rho0p, phases = _eigenbasis(h, rho0, times)
+        rho0p, phases, _ = _eigenbasis(h, rho0, times)
         cold = [von_neumann_entropy(rho) for rho in _eigenbasis_densities(rho0p, phases, times, gamma=0.05)(slice(None))]
         assert np.max(np.abs(dephased - cold)) <= 1e-12
 
@@ -738,10 +751,13 @@ def _lattice_mixture_spec(points: int) -> dict:
 
 
 def _lattice_mixture_frame(points: int) -> tuple:
-    """(rho(0)', P) of the seeded 64-site lattice mixture over a grid of ``points``."""
+    """(rho(0)', P, the seed of rho(0)'s solve) of the seeded 64-site lattice mixture over a grid of ``points``,
+    from the seeds a run passes."""
     spec = _lattice_mixture_spec(points)
     resolved = resolve_scenario(spec)
-    return _eigenbasis(resolved.hamiltonian, resolved.initial_density, time_grid(spec["time"]))
+    h, rho0, times = resolved.hamiltonian, resolved.initial_density, time_grid(spec["time"])
+    rho0p, phases, v = _eigenbasis(h, rho0, times, h_seed=_hamiltonian_seed(spec["system"]))
+    return rho0p, phases, _initial_seed(resolved.initial_basis, v)
 
 
 class TestEntropySolverTraffic:
@@ -754,8 +770,30 @@ class TestEntropySolverTraffic:
         eig_calls.clear()
         run_scenario(spec)
         assert len(eig_calls) == 2
-        np.testing.assert_array_equal(eig_calls[0], h)
-        assert eig_calls[1].shape == h.shape
+        (h_call, h_basis), (rho_call, rho_basis) = eig_calls
+        np.testing.assert_array_equal(h_call, h)
+        # H is seeded by the plane waves on a lattice and solved cold otherwise; every initial state here,
+        # a site, momentum or named state or a site mixture, seeds rho(0)'
+        h_seed = _hamiltonian_seed(spec["system"])
+        assert (h_seed is None) == (spec["system"]["kind"] != "lattice")
+        if h_seed is None:
+            assert h_basis is None
+        else:
+            np.testing.assert_array_equal(h_basis, h_seed)
+        assert rho_call.shape == h.shape and rho_basis is not None
+
+    def test_lattice_mixture_makes_no_cold_solve(self, eig_calls):
+        spec = _lattice_mixture_spec(201)
+        eig_calls.clear()
+        run_scenario(spec)
+        assert len(eig_calls) == 2 and all(basis is not None for _, basis in eig_calls)
+        # a state given by amplitudes has no known eigenbasis, so its rho(0)' alone is solved cold
+        document = json.loads(serialize_scenario(spec))
+        document["initial"] = {"amplitudes": [0.6, [0.0, 0.8]] + [0.0] * 62}
+        spec = parse_scenario(json.dumps(document))
+        eig_calls.clear()
+        run_scenario(spec)
+        assert [basis is None for _, basis in eig_calls] == [False, True]
 
 
 class TestEntropyWorkingSet:
@@ -764,8 +802,10 @@ class TestEntropyWorkingSet:
         # table and its output; a (T, n, n) stack of the 2001-point grid alone would be 131 MB
         peaks = {}
         for points in (201, 2001):
-            rho0p, phases = _lattice_mixture_frame(points)
-            peaks[points] = _traced_peak(lambda: _entropies(rho0p, phases, lambda rows: _evolved(rho0p, phases[rows])))
+            rho0p, phases, seed = _lattice_mixture_frame(points)
+            peaks[points] = _traced_peak(
+                lambda: _entropies(rho0p, phases, lambda rows: _evolved(rho0p, phases[rows]), seed)
+            )
         assert peaks[2001] - peaks[201] <= (2001 - 201) * (phases.itemsize * 64 + 8)
         assert peaks[201] < 4 * 2**20
 
@@ -877,7 +917,7 @@ class _RecordingHandle(io.StringIO):
 
 class TestCsvFormatting:
     @pytest.mark.parametrize("rows", [1, 63, 64, 65, 129])
-    @pytest.mark.parametrize("width", [1, 3, 193])
+    @pytest.mark.parametrize("width", [1, 3, 16, 193])
     def test_bytes_equal_value_by_value_formatting(self, rows, width):
         rng = np.random.default_rng(1000 * rows + width)
         table = np.empty((rows, width))
@@ -891,7 +931,8 @@ class TestCsvFormatting:
         write_csv(handle, "evolution", columns, table)
         assert handle.getvalue() == _value_by_value("evolution", columns, table)
         lines_per_write = [block.count("\n") for block in handle.writes[1:]]
-        assert lines_per_write == [min(CSV_BLOCK_ROWS, rows - start) for start in range(0, rows, CSV_BLOCK_ROWS)]
+        block = CSV_BLOCK_CELLS // width  # 64 rows at width 16
+        assert lines_per_write == [min(block, rows - start) for start in range(0, rows, block)]
 
     def test_empty_table_writes_the_header_only(self):
         handle = io.StringIO()
@@ -1076,6 +1117,20 @@ def _any_json():
 
 
 def _near_documents():
+    """Documents of which each section is, with probability 1/2, that of a valid document (so that
+    some reach resolution and run), and otherwise of the right shape with fields drawn from any JSON value."""
+    near = _near_sections()
+
+    @st.composite
+    def document(draw):
+        valid, other = draw(_documents_of_any_kind()), draw(near)
+        sources = [valid if draw(st.booleans()) else other for _ in valid]
+        return {key: source[key] for key, source in zip(valid, sources) if key in source}
+
+    return document()
+
+
+def _near_sections():
     """Documents whose sections have the right shape, with fields drawn from any JSON value."""
     value = _any_json()
 
@@ -1117,6 +1172,22 @@ def _near_documents():
 
 
 class TestParserProperties:
+    def test_near_documents_reach_resolution(self):
+        outcomes = []
+
+        @settings(max_examples=100, derandomize=True, database=None)
+        @given(_near_documents())
+        def parse(document):
+            try:
+                parse_scenario(json.dumps(document))
+            except (ScenarioParseError, ScenarioValidationError):
+                outcomes.append(False)
+            else:
+                outcomes.append(True)
+
+        parse()
+        assert 0 < sum(outcomes) < len(outcomes)
+
     @settings(max_examples=400)
     @given(st.one_of(_any_json(), _near_documents()))
     def test_any_json_parses_or_raises_a_scenario_error(self, document):
@@ -1129,8 +1200,7 @@ class TestParserProperties:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(_near_documents(), _documents_of_any_kind()))
     def test_evolve_exits_with_one_error_line(self, document):
-        # the whole command: an exit code of 0, 1 or 2, and a failure is one line, never a traceback or a warning;
-        # near documents rarely get past the readers, so valid ones of every kind make runs
+        # the whole command: an exit code of 0, 1 or 2, and a failure is one line, never a traceback or a warning
         stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "scenario.json"

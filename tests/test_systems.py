@@ -247,6 +247,25 @@ class TestLattice:
             proj = np.outer(row, row.conj())
             assert frobenius(h @ proj - proj @ h) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "sites, length, mass", [(2, 1.0, 1.0), (3, 6.5, 0.3), (8, 2 * math.pi, 1.0), (64, 0.01, 7.0)]
+    )
+    def test_hermitian_part_keeps_its_bits(self, sites, length, mass):
+        # each term is halved before the sum, which is exact in the normal range: the bits of (h + h†) / 2
+        system = LatticeFreeParticle(sites=sites, length=length, mass=mass)
+        b = lattice_momentum_basis(system)
+        h = (b.T * (lattice_momenta(system) ** 2 / (2.0 * mass))) @ b.conj()
+        np.testing.assert_array_equal(lattice_hamiltonian(system), (h + h.conj().T) / 2.0)
+
+    def test_diagonal_near_the_float64_limit(self):
+        # the mean kinetic energy, every diagonal entry, is 0.96e308: doubling it would overflow
+        system = LatticeFreeParticle(sites=3, length=1.0, mass=1.373e-307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = lattice_hamiltonian(system)
+        np.testing.assert_allclose(h.diagonal().real, 2.0 / 3.0 * (2 * math.pi) ** 2 / (2 * 1.373e-307), rtol=1e-14)
+        np.testing.assert_array_equal(h, h.conj().T)
+
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             LatticeFreeParticle(sites=1, length=1.0, mass=1.0)
