@@ -68,10 +68,10 @@ CSV_DIGITS = 15
 # writes that an in-memory stream (a redirected stdout) costs no more than one
 # large write
 CSV_BLOCK_CELLS = 1024
-# Bytes of the (points, n, n) complex stack of one block of the entropy
-# column, certified by one stack_eigenvalues call: a block of grid points
-# bounds its working set whatever the grid length (n = 2: 2048 points,
-# n = 64: 2, n = 128: 1).
+# Bytes of one entropy block's A_t stack, (points, n, n) complex, certified by
+# one stack_eigenvalues call (n = 2: 2048 points, n = 64: 2, n = 128: 1). The
+# block's traced peak is about 8.3 times this (1,067 KiB at n = 2): the basis,
+# the densities, their products and the solver's temporaries.
 ENTROPY_BLOCK_BYTES = 2**17
 
 # named initial state -> (the basis it is a ket of, its index there; None when the document gives it)
@@ -712,7 +712,7 @@ class EvolutionReport:
 
 def entropy_constancy(entropies, times) -> CheckResult:
     """Pass iff every entropy lies within ENTROPY_CONSTANCY_TOL of the first; ``worst`` names
-    the grid time farthest from it (the first NaN, if any)."""
+    the grid time farthest from it."""
     drift = np.abs(entropies - entropies[0])
     farthest = int(np.argmax(drift))
     residual = float(drift[farthest])
@@ -734,7 +734,7 @@ def _entropies(rho0: np.ndarray, phases: np.ndarray, densities: Callable, seed: 
     (see ``hermitian_eig``), and W_t is built afresh from each phase row, so
     no error carries from one point to the next. The grid is taken a block
     of ENTROPY_BLOCK_BYTES // (16 n²) points (at least one) at a time:
-    ``densities(rows)`` gives rho(t)' for the grid rows ``rows`` (indices)
+    ``densities(rows)`` gives rho(t)' for the grid rows ``rows`` (a slice)
     as a stack, and one ``stack_eigenvalues`` call certifies every
     A_t = W_t† rho(t)' W_t of the block by ``hermitian_eig``'s stopping rule,
     relative to ||A_t||_F = ||rho(t)||_F: an A_t already within it is
@@ -743,15 +743,12 @@ def _entropies(rho0: np.ndarray, phases: np.ndarray, densities: Callable, seed: 
     point's eigenvalues measure the spectrum of the rho(t) given, a rho(t)
     that is not unitarily related to rho(0) shows in the column, and the
     working set stays bounded whatever the grid length.
-    A row with no phases (NaN, from ``_grid_phases``) is left NaN and never
-    reaches the eigensolver, so ``_report`` names the column and its time.
     """
     x0 = hermitian_eig(rho0, seed).eigenvectors
     block = max(1, ENTROPY_BLOCK_BYTES // x0.nbytes)
-    defined = np.flatnonzero(np.isfinite(phases).all(axis=1))
-    entropies = np.full(len(phases), np.nan)
-    for start in range(0, defined.size, block):
-        rows = defined[start : start + block]
+    entropies = np.empty(len(phases))
+    for start in range(0, len(phases), block):
+        rows = slice(start, start + block)
         basis = phases[rows, :, None] * x0
         a = basis.conj().swapaxes(1, 2) @ densities(rows) @ basis
         entropies[rows] = spectrum_entropy(stack_eigenvalues(a))
@@ -781,15 +778,16 @@ def _expectations(
     """
     vh = v.conj().T
     skew = x / 2.0 - x.conj().T / 2.0  # halved first, so no entry near the float64 limit overflows
-    if skew.any():
-        imag = float(np.abs(_phase_sum((vh @ skew @ v).T * rho0, phases, conj_phases)).max())
-        if imag > EXPECTATION_IMAG_ATOL:
-            raise NumericalError(
-                f"{what}: expectation value has imaginary part {imag:.3e}; "
-                "operands are not Hermitian enough"
-            )
-    hermitian = x / 2.0 + x.conj().T / 2.0
-    return _phase_sum((vh @ hermitian @ v).T * rho0, phases, conj_phases).real
+    with np.errstate(over="ignore", invalid="ignore"):  # a product beyond float64 is named by _report
+        if skew.any():
+            imag = float(np.abs(_phase_sum((vh @ skew @ v).T * rho0, phases, conj_phases)).max())
+            if imag > EXPECTATION_IMAG_ATOL:
+                raise NumericalError(
+                    f"{what}: expectation value has imaginary part {imag:.3e}; "
+                    "operands are not Hermitian enough"
+                )
+        hermitian = x / 2.0 + x.conj().T / 2.0
+        return _phase_sum((vh @ hermitian @ v).T * rho0, phases, conj_phases).real
 
 
 def _populations(basis: Basis, v: np.ndarray, rho0: np.ndarray, phases: np.ndarray, conj_phases: np.ndarray):
@@ -831,23 +829,11 @@ def _frame(spec: dict, require: Callable) -> tuple:
     require(resolved)
     spectrum = hermitian_eig(resolved.hamiltonian, _hamiltonian_seed(spec["system"]))
     times = time_grid(spec["time"])
-    return resolved, spectrum.eigenvectors, times, _grid_phases(spectrum, times)
-
-
-def _grid_phases(spectrum, times: np.ndarray) -> np.ndarray:
-    """The grid's phase table, with a NaN row wherever some w_j t is not finite.
-
-    ``phases`` refuses such a time; here every cell of its row comes out
-    non-finite, so ``_report`` names the first one by field path and time, as
-    it names any other non-finite cell.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        defined = np.isfinite(np.multiply.outer(times, spectrum.eigenvalues)).all(axis=1)
-    if defined.all():
-        return spectrum.phases(times)
-    phases = np.full((times.size, spectrum.eigenvalues.size), np.nan, dtype=np.complex128)
-    phases[defined] = spectrum.phases(times[defined])
-    return phases
+    try:
+        phases = spectrum.phases(times)
+    except DomainError as exc:  # a grid time at which exp(-i H t) is undefined
+        raise ScenarioValidationError(f"time: {exc}") from exc
+    return resolved, spectrum.eigenvectors, times, phases
 
 
 def _report(
@@ -936,5 +922,6 @@ def run_perturbation(spec: dict) -> EvolutionReport:
     table[:, 1::2] = _transition_probabilities(v, phases, pairs)
     with np.errstate(over="ignore", invalid="ignore"):  # a t² |H_kj|² beyond float64 is named by _report
         table[:, 2::2] = np.outer(times**2, [abs(h[k, j]) ** 2 for j, k in pairs])
+    table[times == 0.0, 2::2] = 0.0  # the law's value at t = 0, where 0 · inf would be NaN
     paths = ("time",) + ("outputs.transitions.targets",) * (len(columns) - 1)
     return _report("perturbation", spec, columns, paths, table, {}, ())

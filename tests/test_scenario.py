@@ -1010,31 +1010,45 @@ OVERFLOW_DOC = {
 
 
 class TestNonFiniteColumns:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # w t overflows at the second grid time, so exp(-i H t) is undefined there whatever the columns
+    UNDEFINED_TIME = r"time: w t is not finite at t = 2500000000\.0 \(largest \|w\| = 5\.000e\+307\); "
+
     @pytest.mark.parametrize(
-        ("runner", "command", "message"),
+        ("runner", "command", "outputs"),
         [
-            (run_scenario, "evolve", r"^observables\[0\]: column 'sigma_z' is not finite at t = 2500000000$"),
-            (run_perturbation, "perturb", r"^outputs.transitions.targets: column 'exact_0_to_1' is not finite"),
+            (run_scenario, "evolve", OVERFLOW_DOC["outputs"]),
+            (run_scenario, "evolve", dict(OVERFLOW_DOC["outputs"], entropy=True)),
+            (run_perturbation, "perturb", OVERFLOW_DOC["outputs"]),
+            (run_scenario, "evolve", {"entropy": False, "expectations": False}),  # no column besides t
         ],
+        ids=["evolve", "evolve-entropy", "perturb", "evolve-t-only"],
     )
-    def test_nan_cell_is_numerical_error(self, runner, command, message, tmp_path):
-        self._assert_names_cell(OVERFLOW_DOC, runner, command, message, tmp_path)
-
-    def test_nan_entropy_cell_names_its_field(self, tmp_path):
-        # the NaN phase rows stay out of the entropy column's eigensolver
-        document = dict(OVERFLOW_DOC, outputs=dict(OVERFLOW_DOC["outputs"], entropy=True))
-        message = r"^outputs.entropy: column 'entropy' is not finite at t = 2500000000$"
-        self._assert_names_cell(document, run_scenario, "evolve", message, tmp_path)
-
-    @staticmethod
-    def _assert_names_cell(document, runner, command, message, tmp_path):
-        with pytest.raises(NumericalError, match=message):
+    def test_undefined_time_is_named_by_time(self, runner, command, outputs, capsys, tmp_path):
+        document = dict(OVERFLOW_DOC, outputs=outputs)
+        with pytest.raises(ScenarioValidationError, match=f"^{self.UNDEFINED_TIME}"):
             runner(parse_scenario(json.dumps(document)))
-        path, summary = tmp_path / "scenario.json", tmp_path / "summary.json"
+        path, out, summary = tmp_path / "scenario.json", tmp_path / "out.csv", tmp_path / "summary.json"
         path.write_text(json.dumps(document))
-        assert cli_main([command, str(path), "--out", str(tmp_path / "out.csv"), "--summary", str(summary)]) == 1
-        assert not summary.exists()
+        assert cli_main([command, str(path), "--out", str(out), "--summary", str(summary)]) == 1
+        assert re.fullmatch(f"error: {self.UNDEFINED_TIME}[^\n]*\n", capsys.readouterr().err)
+        assert not out.exists() and not summary.exists()
+
+    def test_overflowing_expectation_names_its_column_without_a_warning(self, capsys, tmp_path):
+        document = {
+            "system": {"kind": "spin-half", "delta": 0.0, "omega": 1.0},
+            "initial": {"amplitudes": [2**-0.5, 2**-0.5]},
+            "time": {"start": 0.0, "stop": 1.0, "points": 3},
+            "observables": [{"name": "matrix", "label": "big", "matrix": [[1e308, 1e308], [1e308, 1e308]]}],
+            "outputs": {"entropy": False},
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["evolve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: observables[0]: column 'big' is not finite at t = 0\n"
 
     def test_finite_large_splitting_still_runs(self):
         document = dict(OVERFLOW_DOC, time={"start": 0.0, "stop": 1.0, "points": 5})
