@@ -226,7 +226,8 @@ def _read_fields(node, path, schema, also=()) -> dict:
 @dataclass(frozen=True)
 class Basis:
     """A named basis: a label per ket, and the kets as rows in the site basis
-    (None for the site basis itself, whose kets are the unit vectors)."""
+    (None for the site basis itself, whose kets are the unit vectors). The one
+    ket psi of a state given by amplitudes is held the same way."""
 
     labels: tuple
     kets: np.ndarray | None = None
@@ -449,7 +450,10 @@ class ResolvedScenario:
     dimension: int
     hamiltonian: np.ndarray
     initial_density: np.ndarray
-    initial_basis: Basis | None  # a basis rho(0) is diagonal in; None for a state given by amplitudes
+    # rho(0) = sum_k w_k |k><k| over the kets of initial_kets: a basis rho(0) is diagonal in, or for a
+    # state given by amplitudes the one ket psi
+    initial_kets: Basis
+    initial_weights: np.ndarray
     # ((path, labels, source), ...): the columns between entropy and the
     # transitions, as the Hermitian matrix of one expectation column or the
     # Basis whose populations make one column per ket
@@ -504,7 +508,9 @@ def _named_basis(system: dict, name: str, dim: int, what: str) -> Basis:
 
 
 def _resolve_initial(spec: dict, dim: int) -> tuple:
-    """(rho(0), a basis it is diagonal in, or None for a state given by amplitudes)."""
+    """(rho(0), kets, weights): rho(0) = sum_k w_k |k><k| over the kets. A named state is its ket of
+    weight 1 in its named basis, ``probabilities`` weigh the site kets, and ``amplitudes`` give psi
+    alone, weight 1."""
     initial = spec["initial"]
     if "state" in initial:
         state = initial["state"]
@@ -520,7 +526,7 @@ def _resolve_initial(spec: dict, dim: int) -> tuple:
             raise ScenarioValidationError(
                 f"initial.index: {name} index {index} out of range for dimension {dim}"
             )
-        return pure_density(basis.ket(index)), basis
+        return pure_density(basis.ket(index)), basis, np.eye(1, dim, index)[0]
     amplitudes = "amplitudes" in initial
     if amplitudes:
         path, values = "initial.amplitudes", _complex_array([initial["amplitudes"]])[0]
@@ -530,8 +536,10 @@ def _resolve_initial(spec: dict, dim: int) -> tuple:
         raise ScenarioValidationError(f"{path}: expected {dim} entries, got {values.size}")
     try:
         if amplitudes:
-            return pure_density(as_pure_state(values)), None
-        return np.diag(as_probability_vector(values)).astype(complex), Basis(labels=tuple(range(dim)))
+            psi = as_pure_state(values)
+            return pure_density(psi), Basis(labels=("psi",), kets=psi[None, :]), np.ones(1)
+        weights = as_probability_vector(values)
+        return np.diag(weights).astype(complex), Basis(labels=tuple(range(dim))), weights
     except (DomainError, ShapeError) as exc:
         raise ScenarioValidationError(f"{path}: {exc}") from exc
 
@@ -599,7 +607,7 @@ def resolve_scenario(spec: dict) -> ResolvedScenario:
         h = SYSTEM_KINDS[system["kind"]].hamiltonian(system)
     except (DomainError, ShapeError) as exc:
         raise ScenarioValidationError(f"system.{exc}") from exc
-    rho0, rho0_basis = _resolve_initial(spec, dim)
+    rho0, kets, weights = _resolve_initial(spec, dim)
     observables = _resolve_observables(spec, dim, h)  # checked whether or not they are written
     sources = observables if outputs["expectations"] else ()
     if outputs["populations"]:
@@ -631,7 +639,8 @@ def resolve_scenario(spec: dict) -> ResolvedScenario:
         dimension=dim,
         hamiltonian=h,
         initial_density=rho0,
-        initial_basis=rho0_basis,
+        initial_kets=kets,
+        initial_weights=weights,
         column_sources=sources,
         transition_pairs=pairs,
         columns=columns,
@@ -790,35 +799,40 @@ def _expectations(
         return _phase_sum((vh @ hermitian @ v).T * rho0, phases, conj_phases).real
 
 
-def _populations(basis: Basis, v: np.ndarray, rho0: np.ndarray, phases: np.ndarray, conj_phases: np.ndarray):
-    """Yield <b|rho(t)|b> over the grid for each ket b of the basis.
+def _ket_probabilities(phases: np.ndarray, ket: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|<b|U(t)|k>|² over the grid, a column per row of ``rows``: the ket k as g = V† k, each b as the
+    row b̄ᵀ V (``Basis.coefficient_rows``), so <b|U(t)|k> = sum_m (b̄ᵀ V)_m P_tm g_m, one
+    (T x n) @ (n x rows) product."""
+    amplitudes = phases @ (ket[:, None] * rows.T)
+    probabilities = np.abs(amplitudes)
+    return np.square(probabilities, out=probabilities)
 
-    With c = V† b, (V† |b><b| V)ᵀ = outer(c̄, c), so each column is one phase
-    sum and no projector is built.
+
+def _populations(rows: np.ndarray, mixture: list, phases: np.ndarray) -> np.ndarray:
+    """<b|rho(t)|b> = sum_k w_k |<b|U(t)|k>|² over the grid, a column per ket b of a basis given by
+    its ``rows`` (b̄ᵀ V), for rho(0) the ``mixture`` of (w_k, V† k) of positive weight.
+
+    A population is a mixture of transition probabilities, so no cell is negative, and the block
+    costs one ``_ket_probabilities`` product, O(T n n_b), per ket of the mixture.
     """
-    for row in basis.coefficient_rows(v):
-        yield _phase_sum(np.outer(row, row.conj()) * rho0, phases, conj_phases).real
+    (weight, ket), *rest = mixture  # the weights sum to 1, so some ket has a positive one
+    populations = _ket_probabilities(phases, ket, rows)
+    populations *= weight
+    for weight, ket in rest:
+        populations += weight * _ket_probabilities(phases, ket, rows)
+    return populations
 
 
 def _transition_probabilities(v: np.ndarray, phases: np.ndarray, pairs: tuple) -> np.ndarray:
     """|u_kj(t)|^2 for every (j, k) in pairs (one source j), u_kj(t) = sum_m V_km P_tm conj(V_jm)."""
     source = pairs[0][0]
-    targets = [k for _, k in pairs]
-    amplitudes = phases @ (v[source].conj()[:, None] * v[targets].T)
-    probabilities = np.abs(amplitudes)
-    return np.square(probabilities, out=probabilities)
+    return _ket_probabilities(phases, v[source].conj(), v[[k for _, k in pairs]])
 
 
 def _hamiltonian_seed(system: dict) -> np.ndarray | None:
     """The system kind's eigenbasis of H, the seed of H's solve; None when the kind has none."""
     eigenbasis = SYSTEM_KINDS[system["kind"]].eigenbasis
     return None if eigenbasis is None else eigenbasis(system)
-
-
-def _initial_seed(basis: Basis | None, v: np.ndarray) -> np.ndarray | None:
-    """V† B for the basis B that rho(0) is diagonal in, which diagonalises rho(0)' = V† rho(0) V:
-    the adjoint of ``basis.coefficient_rows(v)`` = B† V. None (a cold solve) without a basis."""
-    return None if basis is None else basis.coefficient_rows(v).conj().T
 
 
 def _frame(spec: dict, require: Callable) -> tuple:
@@ -853,12 +867,16 @@ def _evolve_columns(spec: dict, resolved: ResolvedScenario, v: np.ndarray, phase
     """Yield the evolve table's columns after t in header order; the transitions come as one block."""
     conj_phases = phases.conj()
     rho0 = v.conj().T @ resolved.initial_density @ v
+    coefficients = resolved.initial_kets.coefficient_rows(v)  # row k: V† k, conjugated
     if spec["outputs"]["entropy"]:
-        seed = _initial_seed(resolved.initial_basis, v)
+        # V† K diagonalises rho(0)' when the kets K are a basis; psi alone is none, so it is solved cold
+        seed = None if "amplitudes" in spec["initial"] else coefficients.conj().T
         yield _entropies(rho0, phases, lambda rows: _evolved(rho0, phases[rows]), seed)
+    positive = resolved.initial_weights > 0
+    mixture = list(zip(resolved.initial_weights[positive], coefficients[positive].conj()))
     for path, _, source in resolved.column_sources:
         if isinstance(source, Basis):
-            yield from _populations(source, v, rho0, phases, conj_phases)
+            yield _populations(source.coefficient_rows(v), mixture, phases)
         else:
             yield _expectations(source, v, rho0, phases, conj_phases, path)
     if resolved.transition_pairs:
@@ -868,12 +886,16 @@ def _evolve_columns(spec: dict, resolved: ResolvedScenario, v: np.ndarray, phase
 def run_scenario(spec: dict) -> EvolutionReport:
     """Evolve the scenario over its time grid and collect the requested columns.
 
-    Every column is a phase sum in H's eigenbasis: with H = V diag(w) V†,
+    Every column is computed in H's eigenbasis: with H = V diag(w) V†,
     P_tj = exp(-i w_j t) and rho(0)' = V† rho(0) V, rho(t)' = rho(0)' ∘ (p p̄ᵀ)
-    for p = P_t. Expectations, populations and transition probabilities are
-    computed a column at a time over the whole grid. The entropy column is
-    certified for every initial state alike in the basis W_t = diag(P_t) X0
-    built from rho(0)' = X0 Λ X0†, by one ``stack_eigenvalues`` call per
+    for p = P_t. An expectation is a phase sum over the whole grid, a column
+    at a time. Transition probabilities |<b|U(t)|k>|² take one (T x n) @
+    (n x n_b) product for all targets b. A population is the mixture
+    <b|rho(t)|b> = sum_k w_k |<b|U(t)|k>|² over rho(0) = sum_k w_k |k><k| as
+    resolved (``_populations``): non-negative by construction, at a cost of
+    O(T n n_b r) for a basis of n_b kets and r kets of positive weight. The
+    entropy column is certified for every initial state alike in the basis
+    W_t = diag(P_t) X0 built from rho(0)' = X0 Λ X0†, by one ``stack_eigenvalues`` call per
     block of grid points (``_entropies``). A run calls ``hermitian_eig`` for
     H and for rho(0)', each seeded by an eigenbasis the run already holds when
     there is one (a lattice's plane waves for H; V† B for a rho(0) diagonal

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from entrodyn.cli import RABI_COLUMNS, main
-from entrodyn import invariants, scenario
+from entrodyn import cli, invariants, scenario
 from entrodyn.invariants import run_invariant_suite
 from entrodyn.linalg import hermitian_eig
 from entrodyn.sampling import DEFAULT_SEED, rng_for
@@ -188,6 +188,21 @@ class TestEvolveCommand:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("command, name", [("evolve", "run_scenario"), ("perturb", "run_perturbation")])
+    def test_runs_the_module_level_binding(self, command, name, capsys, monkeypatch):
+        # a rebinding of entrodyn.cli's name (a tracer's span) must be what the command calls
+        original = getattr(cli, name)
+        specs = []
+
+        def standing_in(spec):
+            specs.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(cli, name, standing_in)
+        code, out, _ = run_cli([command, str(SCENARIOS / "spin_rabi.json")], capsys)
+        assert code == 0 and out.startswith("# entrodyn ")
+        assert specs == [parse_scenario((SCENARIOS / "spin_rabi.json").read_text())]
 
     def test_stdout_default(self, capsys):
         code, out, _ = run_cli(["evolve", str(SCENARIOS / "spin_rabi.json")], capsys)
@@ -530,6 +545,18 @@ class TestRabiCommand:
         assert code == 2
         assert out == ""
         assert "--t-max must be finite" in err
+
+    @pytest.mark.parametrize("flag", ["--delta", "--omega", "--t-max"])
+    def test_negative_value_in_exponent_form_is_a_value(self, flag, capsys):
+        code, out, err = run_cli(["rabi", flag, "-1e3", "--points", "2"], capsys)
+        assert (code, err) == (0, "")
+        assert out == run_cli(["rabi", f"{flag}=-1000", "--points", "2"], capsys)[1]
+
+    def test_negative_infinite_t_max_reaches_the_finite_check(self, capsys):
+        code, out, err = run_cli(["rabi", "--t-max", "-inf"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --t-max must be finite, got -inf\n"
 
     def test_overflowing_energy_times_t_max_is_input_error(self, capsys):
         code, out, err = run_cli(["rabi", "--delta", "1e308", "--omega", "1e308"], capsys)

@@ -41,7 +41,7 @@ from entrodyn.scenario import (
     _entropies,
     _evolved,
     _hamiltonian_seed,
-    _initial_seed,
+    _populations,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -617,6 +617,11 @@ def _site_basis(n: int) -> Basis:
     return Basis(labels=tuple(range(n)))
 
 
+def _initial_seed(basis: Basis, v) -> np.ndarray:
+    """V† B for the basis B that rho(0) is diagonal in: the seed a run passes to rho(0)'s solve."""
+    return basis.coefficient_rows(v).conj().T
+
+
 def _eigenbasis_densities(rho0p, phases, times, gamma=0.0):
     """rows -> the stack of rho(t)' = rho(0)' ∘ (p p̄ᵀ) for the phase rows p of those
     grid rows, with off-diagonals damped by exp(-gamma t)."""
@@ -668,7 +673,7 @@ class TestWarmStartEntropy:
         h, rho0, times = resolved.hamiltonian, resolved.initial_density, time_grid(spec["time"])
         cold = [von_neumann_entropy(evolve_density(rho0, h, t)) for t in times]
         h_seed = _hamiltonian_seed(spec["system"])
-        column = _entropy_column(h, rho0, times, h_seed=h_seed, basis=resolved.initial_basis)
+        column = _entropy_column(h, rho0, times, h_seed=h_seed, basis=resolved.initial_kets)
         assert np.max(np.abs(column - cold)) <= 1e-12
         # the column run_scenario writes, pure state or mixture, is this helper's
         report = run_scenario(spec)
@@ -757,7 +762,7 @@ def _lattice_mixture_frame(points: int) -> tuple:
     resolved = resolve_scenario(spec)
     h, rho0, times = resolved.hamiltonian, resolved.initial_density, time_grid(spec["time"])
     rho0p, phases, v = _eigenbasis(h, rho0, times, h_seed=_hamiltonian_seed(spec["system"]))
-    return rho0p, phases, _initial_seed(resolved.initial_basis, v)
+    return rho0p, phases, _initial_seed(resolved.initial_kets, v)
 
 
 class TestEntropySolverTraffic:
@@ -862,6 +867,109 @@ class TestBasisPopulations:
         """At 128 sites one dense projector per column would hold 256 MB for the two entries."""
         text = json.dumps(_populations_document(MAX_DIMENSION))
         assert _traced_peak(lambda: parse_scenario(text)) < 4 * 2**20
+
+
+def _lattice_system(sites: int) -> dict:
+    return {"kind": "lattice", "sites": sites, "length": 2 * math.pi, "mass": 1.0}
+
+
+_AMPLITUDES = np.array([1.0, 1j]) @ np.random.default_rng(20261019).standard_normal((2, 8))
+# initial state -> (system, initial section): every way of giving rho(0), on a lattice and on a composite
+MIXTURE_CASES = {
+    "probabilities": (_lattice_system(8), {"probabilities": [0.3, 0.0, 0.2, 0.05, 0.0, 0.1, 0.35, 0.0]}),
+    "amplitudes": (
+        _lattice_system(8),
+        {"amplitudes": [[z.real, z.imag] for z in _AMPLITUDES / np.linalg.norm(_AMPLITUDES)]},
+    ),
+    "site": (_lattice_system(8), {"state": "site", "index": 3}),
+    "momentum": (_lattice_system(8), {"state": "momentum", "index": 2}),
+    "composite": (
+        {"kind": "composite", "delta_a": 1.3, "delta_b": -0.4, "g": 0.7},
+        {"probabilities": [0.5, 0.0, 0.3, 0.2]},
+    ),
+}
+
+
+def _mixture_report(case: str):
+    system, initial = MIXTURE_CASES[case]
+    observables = [{"name": "site_populations"}]
+    if system["kind"] == "lattice":
+        observables.append({"name": "momentum_populations"})
+    document = {
+        "system": system,
+        "initial": initial,
+        "time": {"start": -1.5, "stop": 6.0, "points": 61},
+        "observables": observables,
+        "outputs": {"entropy": True, "populations": True, "transitions": {"source": 0}},
+    }
+    spec = parse_scenario(json.dumps(document))
+    return spec, run_scenario(spec)
+
+
+def _population_oracle(spec: dict, columns: list) -> np.ndarray:
+    """<b|rho(t)|b> for each population column, from LAPACK's eigh of H and rho(t) = U rho(0) U†,
+    with the plane waves written out here."""
+    resolved = resolve_scenario(spec)
+    n = resolved.dimension
+    w, v = np.linalg.eigh(resolved.hamiltonian)
+    waves = np.exp(2j * np.pi * np.outer(np.arange(-(n // 2), (n + 1) // 2), np.arange(n)) / n) / math.sqrt(n)
+    kets = []
+    for name in columns:
+        prefix, _, label = name.rpartition("_")
+        if prefix in ("pop", "site_pop"):
+            kets.append(np.eye(n)[int(label)])
+        elif prefix == "mom_pop":
+            kets.append(waves[int(label) + n // 2])
+    kets = np.array(kets)
+    oracle = []
+    for t in time_grid(spec["time"]):
+        u = (v * np.exp(-1j * w * t)) @ v.conj().T
+        rho = u @ resolved.initial_density @ u.conj().T
+        oracle.append(np.einsum("bi,ij,bj->b", kets.conj(), rho, kets).real)
+    return np.array(oracle)
+
+
+class TestMixturePopulations:
+    """Every population is sum_k w_k |<b|U(t)|k>|² over rho(0)'s mixture."""
+
+    @pytest.mark.parametrize("case", sorted(MIXTURE_CASES))
+    def test_populations_are_probabilities(self, case, eig_calls):
+        eig_calls.clear()
+        spec, report = _mixture_report(case)
+        assert len(eig_calls) == 2  # H and rho(0)'; the populations solve nothing
+        names = [name for name in report.columns if "pop_" in name]
+        table = report.table[:, [report.columns.index(name) for name in names]]
+        assert (table >= 0.0).all()
+        assert np.max(np.abs(table - _population_oracle(spec, names))) <= 1e-12
+        pops = [name for name in names if name.startswith("pop_")]
+        totals = report.table[:, [report.columns.index(name) for name in pops]].sum(axis=1)
+        assert np.max(np.abs(totals - 1.0)) <= 1e-12
+        for i, name in enumerate(pops):
+            site = report.table[:, report.columns.index(f"site_pop_{i}")]
+            pop = report.table[:, report.columns.index(name)]
+            assert np.array_equal(site.view(np.int64), pop.view(np.int64))
+
+    def test_full_rank_mixture_peak_is_one_ket_of_temporaries(self):
+        # 128 kets of positive weight over n_b = 128 site kets. Beside the (T, n_b) float block, one
+        # ket's product holds its (T, n_b) complex amplitudes and either the (n, n_b) complex
+        # coefficients it multiplies or the (T, n_b) float probabilities it returns: the peak is
+        # that of one ket, whatever the number of kets
+        n, points = MAX_DIMENSION, 201
+        bound = points * n * (8 + 16) + max(n * n * 16, points * n * 8) + 2**14
+        document = {
+            "system": _lattice_system(n),
+            "initial": {"probabilities": [1.0 / n] * n},
+            "time": {"start": 0.0, "stop": 1.0, "points": points},
+            "outputs": {"entropy": False, "populations": True},
+        }
+        resolved = resolve_scenario(parse_scenario(json.dumps(document)))
+        spectrum = hermitian_eig(resolved.hamiltonian)
+        v, phases = spectrum.eigenvectors, spectrum.phases(time_grid(document["time"]))
+        kets = resolved.initial_kets.coefficient_rows(v).conj()
+        mixture = list(zip(resolved.initial_weights, kets))
+        rows = Basis(labels=tuple(range(n))).coefficient_rows(v)
+        assert len(mixture) == n
+        assert _traced_peak(lambda: _populations(rows, mixture, phases)) <= bound
 
 
 def _spin_report(points: int) -> EvolutionReport:
