@@ -16,8 +16,8 @@ it as it is. Each section's fields and defaults are written once: in a table
 of Fields, or in the one function that reads the section.
 
 What a system kind is lives in one table, SYSTEM_KINDS: its parameters, its
-dimension, its Hamiltonian and its named bases. Parsing, the dimension bound
-and resolution all read the same row.
+dimension, its Hamiltonian, its named bases and its factors. Parsing, the
+dimension bound and resolution all read the same row.
 
 Reports are deterministic: the same document and package version produce
 byte-identical CSV and summary output. A report's checks, like those of the
@@ -78,7 +78,7 @@ ENTROPY_BLOCK_BYTES = 2**17
 NAMED_STATES = {"alpha": ("site", 0), "beta": ("site", 1), "site": ("site", None), "momentum": ("momentum", None)}
 # observable name -> (named basis, column label prefix): one population column per ket of the basis
 POPULATION_OBSERVABLES = {"site_populations": ("site", "site_pop_"), "momentum_populations": ("momentum", "mom_pop_")}
-NAMED_OBSERVABLES = ("sigma_x", "sigma_y", "sigma_z", "energy", *POPULATION_OBSERVABLES)
+NAMED_OBSERVABLES = ("sigma_x", "sigma_y", "sigma_z", "energy", *POPULATION_OBSERVABLES, "subsystem_entropies")
 
 
 class ScenarioParseError(ValueError):
@@ -254,6 +254,7 @@ class SystemKind:
     levels: tuple = ()  # names of the site states in 'pop_*' headers; their indices when empty
     # system section -> an eigenbasis of H as columns, the seed of H's solve; None: H is solved cold
     eigenbasis: Callable | None = None
+    factors: tuple = ()  # (dim_a, dim_b) of a bipartite system, site a * dim_b + b; empty when not one
 
 
 def _lattice(system: dict) -> LatticeFreeParticle:
@@ -285,6 +286,7 @@ SYSTEM_KINDS = {
         fields=(Field("delta_a", _number), Field("delta_b", _number), Field("g", _number, 0.0)),
         dimension=4,
         hamiltonian=lambda p: composite_hamiltonian(coupled_spin_pair(p["delta_a"], p["delta_b"], p["g"])),
+        factors=(2, 2),
     ),
     "explicit-matrices": SystemKind(
         fields=(Field("hamiltonian", _complex_matrix),),
@@ -455,8 +457,9 @@ class ResolvedScenario:
     initial_kets: Basis
     initial_weights: np.ndarray
     # ((path, labels, source), ...): the columns between entropy and the
-    # transitions, as the Hermitian matrix of one expectation column or the
-    # Basis whose populations make one column per ket
+    # transitions, as the Hermitian matrix of one expectation column, the
+    # Basis whose populations make one column per ket, or the factors
+    # (dim_a, dim_b) of the two subsystem entropies
     column_sources: tuple
     transition_pairs: tuple  # ((source, target), ...)
     columns: tuple  # the evolve CSV header
@@ -496,15 +499,21 @@ def _check_grid(time: dict, columns: int, dim: int) -> None:
         )
 
 
+def _kind_row(system: dict, has: Callable, what: str) -> SystemKind:
+    """The system kind's SYSTEM_KINDS row when ``has(row)``; else ScenarioValidationError: ``what``,
+    the reference, needs a system of a kind whose row has it."""
+    row = SYSTEM_KINDS[system["kind"]]
+    if not has(row):
+        kinds = " or ".join(kind for kind, other in SYSTEM_KINDS.items() if has(other))
+        raise ScenarioValidationError(f"{what} needs a {kinds} system")
+    return row
+
+
 def _named_basis(system: dict, name: str, dim: int, what: str) -> Basis:
     """The named basis of the system; ``what`` names the reference in the error when it has none."""
     if name == "site":
         return Basis(labels=tuple(range(dim)))
-    build = SYSTEM_KINDS[system["kind"]].bases.get(name)
-    if build is None:
-        kinds = " or ".join(kind for kind, row in SYSTEM_KINDS.items() if name in row.bases)
-        raise ScenarioValidationError(f"{what} needs a {kinds} system")
-    return build(system)
+    return _kind_row(system, lambda row: name in row.bases, what).bases[name](system)
 
 
 def _resolve_initial(spec: dict, dim: int) -> tuple:
@@ -561,6 +570,9 @@ def _resolve_observables(spec: dict, dim: int, h: np.ndarray) -> tuple:
             basis_name, prefix = POPULATION_OBSERVABLES[name]
             basis = _named_basis(spec["system"], basis_name, dim, f"{path}: {name}")
             entries.append((path, tuple(f"{prefix}{ket}" for ket in basis.labels), basis))
+        elif name == "subsystem_entropies":
+            row = _kind_row(spec["system"], lambda row: row.factors, f"{path}: {name}")
+            entries.append((path, ("entropy_a", "entropy_b"), row.factors))
         else:  # explicit matrix
             matrix = _complex_array(obs["matrix"])
             if matrix.shape != (dim, dim):
@@ -719,22 +731,36 @@ class EvolutionReport:
         return json.dumps(self.summary(), indent=2, sort_keys=True) + "\n"
 
 
-def entropy_constancy(entropies, times) -> CheckResult:
-    """Pass iff every entropy lies within ENTROPY_CONSTANCY_TOL of the first; ``worst`` names
-    the grid time farthest from it."""
-    drift = np.abs(entropies - entropies[0])
-    farthest = int(np.argmax(drift))
-    residual = float(drift[farthest])
+def _grid_check(name: str, excess: np.ndarray, times: np.ndarray) -> CheckResult:
+    """Pass iff the largest ``excess`` over the grid, or 0 when none is positive, is within
+    ENTROPY_CONSTANCY_TOL; ``worst`` names the first grid time that set it."""
+    largest = int(np.argmax(excess))
+    residual = 0.0 if excess[largest] <= 0.0 else float(excess[largest])
     return CheckResult(
-        name="entropy-constancy",
+        name=name,
         residual=residual,
         tolerance=ENTROPY_CONSTANCY_TOL,
         passed=residual <= ENTROPY_CONSTANCY_TOL,
-        worst=f"t = {times[farthest]:.15g}" if residual else None,
+        worst=f"t = {times[largest]:.15g}" if residual else None,
     )
 
 
-def _entropies(rho0: np.ndarray, phases: np.ndarray, densities: Callable, seed: np.ndarray | None) -> np.ndarray:
+def entropy_constancy(entropies, times) -> CheckResult:
+    """Pass iff every entropy lies within ENTROPY_CONSTANCY_TOL of the first; ``worst`` names
+    the grid time farthest from it."""
+    return _grid_check("entropy-constancy", np.abs(entropies - entropies[0]), times)
+
+
+def _subsystem_inequalities(entropy, entropy_a, entropy_b, times) -> tuple:
+    """Subadditivity, S <= S_A + S_B, and Araki-Lieb, |S_A - S_B| <= S (Araki & Lieb, Commun. Math. Phys.
+    18, 1970), over the grid: S and S_A, S_B come from separate solves, so neither holds by construction."""
+    return (
+        _grid_check("subadditivity", entropy - entropy_a - entropy_b, times),
+        _grid_check("araki-lieb", np.abs(entropy_a - entropy_b) - entropy, times),
+    )
+
+
+def _entropies(rho0: np.ndarray, phases: np.ndarray, seed: np.ndarray | None) -> np.ndarray:
     """The von Neumann entropy of rho(t)' at each grid point, all in H's eigenbasis.
 
     Under unitary evolution rho(t)' = D_t rho(0)' D_t† with D_t = diag(P_t),
@@ -743,8 +769,8 @@ def _entropies(rho0: np.ndarray, phases: np.ndarray, densities: Callable, seed: 
     (see ``hermitian_eig``), and W_t is built afresh from each phase row, so
     no error carries from one point to the next. The grid is taken a block
     of ENTROPY_BLOCK_BYTES // (16 n²) points (at least one) at a time:
-    ``densities(rows)`` gives rho(t)' for the grid rows ``rows`` (a slice)
-    as a stack, and one ``stack_eigenvalues`` call certifies every
+    ``_evolved`` gives rho(t)' for the block's phase rows as a stack, in
+    grid order, and one ``stack_eigenvalues`` call certifies every
     A_t = W_t† rho(t)' W_t of the block by ``hermitian_eig``'s stopping rule,
     relative to ||A_t||_F = ||rho(t)||_F: an A_t already within it is
     diagonal to that tolerance, and any other is solved on its own, with the
@@ -759,7 +785,7 @@ def _entropies(rho0: np.ndarray, phases: np.ndarray, densities: Callable, seed: 
     for start in range(0, len(phases), block):
         rows = slice(start, start + block)
         basis = phases[rows, :, None] * x0
-        a = basis.conj().swapaxes(1, 2) @ densities(rows) @ basis
+        a = basis.conj().swapaxes(1, 2) @ _evolved(rho0, phases[rows]) @ basis
         entropies[rows] = spectrum_entropy(stack_eigenvalues(a))
     return entropies
 
@@ -799,12 +825,16 @@ def _expectations(
         return _phase_sum((vh @ hermitian @ v).T * rho0, phases, conj_phases).real
 
 
-def _ket_probabilities(phases: np.ndarray, ket: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """|<b|U(t)|k>|² over the grid, a column per row of ``rows``: the ket k as g = V† k, each b as the
+def _amplitudes(phases: np.ndarray, ket: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """<b|U(t)|k> over the grid, a column per row of ``rows``: the ket k as g = V† k, each b as the
     row b̄ᵀ V (``Basis.coefficient_rows``), so <b|U(t)|k> = sum_m (b̄ᵀ V)_m P_tm g_m, one
-    (T x n) @ (n x rows) product."""
-    amplitudes = phases @ (ket[:, None] * rows.T)
-    probabilities = np.abs(amplitudes)
+    (T x n) @ (n x rows) product. With V's own rows these are k's site amplitudes V (P_t ∘ g)."""
+    return phases @ (ket[:, None] * rows.T)
+
+
+def _ket_probabilities(phases: np.ndarray, ket: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|<b|U(t)|k>|² over the grid, a column per row of ``rows`` (see ``_amplitudes``)."""
+    probabilities = np.abs(_amplitudes(phases, ket, rows))
     return np.square(probabilities, out=probabilities)
 
 
@@ -821,6 +851,24 @@ def _populations(rows: np.ndarray, mixture: list, phases: np.ndarray) -> np.ndar
     for weight, ket in rest:
         populations += weight * _ket_probabilities(phases, ket, rows)
     return populations
+
+
+def _reduced_states(v: np.ndarray, mixture: list, phases: np.ndarray, factors: tuple) -> tuple:
+    """(rho_A(t), rho_B(t)) over the grid as stacks, for ``factors`` (dim_a, dim_b) and rho(0) the ``mixture``
+    of (w_k, V† k): each ket's site amplitudes (``_amplitudes`` with V's rows) as (dim_a, dim_b) matrices M_k
+    give rho_A = sum_k w_k M_k M_k† and rho_B = sum_k w_k M_kᵀ M̄_k, one (T x n) @ (n x n) product per ket."""
+    reduced_a = reduced_b = 0.0
+    for weight, ket in mixture:
+        m = _amplitudes(phases, ket, v).reshape(-1, *factors)
+        reduced_a = reduced_a + weight * (m @ m.conj().swapaxes(1, 2))
+        reduced_b = reduced_b + weight * (m.swapaxes(1, 2) @ m.conj())
+    return reduced_a, reduced_b
+
+
+def _subsystem_entropies(v: np.ndarray, mixture: list, phases: np.ndarray, factors: tuple) -> np.ndarray:
+    """(S_A, S_B) over the grid, two columns: each reduced state solved by a ``hermitian_eig`` of its own."""
+    stacks = _reduced_states(v, mixture, phases, factors)
+    return np.column_stack([spectrum_entropy(np.array([hermitian_eig(r).eigenvalues for r in s])) for s in stacks])
 
 
 def _transition_probabilities(v: np.ndarray, phases: np.ndarray, pairs: tuple) -> np.ndarray:
@@ -864,20 +912,25 @@ def _report(
 
 
 def _evolve_columns(spec: dict, resolved: ResolvedScenario, v: np.ndarray, phases: np.ndarray):
-    """Yield the evolve table's columns after t in header order; the transitions come as one block."""
-    conj_phases = phases.conj()
+    """Yield the evolve table's columns after t in header order; the transitions, and the two subsystem
+    entropies, come as one block."""
+    conj_phases = None  # only an expectation reads it: built for the first one
     rho0 = v.conj().T @ resolved.initial_density @ v
     coefficients = resolved.initial_kets.coefficient_rows(v)  # row k: V† k, conjugated
     if spec["outputs"]["entropy"]:
         # V† K diagonalises rho(0)' when the kets K are a basis; psi alone is none, so it is solved cold
         seed = None if "amplitudes" in spec["initial"] else coefficients.conj().T
-        yield _entropies(rho0, phases, lambda rows: _evolved(rho0, phases[rows]), seed)
+        yield _entropies(rho0, phases, seed)
     positive = resolved.initial_weights > 0
     mixture = list(zip(resolved.initial_weights[positive], coefficients[positive].conj()))
     for path, _, source in resolved.column_sources:
         if isinstance(source, Basis):
             yield _populations(source.coefficient_rows(v), mixture, phases)
+        elif isinstance(source, tuple):
+            yield _subsystem_entropies(v, mixture, phases, source)
         else:
+            if conj_phases is None:
+                conj_phases = phases.conj()
             yield _expectations(source, v, rho0, phases, conj_phases, path)
     if resolved.transition_pairs:
         yield _transition_probabilities(v, phases, resolved.transition_pairs)
@@ -900,7 +953,8 @@ def run_scenario(spec: dict) -> EvolutionReport:
     H and for rho(0)', each seeded by an eigenbasis the run already holds when
     there is one (a lattice's plane waves for H; V† B for a rho(0) diagonal
     in the basis B), and once more only for an A_t not already diagonal to
-    its stopping rule, which exact unitary evolution does not produce.
+    its stopping rule, which exact unitary evolution does not produce, and
+    for each reduced state of the subsystem entropies (``_reduced_states``).
     """
     resolved, v, times, phases = _frame(spec, _require_distinct_columns)
     table = np.empty((times.size, len(resolved.columns)))
@@ -911,6 +965,10 @@ def run_scenario(spec: dict) -> EvolutionReport:
         table[:, col : col + block.shape[1]] = block
         col += block.shape[1]
     checks = (entropy_constancy(table[:, 1], times),) if spec["outputs"]["entropy"] else ()
+    for path, _, source in resolved.column_sources if checks else ():
+        if isinstance(source, tuple):  # a system's factors: entropy_a and entropy_b, side by side
+            a = resolved.column_paths.index(path)
+            checks += _subsystem_inequalities(table[:, 1], table[:, a], table[:, a + 1], times)
     tolerances = {"entropy_constancy": ENTROPY_CONSTANCY_TOL}
     return _report("evolution", spec, resolved.columns, resolved.column_paths, table, tolerances, checks)
 

@@ -28,6 +28,10 @@ CASES = {
     "evolve_spin_static": (0, ("evolve", "spin_static.json", "--out", "{csv}", "--summary", "{summary}")),
     "evolve_spin_rabi": (0, ("evolve", "spin_rabi.json", "--out", "{csv}", "--summary", "{summary}")),
     "evolve_lattice_momentum": (0, ("evolve", "lattice_momentum.json", "--out", "{csv}", "--summary", "{summary}")),
+    "evolve_composite_entanglement": (
+        0,
+        ("evolve", "composite_entanglement.json", "--out", "{csv}", "--summary", "{summary}"),
+    ),
     "perturb_spin_rabi": (0, ("perturb", "spin_rabi.json", "--out", "{csv}", "--summary", "{summary}")),
     "rabi_default": (0, ("rabi",)),
     "rabi_detuned": (0, ("rabi", "--delta", "1.3", "--omega", "0.7", "--t-max", "100", "--points", "3000")),
@@ -38,9 +42,16 @@ CASES = {
 }
 
 
+def _outputs(stem: str) -> dict:
+    """The case's output placeholders -> golden file names; {"stdout": <stem>.txt} for a case without any."""
+    if "{csv}" not in CASES[stem][1]:
+        return {"stdout": f"{stem}.txt"}
+    return {"csv": f"{stem}.csv", "summary": f"{stem}.summary.json"}
+
+
 def _run(stem: str, directory: Path) -> dict:
     """Golden file name -> bytes the case produced."""
-    paths = {"csv": directory / f"{stem}.csv", "summary": directory / f"{stem}.summary.json"}
+    paths = {key: directory / name for key, name in _outputs(stem).items()}
     code, parts = CASES[stem]
     argv = [
         str(SCENARIOS / part) if part.endswith(".json") else part.format(**{k: str(p) for k, p in paths.items()})
@@ -49,8 +60,8 @@ def _run(stem: str, directory: Path) -> dict:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main(argv) == code
-    if "{csv}" not in parts:
-        return {f"{stem}.txt": stdout.getvalue().encode("utf-8")}
+    if "stdout" in paths:
+        return {paths["stdout"].name: stdout.getvalue().encode("utf-8")}
     return {path.name: path.read_bytes() for path in paths.values()}
 
 
@@ -58,6 +69,14 @@ def _run(stem: str, directory: Path) -> dict:
 def test_output_matches_golden(stem, tmp_path):
     for name, produced in _run(stem, tmp_path).items():
         assert produced == (GOLDEN / name).read_bytes(), f"{name} differs from tests/golden/{name}"
+
+
+def test_every_fixture_and_golden_belongs_to_a_case():
+    """No shipped scenario runs unpinned, and no golden file is left that no case writes."""
+    used = {part for _, parts in CASES.values() for part in parts if part.endswith(".json")}
+    assert sorted(path.name for path in SCENARIOS.glob("*.json")) == sorted(used)
+    written = {name for stem in CASES for name in _outputs(stem).values()}
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(written)
 
 
 if __name__ == "__main__":

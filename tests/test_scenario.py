@@ -4,24 +4,26 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import tempfile
 import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrodyn import __version__
+from entrodyn import __version__, scenario
 from entrodyn.cli import main as cli_main
 from entrodyn.dynamics import evolve_density
 from entrodyn.ensembles import spectrum_entropy, von_neumann_entropy
 from entrodyn.errors import NumericalError
-from entrodyn.linalg import hermitian_eig
+from entrodyn.linalg import hermitian_eig, partial_trace
 from entrodyn.scenario import (
     CSV_BLOCK_CELLS,
     MAX_DIMENSION,
@@ -42,6 +44,7 @@ from entrodyn.scenario import (
     _evolved,
     _hamiltonian_seed,
     _populations,
+    _subsystem_entropies,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -302,7 +305,9 @@ class TestDocumentEcho:
         spec = parse_scenario(RABI_DOC)
         assert json.loads(json.dumps(spec)) == spec
 
-    @pytest.mark.parametrize("fixture", ["spin_static.json", "spin_rabi.json", "lattice_momentum.json"])
+    @pytest.mark.parametrize(
+        "fixture", ["spin_static.json", "spin_rabi.json", "lattice_momentum.json", "composite_entanglement.json"]
+    )
     def test_summary_echoes_the_spec(self, fixture):
         spec = load_scenario(SCENARIOS / fixture)
         assert type(spec) is dict
@@ -505,7 +510,9 @@ class TestResourceBounds:
         }
         assert parse_scenario(json.dumps(document))["time"]["points"] == 10**6
 
-    @pytest.mark.parametrize("fixture", ["spin_static.json", "spin_rabi.json", "lattice_momentum.json"])
+    @pytest.mark.parametrize(
+        "fixture", ["spin_static.json", "spin_rabi.json", "lattice_momentum.json", "composite_entanglement.json"]
+    )
     def test_fixtures_accepted(self, fixture):
         load_scenario(SCENARIOS / fixture)
 
@@ -622,16 +629,20 @@ def _initial_seed(basis: Basis, v) -> np.ndarray:
     return basis.coefficient_rows(v).conj().T
 
 
-def _eigenbasis_densities(rho0p, phases, times, gamma=0.0):
-    """rows -> the stack of rho(t)' = rho(0)' ∘ (p p̄ᵀ) for the phase rows p of those
-    grid rows, with off-diagonals damped by exp(-gamma t)."""
-    off = 1.0 - np.eye(rho0p.shape[0])
+def _dephased(times, gamma):
+    """A stand-in for ``scenario._evolved`` that damps the off-diagonals of rho(t)' by exp(-gamma t).
+    ``_entropies`` asks for the grid's phase rows block by block in grid order, so the rows of
+    the i-th call follow those of the calls before it."""
+    asked = 0
 
-    def densities(rows):
-        p = phases[rows]
-        return rho0p * (p[:, :, None] * p.conj()[:, None, :]) * np.exp(-gamma * times[rows, None, None] * off)
+    def evolved(rho0p, phases):
+        nonlocal asked
+        rows = slice(asked, asked + len(phases))
+        asked = rows.stop
+        off = 1.0 - np.eye(rho0p.shape[0])
+        return _evolved(rho0p, phases) * np.exp(-gamma * times[rows, None, None] * off)
 
-    return densities
+    return evolved
 
 
 def _entropy_column(h, rho0, times, gamma=0.0, growth=0.0, h_seed=None, basis=None) -> np.ndarray:
@@ -640,7 +651,10 @@ def _entropy_column(h, rho0, times, gamma=0.0, growth=0.0, h_seed=None, basis=No
     (``basis``, the site basis of a mixture when None)."""
     rho0p, phases, v = _eigenbasis(h, rho0, times, growth, h_seed)
     seed = _initial_seed(basis or _site_basis(len(h)), v)
-    return _entropies(rho0p, phases, _eigenbasis_densities(rho0p, phases, times, gamma), seed)
+    if gamma == 0.0:
+        return _entropies(rho0p, phases, seed)
+    with mock.patch.object(scenario, "_evolved", _dephased(times, gamma)):
+        return _entropies(rho0p, phases, seed)
 
 
 LONG_TIMES = np.linspace(0.0, 40.0, 2000)
@@ -699,7 +713,7 @@ class TestWarmStartEntropy:
         assert check.worst == f"t = {times[np.argmax(np.abs(dephased - dephased[0]))]:.15g}"
         # the basis built for unitary evolution does not hide the change: cold solves of the same matrices agree
         rho0p, phases, _ = _eigenbasis(h, rho0, times)
-        cold = [von_neumann_entropy(rho) for rho in _eigenbasis_densities(rho0p, phases, times, gamma=0.05)(slice(None))]
+        cold = [von_neumann_entropy(rho) for rho in _dephased(times, 0.05)(rho0p, phases)]
         assert np.max(np.abs(dephased - cold)) <= 1e-12
 
     def test_growing_phases_fail_entropy_constancy(self):
@@ -808,9 +822,7 @@ class TestEntropyWorkingSet:
         peaks = {}
         for points in (201, 2001):
             rho0p, phases, seed = _lattice_mixture_frame(points)
-            peaks[points] = _traced_peak(
-                lambda: _entropies(rho0p, phases, lambda rows: _evolved(rho0p, phases[rows]), seed)
-            )
+            peaks[points] = _traced_peak(lambda: _entropies(rho0p, phases, seed))
         assert peaks[2001] - peaks[201] <= (2001 - 201) * (phases.itemsize * 64 + 8)
         assert peaks[201] < 4 * 2**20
 
@@ -970,6 +982,131 @@ class TestMixturePopulations:
         rows = Basis(labels=tuple(range(n))).coefficient_rows(v)
         assert len(mixture) == n
         assert _traced_peak(lambda: _populations(rows, mixture, phases)) <= bound
+
+    def test_populations_only_run_holds_no_conjugate_phase_table(self):
+        # The run's tables: the T x n complex phase table, one ket's T x n complex amplitudes and
+        # T x n float probabilities, and the T x (n + 1) float output table. 256 n² bytes, sixteen
+        # n x n complex matrices (H, V, the plane waves, the solver's storage, ...), cover the rest.
+        # A T x n complex conjugate of the phase table, which only an expectation reads, does not fit.
+        n, points = 64, 2001
+        bound = points * n * (16 + 16 + 8) + points * (n + 1) * 8 + 256 * n * n
+        document = {
+            "system": _lattice_system(n),
+            "initial": {"state": "momentum", "index": 1},
+            "time": {"start": 0.0, "stop": 1.0, "points": points},
+            "outputs": {"entropy": False, "populations": True},
+        }
+        spec = parse_scenario(json.dumps(document))
+        assert _traced_peak(lambda: run_scenario(spec)) <= bound
+
+
+COMPOSITE = {"kind": "composite", "delta_a": 1.3, "delta_b": -0.4, "g": 0.7}
+
+
+def _composite_document(observables: list, system: dict = COMPOSITE, initial: dict | None = None) -> dict:
+    return {
+        "system": system,
+        "initial": initial or {"state": "site", "index": 0},
+        "time": {"start": -1.5, "stop": 6.0, "points": 61},
+        "observables": observables,
+    }
+
+
+def _reduced_oracle(h, rho0, times) -> tuple:
+    """(S_A and S_B at each time, the largest |off-diagonal| of rho_A and of rho_B over the grid):
+    LAPACK's eigvalsh of the partial traces of rho(t) = U rho(0) U†, U from LAPACK's eigh of H."""
+    w, v = np.linalg.eigh(h)
+    entropies, coherence = [], np.zeros(2)
+    for t in times:
+        u = (v * np.exp(-1j * w * t)) @ v.conj().T
+        rho = (u @ rho0 @ u.conj().T).reshape(2, 2, 2, 2)
+        reduced = (np.einsum("ikjk->ij", rho), np.einsum("kikj->ij", rho))
+        coherence = np.maximum(coherence, [abs(r[0, 1]) for r in reduced])
+        entropies.append([spectrum_entropy(np.linalg.eigvalsh(r)) for r in reduced])
+    return np.array(entropies), coherence
+
+
+class TestSubsystemEntropies:
+    def test_mixed_state_with_coherent_reduced_states_matches_oracle(self):
+        # a document's mixture is diagonal in the site basis, where the composite H's sigma_z ⊗ sigma_z symmetry
+        # keeps both reduced states diagonal; so a mixture of three random kets goes to the column directly
+        spec = parse_scenario(json.dumps(_composite_document([])))
+        h, times = resolve_scenario(spec).hamiltonian, time_grid(spec["time"])
+        rng = np.random.default_rng(20261019)
+        kets = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        kets /= np.linalg.norm(kets, axis=1)[:, None]
+        weights = np.array([0.5, 0.3, 0.2])
+        spectrum = hermitian_eig(h)
+        mixture = list(zip(weights, kets @ spectrum.eigenvectors.conj()))  # (w_k, V† k)
+        column = _subsystem_entropies(spectrum.eigenvectors, mixture, spectrum.phases(times), (2, 2))
+        oracle, coherence = _reduced_oracle(h, np.einsum("k,ki,kj->ij", weights, kets, kets.conj()), times)
+        assert coherence.min() > 0.05
+        assert np.max(np.abs(column - oracle)) <= 1e-12
+
+    def test_product_state_without_coupling_stays_unentangled(self):
+        rng = np.random.default_rng(20261019)
+        a, b = (z / np.linalg.norm(z) for z in rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        initial = {"amplitudes": [[z.real, z.imag] for z in np.kron(a, b)]}
+        document = _composite_document([{"name": "subsystem_entropies"}], dict(COMPOSITE, g=0.0), initial)
+        report = run_scenario(parse_scenario(json.dumps(document)))
+        assert np.max(np.abs(report.table[:, 2:4])) <= 1e-12 and report.columns[2:4] == ("entropy_a", "entropy_b")
+        assert report.passed and [check.name for check in report.checks][1:] == ["subadditivity", "araki-lieb"]
+
+    def test_fixture_matches_the_per_point_route(self):
+        # rho(t) = U rho(0) U† evolved, traced and solved point by point, as verify's composite-entanglement does
+        spec = load_scenario(SCENARIOS / "composite_entanglement.json")
+        resolved = resolve_scenario(spec)
+        spectrum = hermitian_eig(resolved.hamiltonian)
+        expected = []
+        for t in time_grid(spec["time"]):
+            rho = evolve_density(resolved.initial_density, spectrum, float(t))
+            expected.append([von_neumann_entropy(r) for r in (rho, *(partial_trace(rho, 2, 2, k) for k in "AB"))])
+        report = run_scenario(spec)
+        assert report.columns == ("t", "entropy", "entropy_a", "entropy_b") and report.passed
+        assert np.max(np.abs(report.table[:, 1:] - expected)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            {"kind": "spin-half", "delta": 1.0},
+            {"kind": "lattice", "sites": 4, "length": 1.0, "mass": 1.0},
+            {"kind": "explicit-matrices", "hamiltonian": [[1.0, 0.0], [0.0, 2.0]]},
+        ],
+    )
+    def test_refused_by_a_kind_without_factors(self, system, tmp_path, capsys):
+        message = "observables[1]: subsystem_entropies needs a composite system"
+        document = _composite_document([{"name": "energy"}, {"name": "subsystem_entropies"}], system)
+        with pytest.raises(ScenarioValidationError, match=f"^{re.escape(message)}$"):
+            parse_scenario(json.dumps(document))
+        assert _cli_exit(document, "evolve", tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_matrix_labelled_entropy_a_is_a_repeated_column(self, tmp_path):
+        matrix = {"name": "matrix", "matrix": np.eye(4).tolist(), "label": "entropy_a"}
+        document = _composite_document([{"name": "subsystem_entropies"}, matrix])
+        message = r"^observables\[1\]: column 'entropy_a' is already taken by observables\[0\]$"
+        with pytest.raises(ScenarioValidationError, match=message):
+            run_scenario(parse_scenario(json.dumps(document)))
+        assert _cli_exit(document, "evolve", tmp_path) == 1
+
+    def test_corrupted_reduced_state_fails_araki_lieb_naming_its_time(self, tmp_path, capsys, monkeypatch):
+        reduced_states = scenario._reduced_states
+
+        def corrupted(*args):
+            """rho_A made maximally mixed at grid row 50, t = 5, while rho stays pure."""
+            rho_a, rho_b = reduced_states(*args)
+            rho_a[50] = np.eye(2) / 2.0
+            return rho_a, rho_b
+
+        monkeypatch.setattr(scenario, "_reduced_states", corrupted)
+        summary = tmp_path / "summary.json"
+        argv = ["evolve", str(SCENARIOS / "composite_entanglement.json"), "--out", os.devnull, "--summary", str(summary)]
+        assert cli_main(argv) == 1
+        checks = {check["name"]: check for check in json.loads(summary.read_text())["checks"]}
+        assert [name for name, check in checks.items() if not check["passed"]] == ["araki-lieb"]
+        assert checks["araki-lieb"]["worst"] == "t = 5" and checks["araki-lieb"]["residual"] > 0.4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"FAIL araki-lieb: residual=\S+ \(tolerance 1\.000e-09\) worst at t = 5\n", err)
 
 
 def _spin_report(points: int) -> EvolutionReport:
@@ -1202,7 +1339,7 @@ def _documents_of_any_kind():
             )
         )
         names = ["energy", "site_populations"] + ["momentum_populations"] * (kind == "lattice")
-        names += ["sigma_x", "sigma_y", "sigma_z"] * (dim == 2)
+        names += ["sigma_x", "sigma_y", "sigma_z"] * (dim == 2) + ["subsystem_entropies"] * (kind == "composite")
         observables = draw(st.lists(st.sampled_from(names).map(lambda name: {"name": name}), max_size=3))
         if draw(st.booleans()):
             observables.append({"name": "matrix", "matrix": draw(hermitian(dim)), "label": "x"})
