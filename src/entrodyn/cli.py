@@ -126,22 +126,25 @@ def _load(path: str):
 
 def _write_report(report: EvolutionReport, args) -> int:
     """Write the CSV and the summary. Both targets are opened before either is emptied or written,
-    so a target that cannot be opened leaves the other as it was: an existing file keeps what it
-    held, and a file that opening it created is removed again."""
+    so a target that cannot be opened, or two that are one regular file, leave both as they were:
+    an existing file keeps what it held, and a file that opening it created is removed again."""
     paths = {flag: path for flag, path in (("--out", args.out), ("--summary", args.summary)) if path is not None}
     new = [path for path in paths.values() if not os.path.lexists(path)]
     with contextlib.ExitStack() as stack:
         try:
             targets = {flag: stack.enter_context(_output(flag, path)) for flag, path in paths.items()}
+            # a pipe or a device is written as it is
+            files = [handle for handle in targets.values() if stat.S_ISREG(os.fstat(handle.fileno()).st_mode)]
+            if len(files) == 2 and os.path.samestat(*(os.fstat(handle.fileno()) for handle in files)):
+                raise _UsageError(f"--out and --summary name the same file: {args.summary}")
         except _UsageError:
             stack.close()
             for path in new:
                 with contextlib.suppress(OSError):
                     os.remove(path)
             raise
-        for handle in targets.values():
-            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):  # a pipe or a device is written as it is
-                handle.truncate(0)
+        for handle in files:
+            handle.truncate(0)
         report.to_csv(targets.get("--out", sys.stdout))
         if "--summary" in targets:
             targets["--summary"].write(report.summary_json())

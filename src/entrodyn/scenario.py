@@ -252,8 +252,7 @@ class SystemKind:
     hamiltonian: Callable  # system section -> H in the site basis; an error's message starts with its field
     bases: dict = field(default_factory=dict)  # named bases besides "site": name -> (system section -> Basis)
     levels: tuple = ()  # names of the site states in 'pop_*' headers; their indices when empty
-    # system section -> an eigenbasis of H as columns, the seed of H's solve; None: H is solved cold
-    eigenbasis: Callable | None = None
+    eigenbasis: str | None = None  # the basis of ``bases`` that diagonalises H, the seed of H's solve; None: cold
     factors: tuple = ()  # (dim_a, dim_b) of a bipartite system, site a * dim_b + b; empty when not one
 
 
@@ -280,7 +279,7 @@ SYSTEM_KINDS = {
         dimension="sites",
         hamiltonian=lambda p: lattice_hamiltonian(_lattice(p)),
         bases={"momentum": _momentum_basis},
-        eigenbasis=lambda p: lattice_momentum_basis(_lattice(p)).T,  # H is diagonal in the plane waves
+        eigenbasis="momentum",  # H is diagonal in the plane waves
     ),
     "composite": SystemKind(
         fields=(Field("delta_a", _number), Field("delta_b", _number), Field("g", _number, 0.0)),
@@ -456,14 +455,27 @@ class ResolvedScenario:
     # state given by amplitudes the one ket psi
     initial_kets: Basis
     initial_weights: np.ndarray
-    # ((path, labels, source), ...): the columns between entropy and the
-    # transitions, as the Hermitian matrix of one expectation column, the
-    # Basis whose populations make one column per ket, or the factors
-    # (dim_a, dim_b) of the two subsystem entropies
-    column_sources: tuple
-    transition_pairs: tuple  # ((source, target), ...)
-    columns: tuple  # the evolve CSV header
-    column_paths: tuple  # the field each header name comes from
+    # ((path, labels, kind, source), ...): every evolve column after t, in header order, as a block
+    # of columns labelled ``labels`` that the field ``path`` asks for. By kind, the source is:
+    # "entropy", None; "expectation", the Hermitian matrix of one column; "populations", the Basis
+    # whose populations make one column per ket; "subsystem_entropies", the factors (dim_a, dim_b);
+    # "transitions", the pairs ((source, target), ...)
+    column_table: tuple
+
+    @property
+    def columns(self) -> tuple:
+        """The evolve CSV header."""
+        return ("t", *(label for _, labels, _, _ in self.column_table for label in labels))
+
+    @property
+    def column_paths(self) -> tuple:
+        """The field each header name comes from."""
+        return ("time", *(path for path, labels, _, _ in self.column_table for _ in labels))
+
+    @property
+    def transition_pairs(self) -> tuple:
+        """((source, target), ...) of outputs.transitions; empty when there are none."""
+        return next((source for _, _, kind, source in self.column_table if kind == "transitions"), ())
 
 
 def _dimension(system: dict) -> int:
@@ -554,7 +566,7 @@ def _resolve_initial(spec: dict, dim: int) -> tuple:
 
 
 def _resolve_observables(spec: dict, dim: int, h: np.ndarray) -> tuple:
-    """((path, labels, source), ...), one entry per observables[i]; see ResolvedScenario.
+    """((path, labels, kind, source), ...), one entry per observables[i]; see ResolvedScenario.
     An empty label falls back like an absent one."""
     entries = []
     named = {**dict(zip(("sigma_x", "sigma_y", "sigma_z"), pauli())), "energy": h}
@@ -565,14 +577,14 @@ def _resolve_observables(spec: dict, dim: int, h: np.ndarray) -> tuple:
                 raise ScenarioValidationError(
                     f"{path}: {name} needs a two-level system, dimension is {dim}"
                 )
-            entries.append((path, (label or name,), named[name]))
+            entries.append((path, (label or name,), "expectation", named[name]))
         elif name in POPULATION_OBSERVABLES:
             basis_name, prefix = POPULATION_OBSERVABLES[name]
             basis = _named_basis(spec["system"], basis_name, dim, f"{path}: {name}")
-            entries.append((path, tuple(f"{prefix}{ket}" for ket in basis.labels), basis))
+            entries.append((path, tuple(f"{prefix}{ket}" for ket in basis.labels), "populations", basis))
         elif name == "subsystem_entropies":
             row = _kind_row(spec["system"], lambda row: row.factors, f"{path}: {name}")
-            entries.append((path, ("entropy_a", "entropy_b"), row.factors))
+            entries.append((path, ("entropy_a", "entropy_b"), "subsystem_entropies", row.factors))
         else:  # explicit matrix
             matrix = _complex_array(obs["matrix"])
             if matrix.shape != (dim, dim):
@@ -583,19 +595,8 @@ def _resolve_observables(spec: dict, dim: int, h: np.ndarray) -> tuple:
                 matrix = require_hermitian(matrix, what=f"{path}.matrix")
             except DomainError as exc:
                 raise ScenarioValidationError(str(exc)) from exc
-            entries.append((path, (label or f"obs_{i}",), matrix))
+            entries.append((path, (label or f"obs_{i}",), "expectation", matrix))
     return tuple(entries)
-
-
-def _columns(spec: dict, sources: tuple, pairs: tuple) -> tuple:
-    """(names, paths): the evolve CSV header and the field each name comes from."""
-    named = [("t", "time")]
-    if spec["outputs"]["entropy"]:
-        named.append(("entropy", "outputs.entropy"))
-    named.extend((label, path) for path, labels, _ in sources for label in labels)
-    named.extend((f"trans_{j}_to_{k}", "outputs.transitions.targets") for j, k in pairs)
-    names, column_paths = zip(*named)
-    return names, column_paths
 
 
 def _require_distinct_columns(resolved: ResolvedScenario) -> None:
@@ -621,12 +622,12 @@ def resolve_scenario(spec: dict) -> ResolvedScenario:
         raise ScenarioValidationError(f"system.{exc}") from exc
     rho0, kets, weights = _resolve_initial(spec, dim)
     observables = _resolve_observables(spec, dim, h)  # checked whether or not they are written
-    sources = observables if outputs["expectations"] else ()
+    table = (("outputs.entropy", ("entropy",), "entropy", None),) if outputs["entropy"] else ()
+    table += observables if outputs["expectations"] else ()
     if outputs["populations"]:
         site = Basis(labels=SYSTEM_KINDS[system["kind"]].levels or tuple(range(dim)))
-        sources += (("outputs.populations", tuple(f"pop_{level}" for level in site.labels), site),)
+        table += (("outputs.populations", tuple(f"pop_{level}" for level in site.labels), "populations", site),)
 
-    pairs = ()
     if "transitions" in outputs:
         source = outputs["transitions"]["source"]
         if not 0 <= source < dim:
@@ -643,21 +644,20 @@ def resolve_scenario(spec: dict) -> ResolvedScenario:
                 )
             if k in targets[:i]:
                 raise ScenarioValidationError(f"outputs.transitions.targets[{i}]: target {k} is repeated")
-        pairs = tuple((source, k) for k in targets)
+        if targets:
+            labels = tuple(f"trans_{source}_to_{k}" for k in targets)
+            table += (("outputs.transitions.targets", labels, "transitions", tuple((source, k) for k in targets)),)
 
-    columns, column_paths = _columns(spec, sources, pairs)
-    _check_grid(spec["time"], len(columns), dim)
-    return ResolvedScenario(
+    resolved = ResolvedScenario(
         dimension=dim,
         hamiltonian=h,
         initial_density=rho0,
         initial_kets=kets,
         initial_weights=weights,
-        column_sources=sources,
-        transition_pairs=pairs,
-        columns=columns,
-        column_paths=column_paths,
+        column_table=table,
     )
+    _check_grid(spec["time"], len(resolved.columns), dim)
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -878,9 +878,9 @@ def _transition_probabilities(v: np.ndarray, phases: np.ndarray, pairs: tuple) -
 
 
 def _hamiltonian_seed(system: dict) -> np.ndarray | None:
-    """The system kind's eigenbasis of H, the seed of H's solve; None when the kind has none."""
-    eigenbasis = SYSTEM_KINDS[system["kind"]].eigenbasis
-    return None if eigenbasis is None else eigenbasis(system)
+    """The system kind's eigenbasis of H as columns, the seed of H's solve; None when the kind has none."""
+    row = SYSTEM_KINDS[system["kind"]]
+    return None if row.eigenbasis is None else row.bases[row.eigenbasis](system).kets.T
 
 
 def _frame(spec: dict, require: Callable) -> tuple:
@@ -911,31 +911,6 @@ def _report(
     )
 
 
-def _evolve_columns(spec: dict, resolved: ResolvedScenario, v: np.ndarray, phases: np.ndarray):
-    """Yield the evolve table's columns after t in header order; the transitions, and the two subsystem
-    entropies, come as one block."""
-    conj_phases = None  # only an expectation reads it: built for the first one
-    rho0 = v.conj().T @ resolved.initial_density @ v
-    coefficients = resolved.initial_kets.coefficient_rows(v)  # row k: V† k, conjugated
-    if spec["outputs"]["entropy"]:
-        # V† K diagonalises rho(0)' when the kets K are a basis; psi alone is none, so it is solved cold
-        seed = None if "amplitudes" in spec["initial"] else coefficients.conj().T
-        yield _entropies(rho0, phases, seed)
-    positive = resolved.initial_weights > 0
-    mixture = list(zip(resolved.initial_weights[positive], coefficients[positive].conj()))
-    for path, _, source in resolved.column_sources:
-        if isinstance(source, Basis):
-            yield _populations(source.coefficient_rows(v), mixture, phases)
-        elif isinstance(source, tuple):
-            yield _subsystem_entropies(v, mixture, phases, source)
-        else:
-            if conj_phases is None:
-                conj_phases = phases.conj()
-            yield _expectations(source, v, rho0, phases, conj_phases, path)
-    if resolved.transition_pairs:
-        yield _transition_probabilities(v, phases, resolved.transition_pairs)
-
-
 def run_scenario(spec: dict) -> EvolutionReport:
     """Evolve the scenario over its time grid and collect the requested columns.
 
@@ -955,20 +930,39 @@ def run_scenario(spec: dict) -> EvolutionReport:
     in the basis B), and once more only for an A_t not already diagonal to
     its stopping rule, which exact unitary evolution does not produce, and
     for each reduced state of the subsystem entropies (``_reduced_states``).
+    The table is filled in one walk of the resolved column table, each block under its own labels,
+    and each summary check is taken from the blocks as they are written.
     """
     resolved, v, times, phases = _frame(spec, _require_distinct_columns)
+    rho0 = v.conj().T @ resolved.initial_density @ v
+    coefficients = resolved.initial_kets.coefficient_rows(v)  # row k: V† k, conjugated
+    positive = resolved.initial_weights > 0
+    mixture = list(zip(resolved.initial_weights[positive], coefficients[positive].conj()))
+    conj_phases = None  # only an expectation reads it: built for the first one
     table = np.empty((times.size, len(resolved.columns)))
     table[:, 0] = times
-    col = 1
-    for block in _evolve_columns(spec, resolved, v, phases):
-        block = np.reshape(block, (times.size, -1))
-        table[:, col : col + block.shape[1]] = block
-        col += block.shape[1]
-    checks = (entropy_constancy(table[:, 1], times),) if spec["outputs"]["entropy"] else ()
-    for path, _, source in resolved.column_sources if checks else ():
-        if isinstance(source, tuple):  # a system's factors: entropy_a and entropy_b, side by side
-            a = resolved.column_paths.index(path)
-            checks += _subsystem_inequalities(table[:, 1], table[:, a], table[:, a + 1], times)
+    col, checks = 1, ()
+    for path, labels, kind, source in resolved.column_table:
+        block = table[:, col : col + len(labels)]
+        col += len(labels)
+        if kind == "entropy":
+            # V† K diagonalises rho(0)' when the kets K are a basis; psi alone is none, so it is solved cold
+            seed = None if "amplitudes" in spec["initial"] else coefficients.conj().T
+            entropy = _entropies(rho0, phases, seed)
+            block[:, 0] = entropy
+            checks += (entropy_constancy(entropy, times),)
+        elif kind == "expectation":
+            if conj_phases is None:
+                conj_phases = phases.conj()
+            block[:, 0] = _expectations(source, v, rho0, phases, conj_phases, path)
+        elif kind == "populations":
+            block[:] = _populations(source.coefficient_rows(v), mixture, phases)
+        elif kind == "subsystem_entropies":
+            block[:] = _subsystem_entropies(v, mixture, phases, source)
+            if checks:  # the entropy column, written first, is there to compare with
+                checks += _subsystem_inequalities(entropy, block[:, 0], block[:, 1], times)
+        else:  # transitions
+            block[:] = _transition_probabilities(v, phases, source)
     tolerances = {"entropy_constancy": ENTROPY_CONSTANCY_TOL}
     return _report("evolution", spec, resolved.columns, resolved.column_paths, table, tolerances, checks)
 

@@ -299,6 +299,28 @@ class TestEvolveCommand:
         # a target that is not a regular file is written as it is
         assert run_cli(["evolve", str(SCENARIOS / "spin_static.json"), "--out", os.devnull], capsys)[0] == 0
 
+    @pytest.mark.parametrize("link", [None, os.symlink, os.link], ids=["same-path", "symlink", "hard-link"])
+    def test_one_file_named_by_both_flags_is_refused(self, link, capsys, tmp_path):
+        # one regular file under both flags would hold the summary and the CSV appended in turn,
+        # so neither is written: a held file keeps what it held, and a created one is removed again
+        target = alias = tmp_path / "report"
+        if link is not None:
+            target.write_text("held\n")
+            alias = tmp_path / "alias"
+            link(target, alias)
+        argv = ["evolve", str(SCENARIOS / "spin_static.json"), "--out", str(target), "--summary", str(alias)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: --out and --summary name the same file: {alias}\n"
+        if link is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert target.read_text() == "held\n" and alias.read_text() == "held\n"
+
+    def test_one_device_named_by_both_flags_is_written(self, capsys):
+        argv = ["evolve", str(SCENARIOS / "spin_static.json"), "--out", os.devnull, "--summary", os.devnull]
+        assert run_cli(argv, capsys) == (0, "", "")
+
     def test_validation_failure_is_exit_one(self, capsys, tmp_path):
         path = tmp_path / "badprob.json"
         path.write_text(

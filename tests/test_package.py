@@ -1,5 +1,8 @@
-"""Tests for the package's public namespace."""
+"""Tests for the package's public namespace, and for the names the benchmark's tracer binds."""
 
+import importlib
+import importlib.util
+from pathlib import Path
 from types import ModuleType
 
 import entrodyn
@@ -70,3 +73,29 @@ def test_star_import_gives_every_name():
     namespace: dict = {}
     exec("from entrodyn import *", namespace)
     assert PUBLIC_NAMES <= set(namespace)
+
+
+def _tracing_module() -> ModuleType:
+    """perfbench/tracing.py, loaded from its file without entering sys.modules."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_names_resolve_on_their_modules():
+    # the tracer binds each name with getattr and iterates invariants._CHECKS, so a renamed or deleted
+    # name would crash a traced benchmark run
+    tracing = _tracing_module()
+    missing = []
+    for layer, names in tracing.LAYER_FUNCTIONS.items():
+        module = importlib.import_module(f"entrodyn.{layer}")
+        for name in names:
+            owner = module
+            for part in name.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{layer}.{name}")
+    assert missing == []
+    assert isinstance(importlib.import_module("entrodyn.invariants")._CHECKS, tuple)

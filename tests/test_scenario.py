@@ -1109,6 +1109,55 @@ class TestSubsystemEntropies:
         assert re.fullmatch(r"FAIL araki-lieb: residual=\S+ \(tolerance 1\.000e-09\) worst at t = 5\n", err)
 
 
+class TestEveryColumnKind:
+    def test_each_csv_column_matches_its_label_oracle(self):
+        # one document with a block of every kind, each CSV column found by its header label and compared
+        # with LAPACK's eigh route: rho(t) = U rho(0) U†, U = V exp(-i w t) V† for H = V diag(w) V†
+        rng = np.random.default_rng(20261019)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        m = (a + a.conj().T) / 2.0
+        weights = np.array([0.4, 0.3, 0.2, 0.1])
+        observables = [
+            {"name": "energy"},
+            {"name": "matrix", "matrix": [[[z.real, z.imag] for z in row] for row in m], "label": "m"},
+            {"name": "site_populations"},
+            {"name": "subsystem_entropies"},
+        ]
+        document = _composite_document(observables, initial={"probabilities": weights.tolist()})
+        document["outputs"] = {"entropy": True, "populations": True, "transitions": {"source": 0, "targets": "all"}}
+        spec = parse_scenario(json.dumps(document))
+        report = run_scenario(spec)
+        h, times = resolve_scenario(spec).hamiltonian, time_grid(spec["time"])
+        w, v = np.linalg.eigh(h)
+        expected = {label: [] for label in ("t", "entropy", "energy", "m", "entropy_a", "entropy_b")}
+        expected.update({f"{prefix}{i}": [] for prefix in ("site_pop_", "pop_") for i in range(4)})
+        expected.update({f"trans_0_to_{k}": [] for k in (1, 2, 3)})
+        for t in times:
+            u = (v * np.exp(-1j * w * t)) @ v.conj().T
+            rho = u @ np.diag(weights) @ u.conj().T
+            quartet = rho.reshape(2, 2, 2, 2)
+            values = {
+                "t": t,
+                "entropy": spectrum_entropy(np.linalg.eigvalsh(rho)),
+                "energy": np.trace(h @ rho).real,
+                "m": np.trace(m @ rho).real,
+                "entropy_a": spectrum_entropy(np.linalg.eigvalsh(np.einsum("ikjk->ij", quartet))),
+                "entropy_b": spectrum_entropy(np.linalg.eigvalsh(np.einsum("kikj->ij", quartet))),
+                **{f"{prefix}{i}": rho[i, i].real for prefix in ("site_pop_", "pop_") for i in range(4)},
+                **{f"trans_0_to_{k}": abs(u[k, 0]) ** 2 for k in (1, 2, 3)},
+            }
+            for label, value in values.items():
+                expected[label].append(value)
+        lines = _csv(report).splitlines()
+        header = lines[1].split(",")
+        table = np.array([[float(cell) for cell in line.split(",")] for line in lines[2:]])
+        assert sorted(header) == sorted(expected) and len(table) == times.size
+        for label, column in expected.items():
+            assert np.max(np.abs(table[:, header.index(label)] - column)) <= 1e-12, label
+        assert [check.name for check in report.checks] == ["entropy-constancy", "subadditivity", "araki-lieb"]
+        assert report.passed
+
+
 def _spin_report(points: int) -> EvolutionReport:
     document = json.loads(RABI_DOC)
     document["time"]["points"] = points
