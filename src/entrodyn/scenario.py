@@ -32,6 +32,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -112,6 +113,45 @@ def _json_integer(digits: str):
         return _LongInteger(digits)
 
 
+_scalar_text = json.JSONEncoder().encode
+
+
+def _json_text(node) -> str:
+    """The text ``json.dumps`` writes for ``node`` with ``indent=2, sort_keys=True``, for a tree of
+    str-keyed dicts, lists and tuples. A finite float in an array is written in place by
+    ``float.__repr__``, as json writes it; every other scalar, and an empty container, goes through
+    the C encoder, which json uses only without an indent. The pieces are joined once, so no
+    subtree's text is copied into its parent's."""
+    pieces = []
+    write = pieces.append
+
+    def tree(node, pad):  # pad starts a line at the node's depth
+        if isinstance(node, (list, tuple)) and node:
+            inner = pad + "  "
+            sep, comma = "[" + inner, "," + inner
+            for item in node:
+                if type(item) is float and item - item == 0.0:
+                    write(sep + float.__repr__(item))
+                else:
+                    write(sep)
+                    tree(item, inner)
+                sep = comma
+            write(pad + "]")
+        elif isinstance(node, dict) and node:
+            inner = pad + "  "
+            sep, comma = "{" + inner, "," + inner
+            for key in sorted(node):
+                write(f"{sep}{encode_basestring_ascii(key)}: ")
+                sep = comma
+                tree(node[key], inner)
+            write(pad + "}")
+        else:
+            write(_scalar_text(node))
+
+    tree(node, "\n")
+    return "".join(pieces)
+
+
 def _as_mapping(node, path, allowed):
     if not isinstance(node, dict):
         raise ScenarioParseError(f"{path}: expected a mapping, got {type(node).__name__}")
@@ -156,8 +196,17 @@ def _string(node, path) -> str:
     return node
 
 
-def _complex_scalar(node, path):
-    """A complex entry in document form: a plain real when its imaginary part is 0, else [re, im]."""
+def _complex_scalar(node, path, i):
+    """Entry ``i`` of the array at ``path`` in document form: a plain real when its imaginary part is 0,
+    else [re, im]. A finite float, or a pair of them, is taken as it is; the entry's path is built only
+    for any other node, which goes through ``_number``."""
+    if type(node) is float and node - node == 0.0:
+        return node
+    if type(node) is list and len(node) == 2:
+        re, im = node
+        if type(re) is float and type(im) is float and re - re == 0.0 and im - im == 0.0:
+            return re if im == 0.0 else [re, im]
+    path = f"{path}[{i}]"
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         return _number(node, path)
     if isinstance(node, list) and len(node) == 2:
@@ -169,21 +218,24 @@ def _complex_scalar(node, path):
 def _complex_vector(node, path) -> list:
     if not isinstance(node, list) or not node:
         raise ScenarioParseError(f"{path}: expected a nonempty array")
-    return [_complex_scalar(entry, f"{path}[{i}]") for i, entry in enumerate(node)]
+    return [_complex_scalar(entry, path, i) for i, entry in enumerate(node)]
 
 
 def _complex_matrix(node, path) -> list:
+    """The rows of a complex matrix. Its shape is read first: rows that are arrays, of equal lengths,
+    and at most MAX_DIMENSION of them and wide; only then its entries."""
     if not isinstance(node, list) or not node:
         raise ScenarioParseError(f"{path}: expected a nonempty array of rows")
-    rows = []
     for i, row in enumerate(node):
         if not isinstance(row, list):
             raise ScenarioParseError(f"{path}[{i}]: expected an array row")
-        rows.append(_complex_vector(row, f"{path}[{i}]"))
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    width = len(node[0])
+    if any(len(row) != width for row in node):
         raise ScenarioParseError(f"{path}: rows have unequal lengths")
-    return rows
+    size = max(len(node), width)
+    if size > MAX_DIMENSION:
+        raise ScenarioValidationError(f"{path}: dimension {size} exceeds MAX_DIMENSION = {MAX_DIMENSION}")
+    return [_complex_vector(row, f"{path}[{i}]") for i, row in enumerate(node)]
 
 
 def _complex_array(rows) -> np.ndarray:
@@ -438,7 +490,7 @@ def load_scenario(path) -> dict:
 
 
 def serialize_scenario(spec: dict) -> str:
-    return json.dumps(spec, indent=2, sort_keys=True) + "\n"
+    return _json_text(spec) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +780,7 @@ class EvolutionReport:
         }
 
     def summary_json(self) -> str:
-        return json.dumps(self.summary(), indent=2, sort_keys=True) + "\n"
+        return _json_text(self.summary()) + "\n"
 
 
 def _grid_check(name: str, excess: np.ndarray, times: np.ndarray) -> CheckResult:

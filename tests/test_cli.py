@@ -435,6 +435,16 @@ ERROR_CASES = {
         PARSE,
         r"system\.hamiltonian: rows have unequal lengths",
     ),
+    "unequal matrix rows before a bad entry": (
+        {"system": {"kind": "explicit-matrices", "hamiltonian": [[0.0, 0.0], [True, 0.0, 0.0]]}},
+        PARSE,
+        r"system\.hamiltonian: rows have unequal lengths",
+    ),
+    "too large a matrix before a bad entry": (
+        {"system": {"kind": "explicit-matrices", "hamiltonian": [[0.0] * 129] * 128 + [[True] + [0.0] * 128]}},
+        INVALID,
+        r"system\.hamiltonian: dimension 129 exceeds MAX_DIMENSION = 128",
+    ),
     "NaN matrix entry": (
         {"system": {"kind": "explicit-matrices", "hamiltonian": [[math.nan, 0.0], [0.0, 1.0]]}},
         PARSE,

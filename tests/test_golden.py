@@ -32,6 +32,7 @@ CASES = {
         0,
         ("evolve", "composite_entanglement.json", "--out", "{csv}", "--summary", "{summary}"),
     ),
+    "evolve_explicit_mixture": (0, ("evolve", "explicit_mixture.json", "--out", "{csv}", "--summary", "{summary}")),
     "perturb_spin_rabi": (0, ("perturb", "spin_rabi.json", "--out", "{csv}", "--summary", "{summary}")),
     "rabi_default": (0, ("rabi",)),
     "rabi_detuned": (0, ("rabi", "--delta", "1.3", "--omega", "0.7", "--t-max", "100", "--points", "3000")),

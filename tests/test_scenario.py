@@ -306,7 +306,14 @@ class TestDocumentEcho:
         assert json.loads(json.dumps(spec)) == spec
 
     @pytest.mark.parametrize(
-        "fixture", ["spin_static.json", "spin_rabi.json", "lattice_momentum.json", "composite_entanglement.json"]
+        "fixture",
+        [
+            "spin_static.json",
+            "spin_rabi.json",
+            "lattice_momentum.json",
+            "composite_entanglement.json",
+            "explicit_mixture.json",
+        ],
     )
     def test_summary_echoes_the_spec(self, fixture):
         spec = load_scenario(SCENARIOS / fixture)
@@ -466,6 +473,26 @@ class TestResourceBounds:
         with pytest.raises(ScenarioValidationError, match="^system.hamiltonian: .*MAX_DIMENSION"):
             parse_scenario(json.dumps(document))
 
+    @pytest.mark.parametrize(
+        ("hamiltonian", "error", "message"),
+        [
+            ([[0.0] * 600] * 600, ScenarioValidationError, "dimension 600 exceeds MAX_DIMENSION = 128"),
+            ([[0.0, 0.0], [0.0] * 10**5], ScenarioParseError, "rows have unequal lengths"),
+        ],
+        ids=["too-large", "ragged"],
+    )
+    def test_matrix_shape_is_refused_before_any_entry_is_read(self, hamiltonian, error, message):
+        document = {
+            "system": {"kind": "explicit-matrices", "hamiltonian": hamiltonian},
+            "initial": {"state": "site", "index": 0},
+            "time": {"start": 0.0, "stop": 1.0, "points": 2},
+        }
+        text = json.dumps(document)
+        with mock.patch.object(scenario, "_complex_scalar", side_effect=AssertionError("an entry was read")) as read:
+            with pytest.raises(error, match=f"^system\\.hamiltonian: {message}$"):
+                parse_scenario(text)
+        assert not read.called
+
     def test_largest_lattice_accepted(self):
         document = {
             "system": {"kind": "lattice", "sites": MAX_DIMENSION, "length": 1.0, "mass": 1.0},
@@ -511,7 +538,14 @@ class TestResourceBounds:
         assert parse_scenario(json.dumps(document))["time"]["points"] == 10**6
 
     @pytest.mark.parametrize(
-        "fixture", ["spin_static.json", "spin_rabi.json", "lattice_momentum.json", "composite_entanglement.json"]
+        "fixture",
+        [
+            "spin_static.json",
+            "spin_rabi.json",
+            "lattice_momentum.json",
+            "composite_entanglement.json",
+            "explicit_mixture.json",
+        ],
     )
     def test_fixtures_accepted(self, fixture):
         load_scenario(SCENARIOS / fixture)
@@ -1479,7 +1513,78 @@ def _near_sections():
     )
 
 
+def _real(value):
+    """float(value) for a JSON number that is finite as a float, else None."""
+    try:
+        return float(value) if type(value) in (int, float) and math.isfinite(value) else None
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
+def _reference_entry(entry):
+    """A complex entry's normal form, re when im is 0 and [re, im] otherwise; None where it must be refused."""
+    if type(entry) is not list:
+        return _real(entry)
+    re, im = (_real(part) for part in entry) if len(entry) == 2 else (None, None)
+    return None if re is None or im is None else re if im == 0.0 else [re, im]
+
+
+def _json_trees():
+    """Trees of str-keyed dicts, lists and tuples over every kind of leaf json.dumps writes."""
+    leaves = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.sampled_from([2**64, -(2**64) - 1, 2**64 + 1, 10**400, -(10**400)]),
+        st.floats(),
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]),
+        st.text(max_size=6),
+        st.sampled_from(["\x00\x1f\x7f", '"\\/\b\f\n\r\t', "é ✓ \u2028 𝄞", "\ud800"]),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=3).map(tuple),
+            st.dictionaries(st.text(max_size=5), children, max_size=4),
+        ),
+        max_leaves=30,
+    )
+
+
+class TestJsonText:
+    @settings(max_examples=400)
+    @given(_json_trees())
+    def test_text_is_that_of_the_indented_encoder(self, tree):
+        assert scenario._json_text(tree) + "\n" == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
 class TestParserProperties:
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            _any_json(),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.lists(st.floats(), min_size=2, max_size=2),
+        )
+    )
+    def test_matrix_entry_is_read_or_refused_by_its_path(self, entry):
+        document = {
+            "system": {"kind": "explicit-matrices", "hamiltonian": [[entry]]},
+            "initial": {"state": "site", "index": 0},
+            "time": {"start": 0.0, "stop": 1.0, "points": 2},
+        }
+        expected = _reference_entry(entry)
+        try:
+            spec = parse_scenario(json.dumps(document))
+        except ScenarioParseError as exc:
+            assert expected is None and str(exc).startswith("system.hamiltonian[0][0]")
+        except ScenarioValidationError as exc:
+            # a 1 x 1 H whose one entry has an imaginary part is not Hermitian
+            assert type(expected) is list and str(exc).startswith("system.hamiltonian is not Hermitian")
+        else:
+            assert json.dumps(spec["system"]["hamiltonian"]) == json.dumps([[expected]])
+
     def test_near_documents_reach_resolution(self):
         outcomes = []
 
