@@ -118,24 +118,30 @@ def _output(flag: str, path: str):
 
 
 def _load(path: str):
+    """The scenario at ``path`` and the status of the file it was read from."""
     try:
-        return load_scenario(path)
+        return load_scenario(path), os.stat(path)
     except OSError as exc:
         raise _UsageError(f"cannot read scenario: {exc}") from None
 
 
-def _write_report(report: EvolutionReport, args) -> int:
+def _write_report(report: EvolutionReport, args, scenario: os.stat_result) -> int:
     """Write the CSV and the summary. Both targets are opened before either is emptied or written,
-    so a target that cannot be opened, or two that are one regular file, leave both as they were:
-    an existing file keeps what it held, and a file that opening it created is removed again."""
+    so a target that cannot be opened, a target that is the ``scenario`` file, or two targets that are
+    one regular file, leave both as they were: an existing file keeps what it held, and a file that
+    opening it created is removed again."""
     paths = {flag: path for flag, path in (("--out", args.out), ("--summary", args.summary)) if path is not None}
     new = [path for path in paths.values() if not os.path.lexists(path)]
     with contextlib.ExitStack() as stack:
         try:
             targets = {flag: stack.enter_context(_output(flag, path)) for flag, path in paths.items()}
+            status = {flag: os.fstat(handle.fileno()) for flag, handle in targets.items()}
             # a pipe or a device is written as it is
-            files = [handle for handle in targets.values() if stat.S_ISREG(os.fstat(handle.fileno()).st_mode)]
-            if len(files) == 2 and os.path.samestat(*(os.fstat(handle.fileno()) for handle in files)):
+            files = [flag for flag in targets if stat.S_ISREG(status[flag].st_mode)]
+            for flag in files:
+                if os.path.samestat(status[flag], scenario):
+                    raise _UsageError(f"{flag} names the scenario file: {paths[flag]}")
+            if len(files) == 2 and os.path.samestat(*(status[flag] for flag in files)):
                 raise _UsageError(f"--out and --summary name the same file: {args.summary}")
         except _UsageError:
             stack.close()
@@ -143,8 +149,8 @@ def _write_report(report: EvolutionReport, args) -> int:
                 with contextlib.suppress(OSError):
                     os.remove(path)
             raise
-        for handle in files:
-            handle.truncate(0)
+        for flag in files:
+            targets[flag].truncate(0)
         report.to_csv(targets.get("--out", sys.stdout))
         if "--summary" in targets:
             targets["--summary"].write(report.summary_json())
@@ -158,7 +164,8 @@ def _cmd_scenario(args) -> int:
     # the runs are looked up by their module-level names at each call, so a rebinding of a name
     # (a tracer's span, a test's stand-in) is what runs
     run = run_scenario if args.command == "evolve" else run_perturbation
-    return _write_report(run(_load(args.scenario)), args)
+    spec, scenario = _load(args.scenario)
+    return _write_report(run(spec), args, scenario)
 
 
 def _cmd_verify(args) -> int:

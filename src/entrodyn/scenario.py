@@ -65,7 +65,7 @@ MAX_DIMENSION = 128
 MAX_GRID_CELLS = 2**24
 CSV_DIGITS = 15
 # CSV cells (rows x columns) joined into one write: a buffer bounded whatever
-# the table's width (a 64-site lattice's 194 columns: 5 rows), and few enough
+# the table's width (a 64-site lattice's 193 columns: 5 rows), and few enough
 # writes that an in-memory stream (a redirected stdout) costs no more than one
 # large write
 CSV_BLOCK_CELLS = 1024
@@ -118,23 +118,38 @@ _scalar_text = json.JSONEncoder().encode
 
 def _json_text(node) -> str:
     """The text ``json.dumps`` writes for ``node`` with ``indent=2, sort_keys=True``, for a tree of
-    str-keyed dicts, lists and tuples. A finite float in an array is written in place by
-    ``float.__repr__``, as json writes it; every other scalar, and an empty container, goes through
-    the C encoder, which json uses only without an indent. The pieces are joined once, so no
-    subtree's text is copied into its parent's."""
+    str-keyed dicts, lists and tuples. An array of finite floats and [re, im] pairs of them (a
+    probability vector, a matrix row) is written by one ``%r`` template, as json writes each float by
+    ``float.__repr__``; every other scalar, and an empty container, goes through the C encoder, which
+    json uses only without an indent. The pieces are joined once, so no subtree's text is copied into
+    its parent's."""
     pieces = []
     write = pieces.append
 
     def tree(node, pad):  # pad starts a line at the node's depth
         if isinstance(node, (list, tuple)) and node:
             inner = pad + "  "
-            sep, comma = "[" + inner, "," + inner
+            comma = "," + inner
+            pair = f"[{inner}  %r,{inner}  %r{inner}]"
+            slots, numbers = [], []
             for item in node:
-                if type(item) is float and item - item == 0.0:
-                    write(sep + float.__repr__(item))
+                if type(item) is float:
+                    slots.append("%r")
+                    numbers.append(item)
+                elif type(item) is list and len(item) == 2 and type(item[0]) is float and type(item[1]) is float:
+                    slots.append(pair)
+                    numbers += item
                 else:
-                    write(sep)
-                    tree(item, inner)
+                    break
+            else:
+                # a sum is finite only if every term is; a row whose sum overflows takes the walk below
+                if math.isfinite(sum(numbers)):
+                    write(f"[{inner}{comma.join(slots)}{pad}]" % tuple(numbers))
+                    return
+            sep = "[" + inner
+            for item in node:
+                write(sep)
+                tree(item, inner)
                 sep = comma
             write(pad + "]")
         elif isinstance(node, dict) and node:
@@ -198,14 +213,7 @@ def _string(node, path) -> str:
 
 def _complex_scalar(node, path, i):
     """Entry ``i`` of the array at ``path`` in document form: a plain real when its imaginary part is 0,
-    else [re, im]. A finite float, or a pair of them, is taken as it is; the entry's path is built only
-    for any other node, which goes through ``_number``."""
-    if type(node) is float and node - node == 0.0:
-        return node
-    if type(node) is list and len(node) == 2:
-        re, im = node
-        if type(re) is float and type(im) is float and re - re == 0.0 and im - im == 0.0:
-            return re if im == 0.0 else [re, im]
+    else [re, im]. Each part goes through ``_number``, which names the entry's path."""
     path = f"{path}[{i}]"
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         return _number(node, path)
@@ -216,9 +224,24 @@ def _complex_scalar(node, path, i):
 
 
 def _complex_vector(node, path) -> list:
+    """The entries of the array at ``path`` in document form. A finite float, or a pair of them, is
+    taken in place, a pair with an imaginary part as the document's own list; any other entry goes
+    through ``_complex_scalar``."""
     if not isinstance(node, list) or not node:
         raise ScenarioParseError(f"{path}: expected a nonempty array")
-    return [_complex_scalar(entry, path, i) for i, entry in enumerate(node)]
+    entries = []
+    for i, entry in enumerate(node):
+        if type(entry) is float:
+            if entry - entry == 0.0:
+                entries.append(entry)
+                continue
+        elif type(entry) is list and len(entry) == 2:
+            re, im = entry
+            if type(re) is float and type(im) is float and re - re == 0.0 and im - im == 0.0:
+                entries.append(re if im == 0.0 else entry)
+                continue
+        entries.append(_complex_scalar(entry, path, i))
+    return entries
 
 
 def _complex_matrix(node, path) -> list:

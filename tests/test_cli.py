@@ -317,6 +317,27 @@ class TestEvolveCommand:
         else:
             assert target.read_text() == "held\n" and alias.read_text() == "held\n"
 
+    @pytest.mark.parametrize("command", ["evolve", "perturb"])
+    @pytest.mark.parametrize("flag", ["--out", "--summary"])
+    @pytest.mark.parametrize("link", [None, os.symlink, os.link], ids=["same-path", "symlink", "hard-link"])
+    def test_scenario_file_named_as_an_output_is_refused(self, link, flag, command, capsys, tmp_path):
+        # writing the report over the scenario would replace the document it came from, so nothing is
+        # written: the scenario keeps its text, and the other target, which opening created, is removed
+        document = tmp_path / "scenario.json"
+        text = (SCENARIOS / "spin_rabi.json").read_text()
+        document.write_text(text)
+        alias = document
+        if link is not None:
+            alias = tmp_path / "alias"
+            link(document, alias)
+        other = {"--out": "--summary", "--summary": "--out"}[flag]
+        argv = [command, str(document), flag, str(alias), other, str(tmp_path / "fresh")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} names the scenario file: {alias}\n"
+        assert document.read_text() == text
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted({document.name, alias.name})
+
     def test_one_device_named_by_both_flags_is_written(self, capsys):
         argv = ["evolve", str(SCENARIOS / "spin_static.json"), "--out", os.devnull, "--summary", os.devnull]
         assert run_cli(argv, capsys) == (0, "", "")
@@ -358,6 +379,7 @@ ERROR_CASES = {
         r"initial\.state: unknown named state 'gamma'; expected alpha, beta, site, or momentum",
     ),
     "index required": ({"initial": {"state": "site"}}, PARSE, r"initial: named state 'site' requires an 'index'"),
+    "section not a mapping": ({"time": [0.0, 1.0, 3]}, PARSE, r"time: expected a mapping, got list$"),
     "index meaningless": (
         {"initial": {"state": "alpha", "index": 0}},
         PARSE,
