@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import as_matrix, frobenius, hermitian_eig
+from .linalg import as_matrix, frobenius, hermitian_eig, stack_eig
 
 # Weights in [PROB_NEGATIVE_CLAMP, 0) snap to zero; below that the vector is rejected.
 PROB_NEGATIVE_CLAMP = -1e-12
@@ -97,8 +97,20 @@ def shannon_entropy(p) -> float:
     return spectrum_entropy(as_probability_vector(p))
 
 
-def von_neumann_entropy(rho) -> float:
-    """S = -tr(rho ln rho) in nats; the Shannon entropy of the spectrum."""
+def von_neumann_entropy(rho):
+    """S = -tr(rho ln rho) in nats; the Shannon entropy of the spectrum.
+
+    A (T, n, n) stack gives an array of T entropies, each with the bits of
+    its member's lone call: every member passes ``as_density_matrix`` (an
+    error names the stack member), and one ``stack_eig`` solves them all.
+    """
+    if np.ndim(rho) == 3:
+        for i, member in enumerate(rho):
+            try:
+                as_density_matrix(member, check_psd=False)
+            except (DomainError, ShapeError) as error:
+                raise type(error)(f"{error} (stack member {i})") from None
+        return spectrum_entropy(stack_eig(rho)[0])
     r = as_density_matrix(rho, check_psd=False)
     return spectrum_entropy(hermitian_eig(r).eigenvalues)
 

@@ -312,9 +312,10 @@ def hermitian_eig(h, basis=None) -> EigenDecomposition:
     _require_square(h, "eigensolver input")
     n = h.shape[0]
     s, e, tol = _jacobi_storage(h, None if basis is None else _seed(basis, n))
+    off = _off_diagonal(s)  # a view, so it follows the sweeps
     rounds = None  # set up at the first sweep
     sweeps = 0
-    while _norms(_off_diagonal(s)) > tol:
+    while _norms(off) > tol:
         if sweeps >= JACOBI_MAX_SWEEPS:
             raise ConvergenceError(f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps")
         if rounds is None:
@@ -335,70 +336,120 @@ def hermitian_eig(h, basis=None) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
-def stack_eigenvalues(stack) -> np.ndarray:
-    """Ascending eigenvalues of each Hermitian matrix of a (T, n, n) stack, shaped (T, n).
+def stack_eig(stack) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompositions of each Hermitian matrix of a (T, n, n) stack: (T, n) eigenvalues
+    and (T, n, n) eigenvectors.
 
-    Row i has the bits of ``hermitian_eig(stack[i]).eigenvalues``. All
-    members are rescaled, checked for Hermiticity and tested against
-    ``hermitian_eig``'s stopping rule in one vectorised pass. A member already
-    within the rule gets its sorted diagonal, which is what ``hermitian_eig``
-    returns after zero sweeps; any other member is handed to ``hermitian_eig``
-    on its own. An error names the failing stack member.
+    Member i has the bits of ``hermitian_eig(stack[i])``, eigenvalues and
+    eigenvectors alike, signed zeros included. All members are rescaled,
+    checked for Hermiticity and tested against ``hermitian_eig``'s stopping
+    rule together; the members outside it are then swept as one stack
+    (``_Rounds``) until each is within it, and a member leaves the stack at
+    the sweep it converges at, as its lone solve would stop there. So a stack
+    runs as many sweeps as its slowest member. When every member needs
+    sweeping they are swept in place; otherwise the active members are
+    copied out and back. An error names the failing stack member.
     """
     h = np.ascontiguousarray(stack, dtype=np.complex128)
     if h.ndim != 3 or 0 in h.shape or h.shape[1] != h.shape[2]:
         raise ShapeError(f"expected a nonempty stack of square matrices, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise DomainError("matrix entries must be finite")
+    n = h.shape[-1]
     s, e, tol = _jacobi_storage(h)
-    w = s.diagonal(0, 1, 2)[:, : h.shape[-1]].real  # each A's
-    w = np.ldexp(np.take_along_axis(w, w.argsort(axis=1, kind="stable"), axis=1), e[:, None])
-    for i in np.flatnonzero(_norms(_off_diagonal(s)) > tol):
-        try:
-            w[i] = hermitian_eig(h[i]).eigenvalues
-        except (ConvergenceError, DomainError) as error:
-            raise type(error)(f"{error} (stack member {i})") from None
-    return w
+    swept = active = np.flatnonzero(_norms(_off_diagonal(s)) > tol)
+    work, tol = (s if active.size == len(s) else s[active]), tol[active]
+    rounds = None  # set up for each new active set
+    sweeps = 0
+    while active.size:
+        if sweeps >= JACOBI_MAX_SWEEPS:
+            raise ConvergenceError(
+                f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps (stack member {active[0]})"
+            )
+        if rounds is None:
+            rounds, off = _Rounds(work), _off_diagonal(work)
+        rounds.sweep()
+        sweeps += 1
+        still = _norms(off) > tol
+        if not still.all():
+            if work is not s:
+                s[active[~still]] = work[~still]
+            active, work, tol, rounds = active[still], work[still], tol[still], None
+
+    w = s.diagonal(0, 1, 2)[:, :n].real  # each A's
+    order = w.argsort(axis=1, kind="stable")
+    w = np.take_along_axis(w, order, axis=1)
+    beyond = np.flatnonzero(e + np.frexp(np.maximum(-w[:, 0], w[:, -1]))[1] > 1024)
+    if beyond.size:
+        raise DomainError(f"eigenvalues exceed the float64 range (stack member {beyond[0]})")
+    w = np.ldexp(w, e[:, None])
+    # A member never swept still has V = 1, so its eigenvectors are the identity's columns in its
+    # order, with the +0.0 zeros that rephasing them leaves in a lone solve.
+    v = np.zeros_like(h)
+    np.put_along_axis(v, order[:, None, :], 1.0, axis=1)
+    if swept.size:
+        m = s.shape[-1]
+        vs = np.take_along_axis(s[swept, m : m + n], order[swept, None, :], axis=2)
+        # Make each column's largest component (lowest index on ties) real and positive.
+        pivots = np.take_along_axis(vs, np.abs(vs).argmax(axis=1)[:, None, :], axis=1)
+        vs *= pivots.conj() / np.abs(pivots)
+        v[swept] = vs
+    return w, v
 
 
 class _Rounds:
-    """Brent-Luk rounds, in place, on the working storage s = [A; V], (2m, m).
+    """Brent-Luk rounds, in place, on the working storage s = [A; V], (2m, m), or on each member
+    of a stack s of them, (B, 2m, m).
 
     s holds the working matrix A and the product V of the rotations so far,
     both in the current round's slot layout, where slots (2j, 2j + 1) hold the
     round's j-th pair (in either order). A sweep's m - 1 shifts take the ring
     once around, so every sweep starts and ends in the identity layout. The
-    views below are built once per storage.
+    views below are built once per storage, with the same ellipsis indexing
+    for one storage and a stack, so a stack member gets the arithmetic of
+    its lone solve. A lone storage skips a round whose pairs are all zero.
+    In a stack, a member whose pairs in the round are all zero is copied
+    aside while the others rotate and then put back, so it keeps every bit,
+    signed zeros included, as if skipped too.
     """
 
     def __init__(self, s: np.ndarray):
         m = s.shape[-1]
         k = m // 2
-        self.m = m
-        self.entries = s.reshape(-1)
-        flat = self.entries[: m * m]  # A
+        batch = s.shape[:-2]
+        self.s, self.m, self.stacked = s, m, bool(batch)
+        self.entries = s.reshape(batch + (-1,))
+        flat = self.entries[..., : m * m]  # A
         if m > 2:  # a round's shift moves A's rows and the columns of [A; V] by _round_shift
             shift = _round_shift(m)
             self.gather = (np.concatenate([shift, np.arange(m, 2 * m)])[:, None] * m + shift).ravel()
         # Entries (2j, 2j), (2j + 1, 2j + 1), (2j, 2j + 1) and (2j + 1, 2j) of A.
         step = 2 * (m + 1)
-        self.a_pp = flat[::step].real
-        self.a_qq = flat[m + 1 :: step].real
-        self.a_pq = flat[1::step]
-        self.a_qp = flat[m::step]
-        self.rows = flat.reshape(k, 2, m)  # rows (2j, 2j + 1) of A
-        self.cols = s.T.reshape(k, 2, 2 * m)  # columns (2j, 2j + 1) of A and V, as rows of the transpose
-        self.rot = np.empty((k, 2, 2), dtype=np.complex128)
-        self.rot_diag = self.rot.reshape(k, 4)[:, ::3]
-        self.rot_pq, self.rot_qp = self.rot[:, 0, 1], self.rot[:, 1, 0]
+        self.a_pp = flat[..., ::step].real
+        self.a_qq = flat[..., m + 1 :: step].real
+        self.a_pq = flat[..., 1::step]
+        self.a_qp = flat[..., m::step]
+        self.rows = flat.reshape(batch + (k, 2, m))  # rows (2j, 2j + 1) of A
+        # columns (2j, 2j + 1) of A and V, as rows of the transpose
+        self.cols = s.mT.reshape(batch + (k, 2, 2 * m))
+        self.rot = np.empty(batch + (k, 2, 2), dtype=np.complex128)
+        self.rot_diag = self.rot.reshape(batch + (k, 4))[..., ::3]
+        self.rot_pq, self.rot_qp = self.rot[..., 0, 1], self.rot[..., 1, 0]
 
     def sweep(self) -> None:
         """One sweep."""
         a_pp, a_qq, a_pq, a_qp = self.a_pp, self.a_qq, self.a_pq, self.a_qp
-        rows, cols, rot, entries = self.rows, self.cols, self.rot, self.entries
+        s, rows, cols, rot, entries, stacked = self.s, self.rows, self.cols, self.rot, self.entries, self.stacked
         for _ in range(self.m - 1):
             r = np.abs(a_pq)
-            if r.any():  # else every pair of the round is already zero
+            live = r.any(-1)  # else every pair of the round is already zero (member by member in a stack)
+            kept = None
+            if stacked:
+                skipped = np.flatnonzero(~live)
+                live = skipped.size < len(s)
+                if live and skipped.size:  # the round is the identity for them: keep their bits
+                    kept = s[skipped]
+            if live:
                 dead = r == 0.0  # a pair that is already zero gets the identity
                 r += dead
                 tau = (a_pp - a_qq) / (r + r)
@@ -409,15 +460,17 @@ class _Rounds:
                 c = 1.0 / np.hypot(1.0, t)  # 1 / sqrt(1 + t^2)
                 su = t * c * (a_pq / r)  # s times the phase of a_pq
                 # rot[j] = [[c, -s u], [s conj(u), c]] = J†, the adjoint of pair j's rotation.
-                self.rot_diag[...] = c[:, None]
+                self.rot_diag[...] = c[..., None]
                 np.negative(su, out=self.rot_pq)
                 np.conjugate(su, out=self.rot_qp)
                 rows[...] = rot @ rows  # A <- J† A
                 cols[...] = rot.conj() @ cols  # A <- A J and V <- V J
                 a_pq[...] = 0.0
                 a_qp[...] = 0.0
+                if kept is not None:
+                    s[skipped] = kept
             if self.m > 2:  # for m = 2 the shift changes nothing
-                entries[...] = entries.take(self.gather)
+                entries[...] = entries.take(self.gather, -1)
 
 
 def expm_hermitian(h, t: float) -> np.ndarray:

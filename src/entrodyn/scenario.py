@@ -45,7 +45,7 @@ from .ensembles import (
     spectrum_entropy,
 )
 from .errors import DomainError, NumericalError, ShapeError
-from .linalg import hermitian_eig, require_hermitian, stack_eigenvalues
+from .linalg import hermitian_eig, require_hermitian, stack_eig
 from .systems import (
     LatticeFreeParticle,
     SpinHalfSystem,
@@ -70,7 +70,7 @@ CSV_DIGITS = 15
 # large write
 CSV_BLOCK_CELLS = 1024
 # Bytes of one entropy block's A_t stack, (points, n, n) complex, certified by
-# one stack_eigenvalues call (n = 2: 2048 points, n = 64: 2, n = 128: 1). The
+# one stack_eig call (n = 2: 2048 points, n = 64: 2, n = 128: 1). The
 # block's traced peak is about 8.3 times this (1,067 KiB at n = 2): the basis,
 # the densities, their products and the solver's temporaries.
 ENTROPY_BLOCK_BYTES = 2**17
@@ -845,10 +845,10 @@ def _entropies(rho0: np.ndarray, phases: np.ndarray, seed: np.ndarray | None) ->
     no error carries from one point to the next. The grid is taken a block
     of ENTROPY_BLOCK_BYTES // (16 n²) points (at least one) at a time:
     ``_evolved`` gives rho(t)' for the block's phase rows as a stack, in
-    grid order, and one ``stack_eigenvalues`` call certifies every
+    grid order, and one ``stack_eig`` call certifies every
     A_t = W_t† rho(t)' W_t of the block by ``hermitian_eig``'s stopping rule,
     relative to ||A_t||_F = ||rho(t)||_F: an A_t already within it is
-    diagonal to that tolerance, and any other is solved on its own, with the
+    diagonal to that tolerance, and the others are swept together, with the
     bits of a lone ``hermitian_eig`` either way. So by Weyl's inequality each
     point's eigenvalues measure the spectrum of the rho(t) given, a rho(t)
     that is not unitarily related to rho(0) shows in the column, and the
@@ -861,7 +861,7 @@ def _entropies(rho0: np.ndarray, phases: np.ndarray, seed: np.ndarray | None) ->
         rows = slice(start, start + block)
         basis = phases[rows, :, None] * x0
         a = basis.conj().swapaxes(1, 2) @ _evolved(rho0, phases[rows]) @ basis
-        entropies[rows] = spectrum_entropy(stack_eigenvalues(a))
+        entropies[rows] = spectrum_entropy(stack_eig(a)[0])
     return entropies
 
 
@@ -941,9 +941,15 @@ def _reduced_states(v: np.ndarray, mixture: list, phases: np.ndarray, factors: t
 
 
 def _subsystem_entropies(v: np.ndarray, mixture: list, phases: np.ndarray, factors: tuple) -> np.ndarray:
-    """(S_A, S_B) over the grid, two columns: each reduced state solved by a ``hermitian_eig`` of its own."""
-    stacks = _reduced_states(v, mixture, phases, factors)
-    return np.column_stack([spectrum_entropy(np.array([hermitian_eig(r).eigenvalues for r in s])) for s in stacks])
+    """(S_A, S_B) over the grid, two columns. Each reduced state's stack is solved by ``stack_eig``,
+    ENTROPY_BLOCK_BYTES of it at a time so the solver's working set stays bounded, and every point
+    has the bits of a lone ``hermitian_eig``."""
+    columns = np.empty((len(phases), 2))
+    for column, stack in zip(columns.T, _reduced_states(v, mixture, phases, factors)):
+        block = max(1, ENTROPY_BLOCK_BYTES // stack[0].nbytes)
+        for start in range(0, len(stack), block):
+            column[start : start + block] = spectrum_entropy(stack_eig(stack[start : start + block])[0])
+    return columns
 
 
 def _transition_probabilities(v: np.ndarray, phases: np.ndarray, pairs: tuple) -> np.ndarray:
@@ -998,13 +1004,13 @@ def run_scenario(spec: dict) -> EvolutionReport:
     resolved (``_populations``): non-negative by construction, at a cost of
     O(T n n_b r) for a basis of n_b kets and r kets of positive weight. The
     entropy column is certified for every initial state alike in the basis
-    W_t = diag(P_t) X0 built from rho(0)' = X0 Λ X0†, by one ``stack_eigenvalues`` call per
+    W_t = diag(P_t) X0 built from rho(0)' = X0 Λ X0†, by one ``stack_eig`` call per
     block of grid points (``_entropies``). A run calls ``hermitian_eig`` for
-    H and for rho(0)', each seeded by an eigenbasis the run already holds when
+    H and for rho(0)' alone, each seeded by an eigenbasis the run already holds when
     there is one (a lattice's plane waves for H; V† B for a rho(0) diagonal
-    in the basis B), and once more only for an A_t not already diagonal to
-    its stopping rule, which exact unitary evolution does not produce, and
-    for each reduced state of the subsystem entropies (``_reduced_states``).
+    in the basis B). An A_t not already diagonal to its stopping rule, which
+    exact unitary evolution does not produce, and the reduced states of the
+    subsystem entropies (``_reduced_states``) are swept as stacks.
     The table is filled in one walk of the resolved column table, each block under its own labels,
     and each summary check is taken from the blocks as they are written.
     """

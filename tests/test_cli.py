@@ -80,6 +80,19 @@ class TestInvariantSuite:
         failing = {r.name for r in report.results if not r.passed}
         assert failing == {"entropy-invariance"}
 
+    @pytest.mark.parametrize(
+        "seed, dims, worst, residual",
+        [
+            (DEFAULT_SEED, (2, 4, 8), "dim=8 rep=5", 0.12778654558841573),
+            (7, (2, 3, 5, 8), "dim=3 rep=1", 0.11450377074512286),
+        ],
+    )
+    def test_negative_control_fails_on_its_pinned_draw(self, seed, dims, worst, residual):
+        # the draws are solved as one stack per dim, with the bits of solving each alone
+        report = run_invariant_suite(seed=seed, dims=dims, corrupt_evolution=True)
+        (result,) = [r for r in report.results if not r.passed]
+        assert (result.name, result.worst, result.residual) == ("entropy-invariance", worst, residual)
+
     def test_verdicts_stable_across_seeds(self):
         verdicts = set()
         for seed in range(10):

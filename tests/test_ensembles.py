@@ -114,6 +114,29 @@ class TestVonNeumannEntropy:
         w = np.clip(hermitian_eig(rho).eigenvalues, 0.0, None)
         assert abs(von_neumann_entropy(rho) - shannon_entropy(w / w.sum())) <= 1e-9
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    def test_stack_matches_lone_calls(self, dim):
+        rng = rng_for(61, dim)
+        members = [random_density_matrix(rng, dim) for _ in range(5)]
+        stack = np.stack(members + [np.eye(dim) / dim, pure_density(np.eye(dim)[0])])
+        entropies = von_neumann_entropy(stack)
+        lone = np.array([von_neumann_entropy(rho) for rho in stack])
+        np.testing.assert_array_equal(entropies.view(np.uint64), lone.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "defect, error", [("hermiticity", "not Hermitian"), ("trace", "trace must be 1"), ("spectrum", "eigenvalue")]
+    )
+    def test_stack_error_names_the_member(self, defect, error):
+        stack = np.stack([np.eye(3) / 3] * 4).astype(complex)
+        if defect == "hermiticity":
+            stack[2, 0, 1] = 0.1
+        elif defect == "trace":
+            stack[2] *= 2.0
+        else:
+            stack[2] = np.diag([1.1, 0.0, -0.1])
+        with pytest.raises(DomainError, match=error + (".*stack member 2" if defect != "spectrum" else "")):
+            von_neumann_entropy(stack)
+
     @given(st.integers(0, 2**32 - 1))
     def test_additive_over_products(self, seed):
         rng = rng_for(seed)

@@ -27,7 +27,7 @@ from entrodyn.linalg import (
     matmul,
     partial_trace,
     require_hermitian,
-    stack_eigenvalues,
+    stack_eig,
     trace,
 )
 from entrodyn.sampling import random_hermitian, rng_for
@@ -349,15 +349,40 @@ def _assert_bits_equal(got, want):
 
 
 def _assert_stack_matches_solo(stack):
-    """Each row of stack_eigenvalues has the eigenvalue bits of solving that member alone."""
-    w = stack_eigenvalues(stack)
-    assert w.shape == stack.shape[:2]
+    """Each member of stack_eig has the eigenvalue and eigenvector bits of solving that member alone."""
+    w, v = stack_eig(stack)
+    assert w.shape == stack.shape[:2] and v.shape == stack.shape
     for i, h in enumerate(stack):
-        _assert_bits_equal(w[i], hermitian_eig(h).eigenvalues)
+        solo = hermitian_eig(h)
+        _assert_bits_equal(w[i], solo.eigenvalues)
+        _assert_bits_equal(v[i], solo.eigenvectors)
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """A list that gains the member count of the storage at every _Rounds sweep (1 for a lone solve)."""
+    counts = []
+    original = linalg._Rounds.sweep
+
+    def counting(rounds):
+        counts.append(len(rounds.s) if rounds.stacked else 1)
+        original(rounds)
+
+    monkeypatch.setattr(linalg._Rounds, "sweep", counting)
+    return counts
+
+
+def _sparse_hermitian(rng, n):
+    """A Hermitian matrix with 5-50% of its entries nonzero (a drawn share) and half of its zeros negative."""
+    mask = rng.random((n, n)) < rng.uniform(0.05, 0.5)
+    h = np.where(mask, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 0.0)
+    h = h + h.conj().T
+    h[(h == 0) & (rng.random((n, n)) < 0.5)] = complex(-0.0, -0.0)
+    return h
 
 
 class TestStackedHermitianEig:
-    """stack_eigenvalues, checked member by member against lone hermitian_eig solves."""
+    """stack_eig, checked member by member against lone hermitian_eig solves."""
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_gue_stack_matches_solo(self, n):
@@ -370,7 +395,7 @@ class TestStackedHermitianEig:
         h = lattice_hamiltonian(LatticeFreeParticle(64, 2 * np.pi, 1.0))
         _assert_stack_matches_solo(np.stack([h, -2.0**-600 * h, random_hermitian(rng_for(32), 64)]))
 
-    def test_certified_members_are_not_swept(self, eig_calls):
+    def test_certified_members_are_not_swept(self, eig_calls, swept):
         rng = rng_for(33)
         members = []
         for i in range(9):
@@ -381,35 +406,73 @@ class TestStackedHermitianEig:
                 h = np.diag(np.diag(h)) + 1e-16 * (h - np.diag(np.diag(h)))
             members.append(h)
         stack = np.stack(members)
-        w = stack_eigenvalues(stack)
-        assert len(eig_calls) == 3
-        for (call, basis), i in zip(eig_calls, (2, 5, 8)):
-            _assert_bits_equal(call, stack[i])
-            assert basis is None
+        w, v = stack_eig(stack)
+        # only the three GUE members are swept, as one stack, and no member is handed to hermitian_eig
+        assert eig_calls == [] and swept[0] == 3 and max(swept) == 3
         for i in (0, 1, 3, 4, 6, 7):
             _assert_bits_equal(w[i], np.sort(np.diag(stack[i]).real))
+        swept.clear()
         _assert_stack_matches_solo(stack)
+
+    def test_stack_sweeps_as_often_as_its_slowest_member(self, swept):
+        # members converging sweeps apart leave the stack one by one, so the stack runs the
+        # largest member's count of sweeps, not their sum
+        rng = rng_for(37)
+        h = random_hermitian(rng, 6)
+        near = np.diag(np.diag(h)) + 1e-9 * (h - np.diag(np.diag(h)))
+        stack = np.stack([np.diag(np.diag(h)), random_hermitian(rng, 6), near, 1e-80 * random_hermitian(rng, 6)])
+        solo = []
+        for member in stack:
+            swept.clear()
+            hermitian_eig(member)
+            solo.append(len(swept))
+        assert solo[0] == 0 and 0 < solo[2] < solo[1]
+        swept.clear()
+        _assert_stack_matches_solo(stack)
+        assert len(swept) == max(solo) + sum(solo)  # the stack's sweeps, then each member's lone ones
+        stacked = swept[: max(solo)]
+        assert stacked == [sum(count > k for count in solo) for k in range(max(solo))]
 
     def test_sparse_members_with_signed_zeros_match_solo(self):
         # whether a member is certified or solved, its zeros keep the signs of a lone solve
         rng = rng_for(36)
         for _ in range(30):
             n = int(rng.integers(3, 9))
+            _assert_stack_matches_solo(np.stack([_sparse_hermitian(rng, n) for _ in range(4)]))
+
+    def test_member_whose_round_is_all_zero_keeps_its_bits(self):
+        # a sparse member with its round-0 pairs (0, 1), (2, 3), ... zeroed (half of them -0.0) sits out
+        # that round while a dense member rotates; its zeros keep the signs of a lone solve
+        rng = rng_for(38)
+        for _ in range(20):
+            n = int(rng.integers(4, 9))
+            sparse = _sparse_hermitian(rng, n)
+            for p in range(0, n - 1, 2):
+                sparse[p, p + 1] = sparse[p + 1, p] = complex(0.0, 0.0) if rng.random() < 0.5 else complex(-0.0, -0.0)
+            _assert_stack_matches_solo(np.stack([sparse, random_hermitian(rng, n), sparse.conj()]))
+
+    def test_mixed_kinds_match_solo(self):
+        # certified, swept, sparse (rounds of all-zero pairs) and tiny or huge members in one stack
+        rng = rng_for(39)
+        for n in (2, 3, 4, 5, 8):
             members = []
-            for _ in range(4):
-                mask = rng.random((n, n)) < rng.uniform(0.05, 0.5)
-                h = np.where(mask, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 0.0)
-                h = h + h.conj().T
-                h[(h == 0) & (rng.random((n, n)) < 0.5)] = complex(-0.0, -0.0)
+            for kind in range(12):
+                h = random_hermitian(rng, n)
+                if kind % 4 == 1:
+                    h = np.diag(np.diag(h))
+                elif kind % 4 == 2:
+                    h = _sparse_hermitian(rng, n)
+                elif kind % 4 == 3:
+                    h = h * 10.0 ** rng.choice([-150.0, 150.0])
                 members.append(h)
             _assert_stack_matches_solo(np.stack(members))
 
-    def test_stack_of_diagonal_members_needs_no_sweep(self, eig_calls):
+    def test_stack_of_diagonal_members_needs_no_sweep(self, eig_calls, swept):
         # signed zeros keep the order a stable sort gives them, as in a lone solve
         diagonals = [[2.0, 1.0, 0.0], [0.0, -3.0, 0.0], [-0.0, 0.0, -0.0]]
         stack = np.stack([np.diag(d) for d in diagonals]).astype(complex)
-        w = stack_eigenvalues(stack)
-        assert eig_calls == []
+        w, v = stack_eig(stack)
+        assert eig_calls == [] and swept == []
         np.testing.assert_array_equal(w, [[0.0, 1.0, 2.0], [-3.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         _assert_stack_matches_solo(stack)
 
@@ -421,23 +484,33 @@ class TestStackedHermitianEig:
         else:
             stack[1, 2, 2] = float(bad)
         with pytest.raises(DomainError, match="stack member 2" if bad == "non_hermitian" else "finite"):
-            stack_eigenvalues(stack)
+            stack_eig(stack)
 
     def test_member_beyond_float64_rejected(self):
-        stack = np.stack([np.eye(2), 1e308 * np.ones((2, 2))]).astype(complex)
+        stack = np.stack([np.eye(2), 1e308 * np.ones((2, 2)), 1e308 * np.eye(2)]).astype(complex)
         with pytest.raises(DomainError, match="stack member 1"):
-            stack_eigenvalues(stack)
+            stack_eig(stack)
 
     @pytest.mark.parametrize("shape", [(3, 2, 3), (0, 2, 2), (2, 0, 0), (2, 2, 2, 2), (2, 2)])
     def test_malformed_stack_raises_shape_error(self, shape):
         with pytest.raises(ShapeError):
-            stack_eigenvalues(np.zeros(shape, dtype=complex))
+            stack_eig(np.zeros(shape, dtype=complex))
 
     def test_sweep_budget_names_the_member(self, monkeypatch):
         stack = np.stack([np.diag([1.0, 2.0]).astype(complex), SX])
         monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
         with pytest.raises(ConvergenceError, match="stack member 1"):
-            stack_eigenvalues(stack)
+            stack_eig(stack)
+
+    def test_sweep_budget_names_the_first_member_still_sweeping(self, monkeypatch):
+        # member 0 converges within one sweep and leaves; member 2 still needs more when the budget ends
+        h = random_hermitian(rng_for(40), 5)
+        near = np.diag(np.diag(h)) + 1e-9 * (h - np.diag(np.diag(h)))
+        stack = np.stack([near, np.diag(np.diag(h)), random_hermitian(rng_for(41), 5)])
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+        hermitian_eig(near)
+        with pytest.raises(ConvergenceError, match=r"in 1 sweeps \(stack member 2\)$"):
+            stack_eig(stack)
 
     def test_hermitian_eig_takes_one_matrix(self):
         with pytest.raises(ShapeError):

@@ -1112,6 +1112,31 @@ class TestSubsystemEntropies:
         assert coherence.min() > 0.05
         assert np.max(np.abs(column - oracle)) <= 1e-12
 
+    def test_long_run_makes_no_per_point_solve(self, eig_calls):
+        # a 2001-point run diagonalises H and rho(0)' alone; the 4002 reduced states are swept as stacks
+        document = _composite_document([{"name": "subsystem_entropies"}])
+        document["time"]["points"] = 2001
+        spec = parse_scenario(json.dumps(document))
+        eig_calls.clear()
+        report = run_scenario(spec)
+        assert report.columns == ("t", "entropy", "entropy_a", "entropy_b") and report.passed
+        assert len(eig_calls) == 2 and all(h.shape == (4, 4) for h, _ in eig_calls)
+
+    def test_blocks_match_lone_solves_bit_for_bit(self, monkeypatch):
+        # blocks of 700 points: the grid's 2001 reduced states of each factor span three stacked solves
+        monkeypatch.setattr(scenario, "ENTROPY_BLOCK_BYTES", 700 * 64)
+        spec = parse_scenario(json.dumps(_composite_document([])))
+        h, times = resolve_scenario(spec).hamiltonian, np.linspace(-1.5, 30.0, 2001)
+        rng = np.random.default_rng(20261020)
+        kets = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        kets /= np.linalg.norm(kets, axis=1)[:, None]
+        spectrum = hermitian_eig(h)
+        mixture = list(zip([0.7, 0.3], kets @ spectrum.eigenvectors.conj()))
+        args = spectrum.eigenvectors, mixture, spectrum.phases(times), (2, 2)
+        column = _subsystem_entropies(*args)
+        lone = [[spectrum_entropy(hermitian_eig(r).eigenvalues) for r in s] for s in scenario._reduced_states(*args)]
+        np.testing.assert_array_equal(column.view(np.uint64), np.array(lone).T.view(np.uint64))
+
     def test_product_state_without_coupling_stays_unentangled(self):
         rng = np.random.default_rng(20261019)
         a, b = (z / np.linalg.norm(z) for z in rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
