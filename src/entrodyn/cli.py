@@ -36,7 +36,7 @@ from .scenario import (
     EvolutionReport,
     ScenarioParseError,
     ScenarioValidationError,
-    load_scenario,
+    _read_spec,
     run_perturbation,
     run_scenario,
     write_csv,
@@ -118,9 +118,10 @@ def _output(flag: str, path: str):
 
 
 def _load(path: str):
-    """The scenario at ``path`` and the status of the file it was read from."""
+    """The spec of the scenario at ``path`` and the status of the file it was read from. Its references
+    are not resolved here: the run resolves them once, and that resolution validates the spec."""
     try:
-        return load_scenario(path), os.stat(path)
+        return _read_spec(path), os.stat(path)
     except OSError as exc:
         raise _UsageError(f"cannot read scenario: {exc}") from None
 

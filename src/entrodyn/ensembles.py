@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import as_matrix, frobenius, hermitian_eig, stack_eig
+from .linalg import _norms, as_matrix, frobenius, hermitian_eig, stack_eig
 
 # Weights in [PROB_NEGATIVE_CLAMP, 0) snap to zero; below that the vector is rejected.
 PROB_NEGATIVE_CLAMP = -1e-12
@@ -97,20 +97,40 @@ def shannon_entropy(p) -> float:
     return spectrum_entropy(as_probability_vector(p))
 
 
+def _density_stack(rho) -> np.ndarray:
+    """A (T, n, n) stack as complex128, each member validated as by ``as_density_matrix(check_psd=False)``.
+
+    The whole stack is accepted in one pass when it is square and finite and
+    every member's ||rho - rho†||_F and |tr rho - 1| are within the lone
+    check's tolerances; each member's two numbers have the bits of that
+    check's (one conjugated dot product, ``np.trace``'s sum), so the verdicts
+    agree. Anything else, an overflowed norm included, goes through the lone
+    check member by member, and the error names the first failing member.
+    """
+    stack = np.asarray(rho, dtype=np.complex128)
+    if stack.shape[1] == stack.shape[2] > 0 and np.isfinite(stack).all():
+        with np.errstate(over="ignore"):  # an overflowed norm is inf: the lone check rules on its member
+            defects = _norms(stack - stack.conj().swapaxes(1, 2))
+        traces = stack.trace(axis1=1, axis2=2)
+        if (defects <= DENSITY_HERMITICITY_ATOL).all() and (np.abs(traces - 1.0) <= DENSITY_TRACE_ATOL).all():
+            return stack
+    for i, member in enumerate(stack):
+        try:
+            as_density_matrix(member, check_psd=False)
+        except (DomainError, ShapeError) as error:
+            raise type(error)(f"{error} (stack member {i})") from None
+    return stack
+
+
 def von_neumann_entropy(rho):
     """S = -tr(rho ln rho) in nats; the Shannon entropy of the spectrum.
 
     A (T, n, n) stack gives an array of T entropies, each with the bits of
-    its member's lone call: every member passes ``as_density_matrix`` (an
-    error names the stack member), and one ``stack_eig`` solves them all.
+    its member's lone call: the stack is validated in one pass (an error
+    names the stack member), and one ``stack_eig`` solves every member.
     """
     if np.ndim(rho) == 3:
-        for i, member in enumerate(rho):
-            try:
-                as_density_matrix(member, check_psd=False)
-            except (DomainError, ShapeError) as error:
-                raise type(error)(f"{error} (stack member {i})") from None
-        return spectrum_entropy(stack_eig(rho)[0])
+        return spectrum_entropy(stack_eig(_density_stack(rho))[0])
     r = as_density_matrix(rho, check_psd=False)
     return spectrum_entropy(hermitian_eig(r).eigenvalues)
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ShapeError
+from .errors import ConvergenceError, DomainError, NumericalError, ShapeError
 
 # Relative Hermiticity tolerance: ||h - h†||_F <= HERMITICITY_RTOL * ||h||_F.
 HERMITICITY_RTOL = 1e-10
@@ -286,6 +286,16 @@ def _off_diagonal(s: np.ndarray) -> np.ndarray:
     return flat[..., 1:].reshape(batch + (m - 1, m + 1))[..., :m]
 
 
+def _require_finite(s: np.ndarray) -> None:
+    """Raise NumericalError when the swept working storage s = [A; V], or a member of a stack of them,
+    holds a non-finite entry: its eigenvalues or eigenvectors would not be numbers. The input was finite,
+    so that is a fault of the sweeps, which must be an error, never a returned spectrum."""
+    bad = ~np.isfinite(s).reshape(s.shape[:-2] + (-1,)).all(axis=-1)
+    if bad.any():
+        where = f" (stack member {np.flatnonzero(bad)[0]})" if s.ndim == 3 else ""
+        raise NumericalError(f"Jacobi eigensolver produced a non-finite eigenvalue or eigenvector{where}")
+
+
 def hermitian_eig(h, basis=None) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
@@ -297,7 +307,8 @@ def hermitian_eig(h, basis=None) -> EigenDecomposition:
     still visits every pair exactly once. Sweeping repeats until the
     off-diagonal Frobenius norm is at most ``JACOBI_OFF_TOL * ||h||_F``,
     raising ConvergenceError after ``JACOBI_MAX_SWEEPS`` sweeps; a spectrum
-    beyond the float64 range raises DomainError. O(n^3) per sweep; intended
+    beyond the float64 range raises DomainError, and a non-finite eigenvalue
+    or eigenvector NumericalError. O(n^3) per sweep; intended
     for the dense, desk-scale matrices this package works with (n <= ~128).
 
     An optional seed ``basis``, an (n, n) matrix Q whose columns are believed
@@ -323,6 +334,7 @@ def hermitian_eig(h, basis=None) -> EigenDecomposition:
         rounds.sweep()
         sweeps += 1
 
+    _require_finite(s)
     w = s.diagonal()[:n].real  # A's
     order = w.argsort(kind="stable")
     w = w[order]
@@ -348,7 +360,8 @@ def stack_eig(stack) -> tuple[np.ndarray, np.ndarray]:
     the sweep it converges at, as its lone solve would stop there. So a stack
     runs as many sweeps as its slowest member. When every member needs
     sweeping they are swept in place; otherwise the active members are
-    copied out and back. An error names the failing stack member.
+    copied out and back. An error, the NumericalError of a non-finite result
+    included, names the failing stack member.
     """
     h = np.ascontiguousarray(stack, dtype=np.complex128)
     if h.ndim != 3 or 0 in h.shape or h.shape[1] != h.shape[2]:
@@ -376,6 +389,7 @@ def stack_eig(stack) -> tuple[np.ndarray, np.ndarray]:
                 s[active[~still]] = work[~still]
             active, work, tol, rounds = active[still], work[still], tol[still], None
 
+    _require_finite(s)
     w = s.diagonal(0, 1, 2)[:, :n].real  # each A's
     order = w.argsort(axis=1, kind="stable")
     w = np.take_along_axis(w, order, axis=1)
@@ -450,7 +464,9 @@ class _Rounds:
                 if live and skipped.size:  # the round is the identity for them: keep their bits
                     kept = s[skipped]
             if live:
-                dead = r == 0.0  # a pair that is already zero gets the identity
+                # A pair below the smallest normal float gets the identity, and the round zeroes it: a_pq / r
+                # can overflow there, and t = 0 times that phase would spread NaN through A and V.
+                dead = r < sys.float_info.min
                 r += dead
                 tau = (a_pp - a_qq) / (r + r)
                 # Smaller-magnitude root of t^2 - 2*tau*t - 1 = 0, which is

@@ -478,8 +478,8 @@ OUTPUT_FIELDS = (
 )
 
 
-def parse_scenario(text: str) -> dict:
-    """Parse and validate a scenario document; returns the spec, the document in its normal form."""
+def _document_spec(text: str) -> dict:
+    """The spec of a scenario document: every field read and checked, no reference resolved yet."""
     try:
         document = json.loads(text, parse_int=_json_integer)
     except json.JSONDecodeError as exc:
@@ -489,7 +489,7 @@ def parse_scenario(text: str) -> dict:
     except RecursionError:
         raise ScenarioParseError("invalid JSON: arrays or objects nested too deeply") from None
     document = _as_mapping(document, "document", ("system", "initial", "time", "observables", "outputs"))
-    spec = _given(
+    return _given(
         {
             "system": _parse_system(_require(document, "system", "document")),
             "initial": _parse_initial(_require(document, "initial", "document")),
@@ -498,18 +498,32 @@ def parse_scenario(text: str) -> dict:
             "outputs": _read_fields(document.get("outputs", {}), "outputs", OUTPUT_FIELDS),
         }
     )
+
+
+def parse_scenario(text: str) -> dict:
+    """Parse and validate a scenario document; returns the spec, the document in its normal form."""
+    spec = _document_spec(text)
     resolve_scenario(spec)  # validation: every reference must resolve
     return spec
 
 
-def load_scenario(path) -> dict:
+def _read_spec(path) -> dict:
+    """The spec of the scenario file at ``path``, no reference resolved yet; ScenarioParseError when the
+    file is not UTF-8 text."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start : exc.end].hex()
         raise ScenarioParseError(f"scenario is not UTF-8 text: {exc.reason} 0x{bad}") from None
-    return parse_scenario(text)
+    return _document_spec(text)
+
+
+def load_scenario(path) -> dict:
+    """Read and validate the scenario file at ``path``; returns the spec."""
+    spec = _read_spec(path)
+    resolve_scenario(spec)  # validation: every reference must resolve
+    return spec
 
 
 def serialize_scenario(spec: dict) -> str:
@@ -536,6 +550,8 @@ class ResolvedScenario:
     # whose populations make one column per ket; "subsystem_entropies", the factors (dim_a, dim_b);
     # "transitions", the pairs ((source, target), ...)
     column_table: tuple
+    # the system kind's eigenbasis of H as columns, the seed of H's solve; None when the kind has none
+    hamiltonian_seed: np.ndarray | None
 
     @property
     def columns(self) -> tuple:
@@ -596,14 +612,17 @@ def _kind_row(system: dict, has: Callable, what: str) -> SystemKind:
     return row
 
 
-def _named_basis(system: dict, name: str, dim: int, what: str) -> Basis:
-    """The named basis of the system; ``what`` names the reference in the error when it has none."""
+def _named_basis(system: dict, name: str, dim: int, what: str, built: dict) -> Basis:
+    """The named basis of the system; ``what`` names the reference in the error when it has none.
+    Each is built once per resolution: ``built`` holds the ones built so far, by name."""
     if name == "site":
         return Basis(labels=tuple(range(dim)))
-    return _kind_row(system, lambda row: name in row.bases, what).bases[name](system)
+    if name not in built:
+        built[name] = _kind_row(system, lambda row: name in row.bases, what).bases[name](system)
+    return built[name]
 
 
-def _resolve_initial(spec: dict, dim: int) -> tuple:
+def _resolve_initial(spec: dict, dim: int, built: dict) -> tuple:
     """(rho(0), kets, weights): rho(0) = sum_k w_k |k><k| over the kets. A named state is its ket of
     weight 1 in its named basis, ``probabilities`` weigh the site kets, and ``amplitudes`` give psi
     alone, weight 1."""
@@ -617,7 +636,7 @@ def _resolve_initial(spec: dict, dim: int) -> tuple:
             raise ScenarioValidationError(
                 f"initial.state: {state!r} needs a two-level system, dimension is {dim}"
             )
-        basis = _named_basis(spec["system"], name, dim, f"initial.state: {state!r}")
+        basis = _named_basis(spec["system"], name, dim, f"initial.state: {state!r}", built)
         if not 0 <= index < dim:
             raise ScenarioValidationError(
                 f"initial.index: {name} index {index} out of range for dimension {dim}"
@@ -640,7 +659,7 @@ def _resolve_initial(spec: dict, dim: int) -> tuple:
         raise ScenarioValidationError(f"{path}: {exc}") from exc
 
 
-def _resolve_observables(spec: dict, dim: int, h: np.ndarray) -> tuple:
+def _resolve_observables(spec: dict, dim: int, h: np.ndarray, built: dict) -> tuple:
     """((path, labels, kind, source), ...), one entry per observables[i]; see ResolvedScenario.
     An empty label falls back like an absent one."""
     entries = []
@@ -655,7 +674,7 @@ def _resolve_observables(spec: dict, dim: int, h: np.ndarray) -> tuple:
             entries.append((path, (label or name,), "expectation", named[name]))
         elif name in POPULATION_OBSERVABLES:
             basis_name, prefix = POPULATION_OBSERVABLES[name]
-            basis = _named_basis(spec["system"], basis_name, dim, f"{path}: {name}")
+            basis = _named_basis(spec["system"], basis_name, dim, f"{path}: {name}", built)
             entries.append((path, tuple(f"{prefix}{ket}" for ket in basis.labels), "populations", basis))
         elif name == "subsystem_entropies":
             row = _kind_row(spec["system"], lambda row: row.factors, f"{path}: {name}")
@@ -690,17 +709,19 @@ def resolve_scenario(spec: dict) -> ResolvedScenario:
     bounds as soon as the evolve header is known.
     """
     system, outputs = spec["system"], spec["outputs"]
+    row = SYSTEM_KINDS[system["kind"]]
     dim = _dimension(system)
     try:
-        h = SYSTEM_KINDS[system["kind"]].hamiltonian(system)
+        h = row.hamiltonian(system)
     except (DomainError, ShapeError) as exc:
         raise ScenarioValidationError(f"system.{exc}") from exc
-    rho0, kets, weights = _resolve_initial(spec, dim)
-    observables = _resolve_observables(spec, dim, h)  # checked whether or not they are written
+    built: dict = {}
+    rho0, kets, weights = _resolve_initial(spec, dim, built)
+    observables = _resolve_observables(spec, dim, h, built)  # checked whether or not they are written
     table = (("outputs.entropy", ("entropy",), "entropy", None),) if outputs["entropy"] else ()
     table += observables if outputs["expectations"] else ()
     if outputs["populations"]:
-        site = Basis(labels=SYSTEM_KINDS[system["kind"]].levels or tuple(range(dim)))
+        site = Basis(labels=row.levels or tuple(range(dim)))
         table += (("outputs.populations", tuple(f"pop_{level}" for level in site.labels), "populations", site),)
 
     if "transitions" in outputs:
@@ -723,6 +744,8 @@ def resolve_scenario(spec: dict) -> ResolvedScenario:
             labels = tuple(f"trans_{source}_to_{k}" for k in targets)
             table += (("outputs.transitions.targets", labels, "transitions", tuple((source, k) for k in targets)),)
 
+    # a kind's eigenbasis is one of its named bases, so no reference can lack it
+    seed = None if row.eigenbasis is None else _named_basis(system, row.eigenbasis, dim, "", built).kets.T
     resolved = ResolvedScenario(
         dimension=dim,
         hamiltonian=h,
@@ -730,6 +753,7 @@ def resolve_scenario(spec: dict) -> ResolvedScenario:
         initial_kets=kets,
         initial_weights=weights,
         column_table=table,
+        hamiltonian_seed=seed,
     )
     _check_grid(spec["time"], len(resolved.columns), dim)
     return resolved
@@ -958,19 +982,13 @@ def _transition_probabilities(v: np.ndarray, phases: np.ndarray, pairs: tuple) -
     return _ket_probabilities(phases, v[source].conj(), v[[k for _, k in pairs]])
 
 
-def _hamiltonian_seed(system: dict) -> np.ndarray | None:
-    """The system kind's eigenbasis of H as columns, the seed of H's solve; None when the kind has none."""
-    row = SYSTEM_KINDS[system["kind"]]
-    return None if row.eigenbasis is None else row.bases[row.eigenbasis](system).kets.T
-
-
 def _frame(spec: dict, require: Callable) -> tuple:
-    """(resolved, V, times, phase table P): what both runs share, from one
-    ``hermitian_eig(H)``, seeded by the system kind's eigenbasis when it has one.
+    """(resolved, V, times, phase table P): what both runs share, from the spec's one resolution, which
+    also validates it, and one ``hermitian_eig(H)``, seeded by the system kind's eigenbasis when it has one.
     ``require`` rejects a resolved scenario the run cannot use, before H is diagonalised."""
     resolved = resolve_scenario(spec)
     require(resolved)
-    spectrum = hermitian_eig(resolved.hamiltonian, _hamiltonian_seed(spec["system"]))
+    spectrum = hermitian_eig(resolved.hamiltonian, resolved.hamiltonian_seed)
     times = time_grid(spec["time"])
     try:
         phases = spectrum.phases(times)

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from entrodyn.cli import RABI_COLUMNS, main
-from entrodyn import cli, invariants, scenario
+from entrodyn import cli, ensembles, invariants, linalg, scenario, systems
+from entrodyn.ensembles import spectrum_entropy
 from entrodyn.invariants import run_invariant_suite
 from entrodyn.linalg import hermitian_eig
-from entrodyn.sampling import DEFAULT_SEED, rng_for
+from entrodyn.sampling import DEFAULT_SEED, random_hermitian, rng_for
 from entrodyn.scenario import (
     MAX_DIMENSION,
     MAX_GRID_CELLS,
@@ -73,6 +74,35 @@ class TestVerify:
         assert "--tolerance-scale" in err
 
 
+def _rebind(monkeypatch, original, replacement) -> None:
+    """Put ``replacement`` in place of the function ``original`` at every entrodyn module's binding of it."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "entrodyn":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def _block_diagonal_document() -> tuple:
+    """(H, weights, document): an explicit 24-level H with a 5-level and a 19-level block, as a quantity the
+    site basis conserves makes it, under which the small block converges sweeps before the large one; a
+    mixture of the sites; entropy, energy, populations and two transitions."""
+    rng = rng_for(4)
+    h = np.zeros((24, 24), dtype=complex)
+    h[:5, :5] = random_hermitian(rng, 5)
+    h[5:, 5:] = random_hermitian(rng, 19)
+    weights = rng.standard_exponential(24)
+    weights /= weights.sum()
+    document = {
+        "system": {"kind": "explicit-matrices", "hamiltonian": [[[z.real, z.imag] for z in row] for row in h]},
+        "initial": {"probabilities": weights.tolist()},
+        "time": {"start": 0.0, "stop": 2.0, "points": 5},
+        "observables": [{"name": "energy"}],
+        "outputs": {"entropy": True, "populations": True, "transitions": {"source": 0, "targets": [1, 7]}},
+    }
+    return h, weights, document
+
+
 class TestInvariantSuite:
     def test_negative_control_fails_entropy_invariance(self):
         report = run_invariant_suite(dims=(2, 4), corrupt_evolution=True)
@@ -92,6 +122,21 @@ class TestInvariantSuite:
         report = run_invariant_suite(seed=seed, dims=dims, corrupt_evolution=True)
         (result,) = [r for r in report.results if not r.passed]
         assert (result.name, result.worst, result.residual) == ("entropy-invariance", worst, residual)
+
+    def test_default_suite_makes_no_positivity_solve(self, monkeypatch, eig_calls):
+        # composites are kron products of draws that are PSD by construction, and each factor's entropy
+        # solve refuses an eigenvalue below EIGENVALUE_CLAMP; work counts are exact, so traffic shows here
+        flags = []
+        original = ensembles.as_density_matrix
+
+        def recording(rho, *, check_psd=True):
+            flags.append(check_psd)
+            return original(rho, check_psd=check_psd)
+
+        _rebind(monkeypatch, original, recording)
+        run_invariant_suite(1, (2, 4, 8))
+        assert flags and not any(flags)
+        assert len(eig_calls) == 52
 
     def test_verdicts_stable_across_seeds(self):
         verdicts = set()
@@ -216,6 +261,54 @@ class TestEvolveCommand:
         code, out, _ = run_cli([command, str(SCENARIOS / "spin_rabi.json")], capsys)
         assert code == 0 and out.startswith("# entrodyn ")
         assert specs == [parse_scenario((SCENARIOS / "spin_rabi.json").read_text())]
+
+    @pytest.mark.parametrize("command", ["evolve", "perturb"])
+    def test_a_run_resolves_its_document_once(self, command, capsys, monkeypatch):
+        resolutions = []
+        original = scenario.resolve_scenario
+        _rebind(monkeypatch, original, lambda spec: resolutions.append(spec) or original(spec))
+        code, _, _ = run_cli([command, str(SCENARIOS / "spin_rabi.json")], capsys)
+        assert code == 0 and len(resolutions) == 1
+
+    def test_lattice_run_builds_its_momentum_basis_once(self, capsys, monkeypatch):
+        # lattice_hamiltonian builds its own; the resolution builds one more, which the initial state, the
+        # momentum populations and the seed of H's solve share
+        calls = []
+        original = systems.lattice_momentum_basis
+        _rebind(monkeypatch, original, lambda system: calls.append(system) or original(system))
+        code, _, _ = run_cli(["evolve", str(SCENARIOS / "lattice_momentum.json")], capsys)
+        assert code == 0 and len(calls) == 2
+
+    def test_block_diagonal_hamiltonian_matches_an_eigh_oracle(self, capsys, tmp_path):
+        h, weights, document = _block_diagonal_document()
+        path, out = tmp_path / "blocks.json", tmp_path / "blocks.csv"
+        path.write_text(json.dumps(document))
+        code, _, err = run_cli(["evolve", str(path), "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        header, *rows = out.read_text().splitlines()[1:]
+        table = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+        w, v = np.linalg.eigh(h)
+        for t, row in zip(np.linspace(0.0, 2.0, 5), table):
+            u = (v * np.exp(-1j * w * t)) @ v.conj().T
+            rho = (u * weights) @ u.conj().T
+            expected = [t, spectrum_entropy(np.linalg.eigvalsh(rho)), np.trace(h @ rho).real]
+            expected += [*np.diagonal(rho).real, abs(u[1, 0]) ** 2, abs(u[7, 0]) ** 2]
+            assert header.split(",")[:3] == ["t", "entropy", "energy"] and len(row) == len(expected)
+            assert np.max(np.abs(row - expected)) <= 1e-10
+
+    def test_eigensolver_fault_is_a_numerical_error(self, capsys, monkeypatch, tmp_path):
+        # a non-finite result of the sweeps is refused by the solver itself, not by what reads the spectrum
+        original = linalg._Rounds.sweep
+
+        def faulty(rounds):
+            original(rounds)
+            rounds.s[..., -1, 0] = np.nan
+
+        monkeypatch.setattr(linalg._Rounds, "sweep", faulty)
+        path = tmp_path / "blocks.json"
+        path.write_text(json.dumps(_block_diagonal_document()[2]))
+        code, _, err = run_cli(["evolve", str(path)], capsys)
+        assert (code, err) == (1, "error: Jacobi eigensolver produced a non-finite eigenvalue or eigenvector\n")
 
     def test_stdout_default(self, capsys):
         code, out, _ = run_cli(["evolve", str(SCENARIOS / "spin_rabi.json")], capsys)

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from entrodyn import ensembles
 from entrodyn.ensembles import (
+    DENSITY_HERMITICITY_ATOL,
+    DENSITY_TRACE_ATOL,
     EIGENVALUE_CLAMP,
     as_density_matrix,
     as_orthonormal_basis,
@@ -136,6 +139,83 @@ class TestVonNeumannEntropy:
             stack[2] = np.diag([1.1, 0.0, -0.1])
         with pytest.raises(DomainError, match=error + (".*stack member 2" if defect != "spectrum" else "")):
             von_neumann_entropy(stack)
+
+    @pytest.mark.parametrize("defect", ["hermiticity", "trace", "non-finite", "overflowing skew", "non-square"])
+    def test_stack_error_is_the_lone_error_of_its_member(self, defect):
+        stack = np.stack([np.eye(3) / 3] * 4).astype(complex)
+        bad = 2
+        if defect == "hermiticity":
+            stack[2, 0, 1] = 0.1
+        elif defect == "trace":
+            stack[2] *= 2.0
+        elif defect == "non-finite":
+            stack[2, 1, 1] = np.inf
+        elif defect == "overflowing skew":
+            stack[2, 0, 1] = 1e154  # ||rho - rho†||_F squared overflows float64
+        else:
+            stack, bad = stack[:, :, :2], 0  # every member has the stack's shape, so the first is named
+        with pytest.raises((DomainError, ShapeError)) as lone:
+            as_density_matrix(stack[bad], check_psd=False)
+        with pytest.raises(type(lone.value)) as stacked:
+            von_neumann_entropy(stack)
+        assert str(stacked.value) == f"{lone.value} (stack member {bad})"
+
+    def test_stack_verdict_is_the_lone_verdict_at_the_tolerances(self):
+        # members whose Hermiticity defect or trace error lies within some ulps of its tolerance, each in a
+        # stack after a valid member: the stack's validation must refuse exactly the members the lone check
+        # refuses (the solver's relative Hermiticity check, which follows, is tighter for a density matrix)
+        rng = rng_for(64)
+        base = np.diag(rng.standard_exponential(12)).astype(complex)
+        base /= np.trace(base)
+        members = []
+        for k in range(-24, 25):
+            skewed = base.copy()
+            skewed[0, 1] = DENSITY_HERMITICITY_ATOL / math.sqrt(2.0) * (1.0 + k * 2.0**-51)
+            traced = base.copy()
+            traced[-1, -1] += DENSITY_TRACE_ATOL * (1.0 + k * 2.0**-40)
+            members += [skewed, traced]
+        verdicts = set()
+        for member in members:
+            try:
+                as_density_matrix(member, check_psd=False)
+                lone = "accepted"
+            except DomainError as error:
+                lone = f"{error} (stack member 1)"
+            try:
+                ensembles._density_stack(np.stack([base, member]))
+                stacked = "accepted"
+            except DomainError as error:
+                stacked = str(error)
+            assert stacked == lone
+            verdicts.add(lone == "accepted")
+        assert verdicts == {True, False}
+
+    def test_hermitian_member_with_overflowing_norm_gets_its_lone_verdict(self):
+        # unit trace and Hermitian, so validation passes it as the lone check does; its spectrum refuses it
+        stack = np.stack([np.eye(2) / 2] * 3).astype(complex)
+        stack[1] = [[0.5, 1e154], [1e154, 0.5]]
+        with pytest.raises(DomainError) as lone:
+            von_neumann_entropy(stack[1])
+        with pytest.raises(DomainError) as stacked:
+            von_neumann_entropy(stack)
+        assert str(stacked.value) == str(lone.value) and "eigenvalue -1.000e+154" in str(lone.value)
+
+    def test_valid_stack_is_validated_in_one_pass(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ensembles, "as_density_matrix", lambda *args, **kwargs: calls.append(args))
+        rng = rng_for(62)
+        von_neumann_entropy(np.stack([random_density_matrix(rng, 4) for _ in range(6)]))
+        assert calls == []
+
+    def test_block_diagonal_state_matches_lapack(self):
+        # a 24-level state with a 5-level and a 19-level block: the small block's solve converges first
+        rng = rng_for(99, 4)
+        for _ in range(12):
+            p = rng.uniform(0.2, 0.8)
+            rho = np.zeros((24, 24), dtype=complex)
+            rho[:5, :5] = p * random_density_matrix(rng, 5)
+            rho[5:, 5:] = (1.0 - p) * random_density_matrix(rng, 19)
+            assert abs(von_neumann_entropy(rho) - spectrum_entropy(np.linalg.eigvalsh(rho))) <= 1e-12
 
     @given(st.integers(0, 2**32 - 1))
     def test_additive_over_products(self, seed):

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from entrodyn import linalg
-from entrodyn.errors import ConvergenceError, DomainError, ShapeError
+from entrodyn.errors import ConvergenceError, DomainError, NumericalError, ShapeError
 from entrodyn.linalg import (
     EigenDecomposition,
     adjoint,
@@ -515,6 +515,62 @@ class TestStackedHermitianEig:
     def test_hermitian_eig_takes_one_matrix(self):
         with pytest.raises(ShapeError):
             hermitian_eig(np.stack([SZ, SX]))
+
+
+def block_diagonal(*blocks) -> np.ndarray:
+    """The square blocks on the diagonal of one complex matrix, zeros elsewhere."""
+    n = sum(len(block) for block in blocks)
+    m = np.zeros((n, n), dtype=complex)
+    start = 0
+    for block in blocks:
+        m[start : start + len(block), start : start + len(block)] = block
+        start += len(block)
+    return m
+
+
+# (n, first block's size): in these block-diagonal GUE draws one block converges sweeps before the other,
+# so its off-diagonal entries keep shrinking, through the subnormal range, while the other converges
+BLOCK_SPLITS = [(24, 5), (24, 19), (32, 5), (32, 6), (32, 28), (48, 12), (64, 7)]
+
+
+class TestDeepUnderflow:
+    """A pair whose |a_pq| lies below the smallest normal float is dropped as zero: dividing a_pq by so
+    small a modulus can overflow, and a rotation by t = 0 times that phase would be NaN."""
+
+    SUBNORMAL = np.array([[1.0, 1e-310, 0.0], [1e-310, 0.0, 0.5], [0.0, 0.5, 0.3]], dtype=complex)
+
+    def test_subnormal_entry_matches_lapack_alone_and_in_a_stack(self):
+        want = np.linalg.eigvalsh(self.SUBNORMAL)
+        np.testing.assert_allclose(hermitian_eig(self.SUBNORMAL).eigenvalues, want, rtol=0, atol=1e-14)
+        w, v = stack_eig(np.stack([np.eye(3, dtype=complex), self.SUBNORMAL]))
+        np.testing.assert_allclose(w[1], want, rtol=0, atol=1e-14)
+        assert np.isfinite(v).all()
+
+    @pytest.mark.parametrize("n, k", BLOCK_SPLITS)
+    def test_block_diagonal_matches_lapack_alone_and_stacked(self, n, k):
+        rng = rng_for(9, n, k)
+        h = block_diagonal(random_hermitian(rng, k), random_hermitian(rng, n - k))
+        order = rng.permutation(n)
+        matrices = [h, h[np.ix_(order, order)]]  # the second hides the blocks from the pair order
+        solved = [tuple(hermitian_eig(m)) for m in matrices] + list(zip(*stack_eig(np.stack(matrices))))
+        for m, (w, v) in zip(matrices * 2, solved):
+            np.testing.assert_allclose(w, np.linalg.eigvalsh(m), rtol=0, atol=1e-12 * frobenius(m))
+            assert frobenius((v * w) @ v.conj().T - m) <= 1e-12 * frobenius(m)
+
+    def test_non_finite_result_raises_naming_the_member(self, monkeypatch):
+        original = linalg._Rounds.sweep
+
+        def faulty(rounds):
+            original(rounds)
+            rounds.s[..., -1, 0] = np.nan  # an entry of V: a fault of the sweeps, not of the input
+
+        monkeypatch.setattr(linalg._Rounds, "sweep", faulty)
+        h = random_hermitian(rng_for(9), 4)
+        with pytest.raises(NumericalError, match=r"^Jacobi eigensolver produced a non-finite eigenvalue or eigenvector$"):
+            hermitian_eig(h)
+        stack = np.stack([np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex), h])  # member 0 needs no sweep
+        with pytest.raises(NumericalError, match=r"eigenvector \(stack member 1\)$"):
+            stack_eig(stack)
 
 
 class TestFrobenius:

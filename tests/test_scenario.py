@@ -42,7 +42,6 @@ from entrodyn.scenario import (
     Basis,
     _entropies,
     _evolved,
-    _hamiltonian_seed,
     _populations,
     _subsystem_entropies,
 )
@@ -755,7 +754,7 @@ class TestWarmStartEntropy:
         resolved = resolve_scenario(spec)
         h, rho0, times = resolved.hamiltonian, resolved.initial_density, time_grid(spec["time"])
         cold = [von_neumann_entropy(evolve_density(rho0, h, t)) for t in times]
-        h_seed = _hamiltonian_seed(spec["system"])
+        h_seed = resolved.hamiltonian_seed
         column = _entropy_column(h, rho0, times, h_seed=h_seed, basis=resolved.initial_kets)
         assert np.max(np.abs(column - cold)) <= 1e-12
         # the column run_scenario writes, pure state or mixture, is this helper's
@@ -844,7 +843,7 @@ def _lattice_mixture_frame(points: int) -> tuple:
     spec = _lattice_mixture_spec(points)
     resolved = resolve_scenario(spec)
     h, rho0, times = resolved.hamiltonian, resolved.initial_density, time_grid(spec["time"])
-    rho0p, phases, v = _eigenbasis(h, rho0, times, h_seed=_hamiltonian_seed(spec["system"]))
+    rho0p, phases, v = _eigenbasis(h, rho0, times, h_seed=resolved.hamiltonian_seed)
     return rho0p, phases, _initial_seed(resolved.initial_kets, v)
 
 
@@ -854,7 +853,8 @@ class TestEntropySolverTraffic:
         # every A_t of the entropy column is certified without a solve of its own
         spec = _lattice_mixture_spec(201) if fixture is None else load_scenario(SCENARIOS / fixture)
         assert spec["outputs"]["entropy"]
-        h = resolve_scenario(spec).hamiltonian
+        resolved = resolve_scenario(spec)
+        h = resolved.hamiltonian
         eig_calls.clear()
         run_scenario(spec)
         assert len(eig_calls) == 2
@@ -862,7 +862,7 @@ class TestEntropySolverTraffic:
         np.testing.assert_array_equal(h_call, h)
         # H is seeded by the plane waves on a lattice and solved cold otherwise; every initial state here,
         # a site, momentum or named state or a site mixture, seeds rho(0)'
-        h_seed = _hamiltonian_seed(spec["system"])
+        h_seed = resolved.hamiltonian_seed
         assert (h_seed is None) == (spec["system"]["kind"] != "lattice")
         if h_seed is None:
             assert h_basis is None
