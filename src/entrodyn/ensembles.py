@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import _norms, as_matrix, frobenius, hermitian_eig, stack_eig
+from .linalg import _norms, as_matrix, frobenius, hermitian_eig, require_hermitian, stack_eig
 
 # Weights in [PROB_NEGATIVE_CLAMP, 0) snap to zero; below that the vector is rejected.
 PROB_NEGATIVE_CLAMP = -1e-12
@@ -68,7 +68,7 @@ def as_density_matrix(rho, *, check_psd: bool = True) -> np.ndarray:
     if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
         raise DomainError(f"density matrix trace must be 1, got {tr!r}")
     if check_psd:
-        smallest = float(hermitian_eig(r).eigenvalues[0])
+        smallest = float(_density_spectrum(r)[0])
         if smallest < EIGENVALUE_CLAMP:
             raise DomainError(
                 f"not a density matrix: eigenvalue {smallest:.3e} below {EIGENVALUE_CLAMP:g}"
@@ -122,6 +122,22 @@ def _density_stack(rho) -> np.ndarray:
     return stack
 
 
+def _density_spectrum(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a validated density matrix, or of each member of a validated (T, n, n) stack.
+
+    The solver's relative Hermiticity check, ||rho - rho†||_F <= HERMITICITY_RTOL * ||rho||_F, is
+    stricter than the absolute one of ``as_density_matrix`` when ||rho||_F < 1; its refusal then
+    names the density matrix (and its stack member), not the solver's input.
+    """
+    stacked = rho.ndim == 3
+    try:
+        return stack_eig(rho)[0] if stacked else hermitian_eig(rho).eigenvalues
+    except DomainError:
+        for i, member in enumerate(rho if stacked else [rho]):
+            require_hermitian(member, what=f"density matrix (stack member {i})" if stacked else "density matrix")
+        raise
+
+
 def von_neumann_entropy(rho):
     """S = -tr(rho ln rho) in nats; the Shannon entropy of the spectrum.
 
@@ -130,9 +146,9 @@ def von_neumann_entropy(rho):
     names the stack member), and one ``stack_eig`` solves every member.
     """
     if np.ndim(rho) == 3:
-        return spectrum_entropy(stack_eig(_density_stack(rho))[0])
+        return spectrum_entropy(_density_spectrum(_density_stack(rho)))
     r = as_density_matrix(rho, check_psd=False)
-    return spectrum_entropy(hermitian_eig(r).eigenvalues)
+    return spectrum_entropy(_density_spectrum(r))
 
 
 def spectrum_entropy(w):

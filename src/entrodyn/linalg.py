@@ -167,10 +167,10 @@ def _norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat).real)
 
 
-def _check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
+def _check_hermitian(m: np.ndarray, what: str, member: str = "") -> np.ndarray:
     """Raise DomainError unless ||m - m†||_F <= HERMITICITY_RTOL * ||m||_F for m, or for each
-    matrix of a stack m (the message names the first failing member); return the
-    norms ||m||_F.
+    matrix of a stack m; return the norms ||m||_F. The message names ``what`` followed by
+    ``member``, formatted with the index of the first failing member.
 
     m must already be rescaled by ``_scale_exponent``, member by member.
     """
@@ -180,7 +180,7 @@ def _check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
     if bad.any():
         i = np.flatnonzero(bad)[0]
         raise DomainError(
-            f"{what}{f' (stack member {i})' if m.ndim == 3 else ''} is not Hermitian: "
+            f"{what}{member.format(i)} is not Hermitian: "
             f"||m - m†||_F / ||m||_F = {defect.flat[i] / norm.flat[i]:.3e} exceeds {HERMITICITY_RTOL:g}"
         )
     return norm
@@ -226,7 +226,7 @@ def jacobi_schedule(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     exactly one round. Even n gives n - 1 rounds of n/2 pairs. Odd n is padded
     with a phantom index n, which gives n rounds of (n - 1)/2 pairs with one
     index left out of each. Round 0 is (0, 1), (2, 3), ... and each later
-    round follows by ``_round_shift``, as in ``hermitian_eig``. The result
+    round follows by ``_round_shift``, as in ``_Rounds``. The result
     depends on n alone.
     """
     m = n + n % 2
@@ -239,28 +239,28 @@ def jacobi_schedule(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rounds)
 
 
-def _jacobi_storage(h: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(s, e, tol) for a finite matrix h (n, n), or for each member of a stack (T, n, n).
+def _jacobi_storage(h: np.ndarray, basis: np.ndarray | None, member: str) -> tuple[np.ndarray, ...]:
+    """(s, e, tol) for each member of a finite stack h, (B, n, n).
 
     s is the zero-padded working storage [A; V], (2m, m) per member with
     m = n + n % 2 (odd n gets a phantom zero row and column), holding
-    A = h 2^-e and V = 1, or for a seed ``basis`` Q of a lone h (see
-    ``hermitian_eig``) A = Q† h 2^-e Q and V = Q; e is the member's
-    ``_scale_exponent``, so A's norms neither overflow nor underflow. A's
-    Hermiticity is checked, which for a unitary Q is the check on h, and
-    tol = JACOBI_OFF_TOL * ||A||_F is its stopping rule.
+    A = h 2^-e and V = 1, or for a seed ``basis`` Q (see ``hermitian_eig``)
+    A = Q† h 2^-e Q and V = Q; e is the member's ``_scale_exponent``, so A's
+    norms neither overflow nor underflow. A's Hermiticity is checked (an
+    error names the member by ``member``), which for a unitary Q is the
+    check on h, and tol = JACOBI_OFF_TOL * ||A||_F is its stopping rule.
     """
-    batch, n = h.shape[:-2], h.shape[-1]
+    b, n = len(h), h.shape[-1]
     m = n + n % 2
-    e = np.frexp(np.abs(h.view(np.float64)).reshape(batch + (-1,)).max(axis=-1))[1]
-    s = np.zeros(batch + (2 * m, m), dtype=np.complex128)
-    a = s[..., :n, :n]
-    np.ldexp(h.view(np.float64), -e[..., None, None], out=a.view(np.float64))
-    s.reshape(batch + (-1,))[..., m * m :: m + 1] = 1.0  # V = 1
+    e = np.frexp(np.abs(h.view(np.float64)).reshape(b, -1).max(axis=1))[1]
+    s = np.zeros((b, 2 * m, m), dtype=np.complex128)
+    a = s[:, :n, :n]
+    np.ldexp(h.view(np.float64), -e[:, None, None], out=a.view(np.float64))
+    s.reshape(b, -1)[:, m * m :: m + 1] = 1.0  # V = 1
     if basis is not None:
         a[...] = basis.conj().T @ a @ basis
-        s[..., m : m + n, :n] = basis
-    tol = JACOBI_OFF_TOL * _check_hermitian(a, "eigensolver input")
+        s[:, m : m + n, :n] = basis
+    tol = JACOBI_OFF_TOL * _check_hermitian(a, "eigensolver input", member)
     return s, e, tol
 
 
@@ -278,22 +278,10 @@ def _seed(basis, n: int) -> np.ndarray:
 
 
 def _off_diagonal(s: np.ndarray) -> np.ndarray:
-    """View of A's off-diagonal entries in working storage s = [A; V] (of each
-    member of a stack): row i holds the m entries of A's flat storage strictly
-    between diagonal entries i and i + 1."""
-    m, batch = s.shape[-1], s.shape[:-2]
-    flat = s[..., :m, :].reshape(batch + (m * m,))
-    return flat[..., 1:].reshape(batch + (m - 1, m + 1))[..., :m]
-
-
-def _require_finite(s: np.ndarray) -> None:
-    """Raise NumericalError when the swept working storage s = [A; V], or a member of a stack of them,
-    holds a non-finite entry: its eigenvalues or eigenvectors would not be numbers. The input was finite,
-    so that is a fault of the sweeps, which must be an error, never a returned spectrum."""
-    bad = ~np.isfinite(s).reshape(s.shape[:-2] + (-1,)).all(axis=-1)
-    if bad.any():
-        where = f" (stack member {np.flatnonzero(bad)[0]})" if s.ndim == 3 else ""
-        raise NumericalError(f"Jacobi eigensolver produced a non-finite eigenvalue or eigenvector{where}")
+    """View of A's off-diagonal entries in each member's working storage [A; V] of a stack s:
+    row i holds the m entries of A's flat storage strictly between diagonal entries i and i + 1."""
+    b, m = len(s), s.shape[-1]
+    return s[:, :m, :].reshape(b, m * m)[:, 1:].reshape(b, m - 1, m + 1)[..., :m]
 
 
 def hermitian_eig(h, basis=None) -> EigenDecomposition:
@@ -308,8 +296,8 @@ def hermitian_eig(h, basis=None) -> EigenDecomposition:
     off-diagonal Frobenius norm is at most ``JACOBI_OFF_TOL * ||h||_F``,
     raising ConvergenceError after ``JACOBI_MAX_SWEEPS`` sweeps; a spectrum
     beyond the float64 range raises DomainError, and a non-finite eigenvalue
-    or eigenvector NumericalError. O(n^3) per sweep; intended
-    for the dense, desk-scale matrices this package works with (n <= ~128).
+    or eigenvector NumericalError. O(n^3) per sweep; intended for the dense,
+    desk-scale matrices this package works with (n <= ~128).
 
     An optional seed ``basis``, an (n, n) matrix Q whose columns are believed
     to be (near) eigenvectors of h, sets where the solve starts, never its
@@ -318,34 +306,13 @@ def hermitian_eig(h, basis=None) -> EigenDecomposition:
     same rule relative to ||A||_F. From a good seed A is diagonal to rounding
     and no sweep is needed; from a poor one Jacobi sweeps as from a cold
     start. Without a seed the solve starts from A = h and V = 1.
+
+    It runs the solve of ``stack_eig`` on a stack of one.
     """
     h = as_matrix(h)
     _require_square(h, "eigensolver input")
-    n = h.shape[0]
-    s, e, tol = _jacobi_storage(h, None if basis is None else _seed(basis, n))
-    off = _off_diagonal(s)  # a view, so it follows the sweeps
-    rounds = None  # set up at the first sweep
-    sweeps = 0
-    while _norms(off) > tol:
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise ConvergenceError(f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-        if rounds is None:
-            rounds = _Rounds(s)
-        rounds.sweep()
-        sweeps += 1
-
-    _require_finite(s)
-    w = s.diagonal()[:n].real  # A's
-    order = w.argsort(kind="stable")
-    w = w[order]
-    if e + math.frexp(max(-w[0], w[-1]))[1] > 1024:
-        raise DomainError("eigenvalues exceed the float64 range")
-    w = np.ldexp(w, e)
-    v = s[s.shape[1] + np.arange(n)[:, None], order]
-    # Make each column's largest component (lowest index on ties) real and positive.
-    pivots = v[np.abs(v).argmax(axis=0), np.arange(n)]
-    v *= pivots.conj() / np.abs(pivots)
-    return EigenDecomposition(w, v)
+    w, v = _solve(h[None], None if basis is None else _seed(basis, h.shape[0]), "")
+    return EigenDecomposition(w[0], v[0])
 
 
 def stack_eig(stack) -> tuple[np.ndarray, np.ndarray]:
@@ -353,31 +320,37 @@ def stack_eig(stack) -> tuple[np.ndarray, np.ndarray]:
     and (T, n, n) eigenvectors.
 
     Member i has the bits of ``hermitian_eig(stack[i])``, eigenvalues and
-    eigenvectors alike, signed zeros included. All members are rescaled,
-    checked for Hermiticity and tested against ``hermitian_eig``'s stopping
-    rule together; the members outside it are then swept as one stack
-    (``_Rounds``) until each is within it, and a member leaves the stack at
-    the sweep it converges at, as its lone solve would stop there. So a stack
-    runs as many sweeps as its slowest member. When every member needs
-    sweeping they are swept in place; otherwise the active members are
-    copied out and back. An error, the NumericalError of a non-finite result
-    included, names the failing stack member.
+    eigenvectors alike, signed zeros included, as both run one solve. A stack
+    runs as many sweeps as its slowest member, and an error names the failing
+    stack member.
     """
     h = np.ascontiguousarray(stack, dtype=np.complex128)
     if h.ndim != 3 or 0 in h.shape or h.shape[1] != h.shape[2]:
         raise ShapeError(f"expected a nonempty stack of square matrices, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise DomainError("matrix entries must be finite")
-    n = h.shape[-1]
-    s, e, tol = _jacobi_storage(h)
+    return _solve(h, None, " (stack member {})")
+
+
+def _solve(h: np.ndarray, basis: np.ndarray | None, member: str) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n) eigenvalues and (B, n, n) eigenvectors, as ``hermitian_eig`` describes them, of each
+    member of a finite stack h, (B, n, n), from the seed ``basis`` if given. An error names the
+    failing member by ``member``, formatted with its index ("" names none).
+
+    All members are rescaled, checked and tested against the stopping rule together; the members
+    outside it are then swept as one stack (``_Rounds``), in place when that is all of them, else
+    on a copy, and each leaves the stack at the sweep it converges at.
+    """
+    b, n = len(h), h.shape[-1]
+    s, e, tol = _jacobi_storage(h, basis, member)
     swept = active = np.flatnonzero(_norms(_off_diagonal(s)) > tol)
-    work, tol = (s if active.size == len(s) else s[active]), tol[active]
+    work, tol = (s if active.size == b else s[active]), tol[active]
     rounds = None  # set up for each new active set
     sweeps = 0
     while active.size:
         if sweeps >= JACOBI_MAX_SWEEPS:
             raise ConvergenceError(
-                f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps (stack member {active[0]})"
+                f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps{member.format(active[0])}"
             )
         if rounds is None:
             rounds, off = _Rounds(work), _off_diagonal(work)
@@ -389,31 +362,38 @@ def stack_eig(stack) -> tuple[np.ndarray, np.ndarray]:
                 s[active[~still]] = work[~still]
             active, work, tol, rounds = active[still], work[still], tol[still], None
 
-    _require_finite(s)
+    # The input was finite, so a non-finite entry is a fault of the sweeps: an error, never a spectrum.
+    bad = ~np.isfinite(s.reshape(b, -1)).all(axis=1)
+    if bad.any():
+        raise NumericalError(
+            f"Jacobi eigensolver produced a non-finite eigenvalue or eigenvector{member.format(bad.argmax())}"
+        )
+    rows, cols = np.arange(b)[:, None], np.arange(n)
     w = s.diagonal(0, 1, 2)[:, :n].real  # each A's
     order = w.argsort(axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
-    beyond = np.flatnonzero(e + np.frexp(np.maximum(-w[:, 0], w[:, -1]))[1] > 1024)
-    if beyond.size:
-        raise DomainError(f"eigenvalues exceed the float64 range (stack member {beyond[0]})")
+    w = w[rows, order]
+    beyond = e + np.frexp(np.maximum(-w[:, 0], w[:, -1]))[1] > 1024
+    if beyond.any():
+        raise DomainError(f"eigenvalues exceed the float64 range{member.format(beyond.argmax())}")
     w = np.ldexp(w, e[:, None])
-    # A member never swept still has V = 1, so its eigenvectors are the identity's columns in its
-    # order, with the +0.0 zeros that rephasing them leaves in a lone solve.
+    # A seeded or swept member's eigenvectors are its V. A member never swept still has V = 1, so its
+    # eigenvectors are the identity's columns in its order, with the +0.0 zeros that rephasing them leaves.
+    gathered = rows[:, 0] if basis is not None else swept
+    vs = s[gathered[:, None, None], s.shape[-1] + cols[:, None], order[gathered, None, :]]
+    # Make each column's largest component (lowest index on ties) real and positive.
+    pivots = vs[np.arange(len(vs))[:, None], np.abs(vs).argmax(axis=1), cols]
+    vs *= (pivots.conj() / np.abs(pivots))[:, None, :]
+    if len(vs) == b:
+        return w, vs
     v = np.zeros_like(h)
-    np.put_along_axis(v, order[:, None, :], 1.0, axis=1)
-    if swept.size:
-        m = s.shape[-1]
-        vs = np.take_along_axis(s[swept, m : m + n], order[swept, None, :], axis=2)
-        # Make each column's largest component (lowest index on ties) real and positive.
-        pivots = np.take_along_axis(vs, np.abs(vs).argmax(axis=1)[:, None, :], axis=1)
-        vs *= pivots.conj() / np.abs(pivots)
-        v[swept] = vs
+    v[rows, order, cols] = 1.0
+    v[gathered] = vs
     return w, v
 
 
 class _Rounds:
-    """Brent-Luk rounds, in place, on the working storage s = [A; V], (2m, m), or on each member
-    of a stack s of them, (B, 2m, m).
+    """Brent-Luk rounds, in place, on each member of a stack s of working storages [A; V],
+    (B, 2m, m); a stack of one is swept through its member's (2m, m) view.
 
     s holds the working matrix A and the product V of the rotations so far,
     both in the current round's slot layout, where slots (2j, 2j + 1) hold the
@@ -428,6 +408,8 @@ class _Rounds:
     """
 
     def __init__(self, s: np.ndarray):
+        if len(s) == 1:  # the same arithmetic without the stack's bookkeeping per round
+            s = s[0]
         m = s.shape[-1]
         k = m // 2
         batch = s.shape[:-2]

@@ -190,6 +190,23 @@ class TestVonNeumannEntropy:
             verdicts.add(lone == "accepted")
         assert verdicts == {True, False}
 
+    def test_solver_refusal_names_the_density_matrix(self):
+        # ||rho - rho†||_F = 0.9e-10 passes the absolute check, but ||rho||_F = 0.48 makes the solver's
+        # relative check refuse it: the error names the density matrix (and its member), not the solver
+        rng = rng_for(64)
+        base = np.diag(rng.standard_exponential(12)).astype(complex)
+        base /= np.trace(base)
+        skewed = base.copy()
+        skewed[0, 1] = 0.9 * DENSITY_HERMITICITY_ATOL / math.sqrt(2.0)
+        as_density_matrix(skewed, check_psd=False)
+        refusal = r"is not Hermitian: \|\|m - m†\|\|_F / \|\|m\|\|_F = 1\.881e-10 exceeds 1e-10$"
+        with pytest.raises(DomainError, match="^density matrix " + refusal):
+            von_neumann_entropy(skewed)
+        with pytest.raises(DomainError, match="^density matrix " + refusal):
+            as_density_matrix(skewed)
+        with pytest.raises(DomainError, match=r"^density matrix \(stack member 1\) " + refusal):
+            von_neumann_entropy(np.stack([base, skewed, base]))
+
     def test_hermitian_member_with_overflowing_norm_gets_its_lone_verdict(self):
         # unit trace and Hermitian, so validation passes it as the lone check does; its spectrum refuses it
         stack = np.stack([np.eye(2) / 2] * 3).astype(complex)

@@ -160,7 +160,7 @@ class TestHermitianEig:
         np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^eigensolver input is not Hermitian: "):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_phase_convention(self):
@@ -218,7 +218,7 @@ class TestHermitianEig:
 
     def test_spectrum_beyond_float64_rejected(self):
         # eigenvalues 0 and 2e308: the entries are finite, the spectrum is not
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^eigenvalues exceed the float64 range$"):
             hermitian_eig(1e308 * np.ones((2, 2)))
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
@@ -237,7 +237,7 @@ class TestHermitianEig:
         h = random_hermitian(rng_for(8), 8)  # needs 5-6 sweeps
         hermitian_eig(h)
         monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=r"^Jacobi eigensolver did not converge in 1 sweeps$"):
             hermitian_eig(h)
 
 
@@ -385,11 +385,20 @@ class TestStackedHermitianEig:
     """stack_eig, checked member by member against lone hermitian_eig solves."""
 
     @pytest.mark.parametrize("n", range(1, 17))
-    def test_gue_stack_matches_solo(self, n):
+    def test_gue_stack_matches_solo(self, n, swept):
         # odd n pads a phantom index; member magnitudes spread over 1e±150
         rng = rng_for(31, n)
         scales = 10.0 ** rng.uniform(-150.0, 150.0, 8)
-        _assert_stack_matches_solo(np.stack([random_hermitian(rng, n) * scale for scale in scales]))
+        stack = np.stack([random_hermitian(rng, n) * scale for scale in scales])
+        _assert_stack_matches_solo(stack)
+        # a stack of one has the lone solve's bits, from as many sweeps
+        _assert_stack_matches_solo(stack[:1])
+        counts = []
+        for solve in (lambda: stack_eig(stack[:1]), lambda: hermitian_eig(stack[0])):
+            swept.clear()
+            solve()
+            counts.append(len(swept))
+        assert counts[0] == counts[1] and (counts[0] > 0 or n == 1)
 
     def test_degenerate_lattice_stack_matches_solo(self):
         h = lattice_hamiltonian(LatticeFreeParticle(64, 2 * np.pi, 1.0))
