@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import _norms, as_matrix, frobenius, hermitian_eig, require_hermitian, stack_eig
+from .linalg import _norms, _solve, as_matrix, frobenius
 
 # Weights in [PROB_NEGATIVE_CLAMP, 0) snap to zero; below that the vector is rejected.
 PROB_NEGATIVE_CLAMP = -1e-12
@@ -60,33 +60,18 @@ def as_density_matrix(rho, *, check_psd: bool = True) -> np.ndarray:
     positivity (e.g. unitary conjugation of a valid input) may skip it.
     """
     r = as_matrix(rho)
-    if r.shape[0] != r.shape[1]:
-        raise ShapeError(f"density matrix must be square, got shape {r.shape}")
-    if frobenius(r - r.conj().T) > DENSITY_HERMITICITY_ATOL:
-        raise DomainError("density matrix is not Hermitian")
-    tr = complex(np.trace(r))
-    if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
-        raise DomainError(f"density matrix trace must be 1, got {tr!r}")
+    _densities(r[None], "")
     if check_psd:
-        smallest = float(_density_spectrum(r)[0])
-        if smallest < EIGENVALUE_CLAMP:
-            raise DomainError(
-                f"not a density matrix: eigenvalue {smallest:.3e} below {EIGENVALUE_CLAMP:g}"
-            )
+        _require_psd(_solve(r[None], None, "", "density matrix")[0])
     return r
 
 
 def as_orthonormal_basis(vectors) -> np.ndarray:
     """Validate a stack of mutually orthonormal states; rows are the vectors."""
-    b = np.array(vectors, dtype=np.complex128)
-    if b.ndim == 1:
-        b = b.reshape(1, -1)
-    if b.ndim != 2 or b.size == 0:
-        raise ShapeError(f"expected a stack of equal-length vectors, got shape {b.shape}")
+    b = _rows(vectors)
     if not np.all(np.isfinite(b)):
         raise DomainError("basis amplitudes must be finite")
-    gram = b.conj() @ b.T
-    residual = float(np.max(np.abs(gram - np.eye(b.shape[0]))))
+    residual = _ortho_residual(b)
     if residual > BASIS_ORTHO_ATOL:
         raise DomainError(f"basis is not orthonormal: max |<j|k> - delta| = {residual:.3e}")
     return b
@@ -97,58 +82,57 @@ def shannon_entropy(p) -> float:
     return spectrum_entropy(as_probability_vector(p))
 
 
-def _density_stack(rho) -> np.ndarray:
-    """A (T, n, n) stack as complex128, each member validated as by ``as_density_matrix(check_psd=False)``.
+def _densities(stack: np.ndarray, member: str) -> np.ndarray:
+    """A (T, n, n) complex stack, each member validated as by ``as_density_matrix(check_psd=False)``.
 
-    The whole stack is accepted in one pass when it is square and finite and
-    every member's ||rho - rho†||_F and |tr rho - 1| are within the lone
-    check's tolerances; each member's two numbers have the bits of that
-    check's (one conjugated dot product, ``np.trace``'s sum), so the verdicts
-    agree. Anything else, an overflowed norm included, goes through the lone
-    check member by member, and the error names the first failing member.
+    An error names the first failing member by ``member``, formatted with its index, after the text
+    of its lone check, whose order it keeps: nonempty, finite, square, ||rho - rho†||_F within
+    DENSITY_HERMITICITY_ATOL (an overflowed norm is inf and fails), |tr rho - 1| within
+    DENSITY_TRACE_ATOL.
     """
-    stack = np.asarray(rho, dtype=np.complex128)
-    if stack.shape[1] == stack.shape[2] > 0 and np.isfinite(stack).all():
-        with np.errstate(over="ignore"):  # an overflowed norm is inf: the lone check rules on its member
+    t, rows, cols = stack.shape
+    if t == 0:
+        raise ShapeError(f"expected a nonempty stack of square matrices, got shape {stack.shape}")
+    if rows == 0 or cols == 0:
+        raise ShapeError(f"expected a nonempty 2-D matrix, got shape {stack.shape[1:]}{member.format(0)}")
+    i = 0  # a non-square stack fails at its first member
+    if rows == cols:
+        # A non-finite entry of rho makes the same entry of rho - rho† non-finite, so its norm fails too.
+        with np.errstate(over="ignore", invalid="ignore"):
             defects = _norms(stack - stack.conj().swapaxes(1, 2))
-        traces = stack.trace(axis1=1, axis2=2)
-        if (defects <= DENSITY_HERMITICITY_ATOL).all() and (np.abs(traces - 1.0) <= DENSITY_TRACE_ATOL).all():
+            traces = stack.trace(axis1=1, axis2=2)
+            valid = (defects <= DENSITY_HERMITICITY_ATOL) & (np.abs(traces - 1.0) <= DENSITY_TRACE_ATOL)
+        if valid.all():
             return stack
-    for i, member in enumerate(stack):
-        try:
-            as_density_matrix(member, check_psd=False)
-        except (DomainError, ShapeError) as error:
-            raise type(error)(f"{error} (stack member {i})") from None
-    return stack
-
-
-def _density_spectrum(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a validated density matrix, or of each member of a validated (T, n, n) stack.
-
-    The solver's relative Hermiticity check, ||rho - rho†||_F <= HERMITICITY_RTOL * ||rho||_F, is
-    stricter than the absolute one of ``as_density_matrix`` when ||rho||_F < 1; its refusal then
-    names the density matrix (and its stack member), not the solver's input.
-    """
-    stacked = rho.ndim == 3
-    try:
-        return stack_eig(rho)[0] if stacked else hermitian_eig(rho).eigenvalues
-    except DomainError:
-        for i, member in enumerate(rho if stacked else [rho]):
-            require_hermitian(member, what=f"density matrix (stack member {i})" if stacked else "density matrix")
-        raise
+        i = valid.argmin()
+    if not np.isfinite(stack[i]).all():
+        raise DomainError(f"matrix entries must be finite{member.format(i)}")
+    if rows != cols:
+        raise ShapeError(f"density matrix must be square, got shape {stack.shape[1:]}{member.format(i)}")
+    if not defects[i] <= DENSITY_HERMITICITY_ATOL:
+        raise DomainError(f"density matrix is not Hermitian{member.format(i)}")
+    raise DomainError(f"density matrix trace must be 1, got {complex(traces[i])!r}{member.format(i)}")
 
 
 def von_neumann_entropy(rho):
     """S = -tr(rho ln rho) in nats; the Shannon entropy of the spectrum.
 
     A (T, n, n) stack gives an array of T entropies, each with the bits of
-    its member's lone call: the stack is validated in one pass (an error
-    names the stack member), and one ``stack_eig`` solves every member.
+    its member's lone call: a matrix is a stack of one, and a stack is
+    validated and solved as one (an error names the stack member).
     """
-    if np.ndim(rho) == 3:
-        return spectrum_entropy(_density_spectrum(_density_stack(rho)))
-    r = as_density_matrix(rho, check_psd=False)
-    return spectrum_entropy(_density_spectrum(r))
+    stacked = np.ndim(rho) == 3
+    member = " (stack member {})" if stacked else ""
+    stack = _densities(np.ascontiguousarray(rho, dtype=np.complex128) if stacked else as_matrix(rho)[None], member)
+    w = _solve(stack, None, member, "density matrix")[0]
+    return spectrum_entropy(w if stacked else w[0])
+
+
+def _require_psd(w: np.ndarray) -> None:
+    """DomainError unless every eigenvalue of a density-matrix spectrum, or stack of them, is >= EIGENVALUE_CLAMP."""
+    smallest = w.min()
+    if smallest < EIGENVALUE_CLAMP:
+        raise DomainError(f"not a density matrix: eigenvalue {smallest:.3e} below {EIGENVALUE_CLAMP:g}")
 
 
 def spectrum_entropy(w):
@@ -162,9 +146,7 @@ def spectrum_entropy(w):
     """
     w = np.asarray(w, dtype=float)
     rows = w.reshape(-1, w.shape[-1])
-    smallest = rows.min()
-    if smallest < EIGENVALUE_CLAMP:
-        raise DomainError(f"not a density matrix: eigenvalue {smallest:.3e} below {EIGENVALUE_CLAMP:g}")
+    _require_psd(rows)
     positive = rows > 0.0
     counts = positive.sum(axis=1)
     entropy = np.zeros(len(rows))
@@ -207,15 +189,25 @@ def basis_residuals(basis) -> tuple[float, float | None]:
     The completeness residual is None unless the vector count equals the
     dimension. Inputs are not validated; the residuals are the diagnostic.
     """
-    b = np.array(basis, dtype=np.complex128)
-    if b.ndim == 1:
-        b = b.reshape(1, -1)
-    if b.ndim != 2 or b.size == 0:
-        raise ShapeError(f"expected a stack of equal-length vectors, got shape {b.shape}")
+    b = _rows(basis)
+    ortho = _ortho_residual(b)
     count, dim = b.shape
-    gram = b.conj() @ b.T
-    ortho = float(np.max(np.abs(gram - np.eye(count))))
     completeness = None
     if count == dim:
         completeness = float(frobenius(b.T @ b.conj() - np.eye(dim)))
     return ortho, completeness
+
+
+def _rows(vectors) -> np.ndarray:
+    """``vectors`` as a nonempty 2-D complex array whose rows are the vectors (one vector is a stack of one)."""
+    b = np.array(vectors, dtype=np.complex128)
+    if b.ndim == 1:
+        b = b.reshape(1, -1)
+    if b.ndim != 2 or b.size == 0:
+        raise ShapeError(f"expected a stack of equal-length vectors, got shape {b.shape}")
+    return b
+
+
+def _ortho_residual(b: np.ndarray) -> float:
+    """max |<j|k> - delta(j,k)| over the rows of b."""
+    return float(np.max(np.abs(b.conj() @ b.T - np.eye(len(b)))))

@@ -239,7 +239,7 @@ def jacobi_schedule(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rounds)
 
 
-def _jacobi_storage(h: np.ndarray, basis: np.ndarray | None, member: str) -> tuple[np.ndarray, ...]:
+def _jacobi_storage(h: np.ndarray, basis: np.ndarray | None, member: str, what: str) -> tuple[np.ndarray, ...]:
     """(s, e, tol) for each member of a finite stack h, (B, n, n).
 
     s is the zero-padded working storage [A; V], (2m, m) per member with
@@ -247,8 +247,8 @@ def _jacobi_storage(h: np.ndarray, basis: np.ndarray | None, member: str) -> tup
     A = h 2^-e and V = 1, or for a seed ``basis`` Q (see ``hermitian_eig``)
     A = Q† h 2^-e Q and V = Q; e is the member's ``_scale_exponent``, so A's
     norms neither overflow nor underflow. A's Hermiticity is checked (an
-    error names the member by ``member``), which for a unitary Q is the
-    check on h, and tol = JACOBI_OFF_TOL * ||A||_F is its stopping rule.
+    error names ``what`` and the member by ``member``), which for a unitary
+    Q is the check on h, and tol = JACOBI_OFF_TOL * ||A||_F is its stopping rule.
     """
     b, n = len(h), h.shape[-1]
     m = n + n % 2
@@ -260,7 +260,7 @@ def _jacobi_storage(h: np.ndarray, basis: np.ndarray | None, member: str) -> tup
     if basis is not None:
         a[...] = basis.conj().T @ a @ basis
         s[:, m : m + n, :n] = basis
-    tol = JACOBI_OFF_TOL * _check_hermitian(a, "eigensolver input", member)
+    tol = JACOBI_OFF_TOL * _check_hermitian(a, what, member)
     return s, e, tol
 
 
@@ -311,7 +311,7 @@ def hermitian_eig(h, basis=None) -> EigenDecomposition:
     """
     h = as_matrix(h)
     _require_square(h, "eigensolver input")
-    w, v = _solve(h[None], None if basis is None else _seed(basis, h.shape[0]), "")
+    w, v = _solve(h[None], None if basis is None else _seed(basis, h.shape[0]), "", "eigensolver input")
     return EigenDecomposition(w[0], v[0])
 
 
@@ -329,20 +329,21 @@ def stack_eig(stack) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"expected a nonempty stack of square matrices, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise DomainError("matrix entries must be finite")
-    return _solve(h, None, " (stack member {})")
+    return _solve(h, None, " (stack member {})", "eigensolver input")
 
 
-def _solve(h: np.ndarray, basis: np.ndarray | None, member: str) -> tuple[np.ndarray, np.ndarray]:
+def _solve(h: np.ndarray, basis: np.ndarray | None, member: str, what: str) -> tuple[np.ndarray, np.ndarray]:
     """(B, n) eigenvalues and (B, n, n) eigenvectors, as ``hermitian_eig`` describes them, of each
-    member of a finite stack h, (B, n, n), from the seed ``basis`` if given. An error names the
-    failing member by ``member``, formatted with its index ("" names none).
+    member of a finite C-ordered stack h, (B, n, n), from the seed ``basis`` if given. An error names
+    the failing member by ``member``, formatted with its index ("" names none), and a Hermiticity
+    refusal names the input ``what`` is.
 
     All members are rescaled, checked and tested against the stopping rule together; the members
     outside it are then swept as one stack (``_Rounds``), in place when that is all of them, else
     on a copy, and each leaves the stack at the sweep it converges at.
     """
     b, n = len(h), h.shape[-1]
-    s, e, tol = _jacobi_storage(h, basis, member)
+    s, e, tol = _jacobi_storage(h, basis, member, what)
     swept = active = np.flatnonzero(_norms(_off_diagonal(s)) > tol)
     work, tol = (s if active.size == b else s[active]), tol[active]
     rounds = None  # set up for each new active set
@@ -363,25 +364,25 @@ def _solve(h: np.ndarray, basis: np.ndarray | None, member: str) -> tuple[np.nda
             active, work, tol, rounds = active[still], work[still], tol[still], None
 
     # The input was finite, so a non-finite entry is a fault of the sweeps: an error, never a spectrum.
-    bad = ~np.isfinite(s.reshape(b, -1)).all(axis=1)
-    if bad.any():
-        raise NumericalError(
-            f"Jacobi eigensolver produced a non-finite eigenvalue or eigenvector{member.format(bad.argmax())}"
-        )
+    if not np.isfinite(s).all():
+        bad = np.isfinite(s.reshape(b, -1)).all(axis=1).argmin()
+        raise NumericalError(f"Jacobi eigensolver produced a non-finite eigenvalue or eigenvector{member.format(bad)}")
     rows, cols = np.arange(b)[:, None], np.arange(n)
     w = s.diagonal(0, 1, 2)[:, :n].real  # each A's
     order = w.argsort(axis=1, kind="stable")
-    w = w[rows, order]
-    beyond = e + np.frexp(np.maximum(-w[:, 0], w[:, -1]))[1] > 1024
-    if beyond.any():
-        raise DomainError(f"eigenvalues exceed the float64 range{member.format(beyond.argmax())}")
-    w = np.ldexp(w, e[:, None])
+    # w 2^e = mantissa 2^(exponent + e), mantissa in [0.5, 1): beyond float64's range once exponent + e passes 1024.
+    w, exponent = np.frexp(w[rows, order])
+    exponent += e[:, None]
+    if exponent.max() > 1024:
+        beyond = (exponent > 1024).any(axis=1).argmax()
+        raise DomainError(f"eigenvalues exceed the float64 range{member.format(beyond)}")
+    w = np.ldexp(w, exponent)
     # A seeded or swept member's eigenvectors are its V. A member never swept still has V = 1, so its
     # eigenvectors are the identity's columns in its order, with the +0.0 zeros that rephasing them leaves.
     gathered = rows[:, 0] if basis is not None else swept
     vs = s[gathered[:, None, None], s.shape[-1] + cols[:, None], order[gathered, None, :]]
     # Make each column's largest component (lowest index on ties) real and positive.
-    pivots = vs[np.arange(len(vs))[:, None], np.abs(vs).argmax(axis=1), cols]
+    pivots = vs[rows[: len(vs)], np.abs(vs).argmax(axis=1), cols]
     vs *= (pivots.conj() / np.abs(pivots))[:, None, :]
     if len(vs) == b:
         return w, vs

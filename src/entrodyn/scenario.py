@@ -49,6 +49,7 @@ from .linalg import hermitian_eig, require_hermitian, stack_eig
 from .systems import (
     LatticeFreeParticle,
     SpinHalfSystem,
+    _wavenumbers,
     composite_hamiltonian,
     coupled_spin_pair,
     lattice_hamiltonian,
@@ -338,8 +339,7 @@ def _lattice(system: dict) -> LatticeFreeParticle:
 def _momentum_basis(system: dict) -> Basis:
     """Plane waves, labelled by k for momentum 2 pi k / length."""
     lattice = _lattice(system)
-    n = lattice.sites
-    return Basis(labels=tuple(range(-(n // 2), (n + 1) // 2)), kets=lattice_momentum_basis(lattice))
+    return Basis(labels=tuple(_wavenumbers(lattice.sites).tolist()), kets=lattice_momentum_basis(lattice))
 
 
 SYSTEM_KINDS = {

@@ -95,11 +95,14 @@ class LatticeFreeParticle:
             raise DomainError(f"mass: {self.mass:g} is too small: the largest kinetic energy overflows float64")
 
 
+def _wavenumbers(n: int) -> np.ndarray:
+    """k in {-floor(n/2), ..., ceil(n/2)-1}, ascending: the plane waves of n sites."""
+    return np.arange(-(n // 2), (n + 1) // 2)
+
+
 def lattice_momenta(system: LatticeFreeParticle) -> np.ndarray:
     """Allowed momenta 2*pi*k/length for k in {-floor(n/2), ..., ceil(n/2)-1}."""
-    n = system.sites
-    ks = np.arange(-(n // 2), (n + 1) // 2)
-    return 2.0 * np.pi * ks / system.length
+    return 2.0 * np.pi * _wavenumbers(system.sites) / system.length
 
 
 def lattice_momentum_basis(system: LatticeFreeParticle) -> np.ndarray:

@@ -123,20 +123,23 @@ class TestInvariantSuite:
         (result,) = [r for r in report.results if not r.passed]
         assert (result.name, result.worst, result.residual) == ("entropy-invariance", worst, residual)
 
-    def test_default_suite_makes_no_positivity_solve(self, monkeypatch, eig_calls):
+    def test_default_suite_makes_no_positivity_solve(self, monkeypatch):
         # composites are kron products of draws that are PSD by construction, and each factor's entropy
-        # solve refuses an eigenvalue below EIGENVALUE_CLAMP; work counts are exact, so traffic shows here
-        flags = []
-        original = ensembles.as_density_matrix
+        # solve refuses an eigenvalue below EIGENVALUE_CLAMP; work counts are exact, so traffic shows here:
+        # every eigensolve, lone or stacked, entropy or not, is one linalg._solve of a stack
+        flags, solves = [], []
+        original, solve = ensembles.as_density_matrix, linalg._solve
 
         def recording(rho, *, check_psd=True):
             flags.append(check_psd)
             return original(rho, check_psd=check_psd)
 
         _rebind(monkeypatch, original, recording)
+        _rebind(monkeypatch, solve, lambda h, *args: solves.append(len(h)) or solve(h, *args))
         run_invariant_suite(1, (2, 4, 8))
         assert flags and not any(flags)
-        assert len(eig_calls) == 52
+        stacks = [size for size in solves if size > 1]
+        assert (solves.count(1), len(stacks), sum(stacks)) == (52, 22, 306)
 
     def test_verdicts_stable_across_seeds(self):
         verdicts = set()

@@ -92,6 +92,36 @@ class TestShannonEntropy:
         assert shannon_entropy([1.0 - 1e-6, 1e-6]) > 1e-7
 
 
+# The stage at which each kind of 3-level state is refused: 0 by validation, 1 by the solve's relative
+# Hermiticity check, 2 by the spectrum's clamp; None is accepted.
+_STAGE = {
+    "valid": None,
+    "non-Hermitian": 0,
+    "wrong trace": 0,
+    "non-finite": 0,
+    "overflowing skew": 0,
+    "relative-only skew": 1,
+    "negative eigenvalue": 2,
+}
+
+
+def _density_of_kind(kind: str) -> np.ndarray:
+    rho = np.diag([0.5, 0.3, 0.2]).astype(complex)  # ||rho||_F = 0.62
+    if kind == "non-Hermitian":
+        rho[0, 1] = 0.1
+    elif kind == "wrong trace":
+        rho *= 2.0
+    elif kind == "non-finite":
+        rho[1, 1] = np.inf
+    elif kind == "overflowing skew":
+        rho[0, 1] = 1e154  # ||rho - rho†||_F squared overflows float64
+    elif kind == "relative-only skew":
+        rho[0, 1] = 0.9 * DENSITY_HERMITICITY_ATOL / math.sqrt(2.0)  # ||rho - rho†||_F = 0.9e-10
+    elif kind == "negative eigenvalue":
+        rho[...] = np.diag([1.1, 0.0, -0.1])
+    return rho
+
+
 class TestVonNeumannEntropy:
     def test_pure_projector(self):
         assert von_neumann_entropy(pure_density(ALPHA)) <= 1e-8
@@ -182,13 +212,43 @@ class TestVonNeumannEntropy:
             except DomainError as error:
                 lone = f"{error} (stack member 1)"
             try:
-                ensembles._density_stack(np.stack([base, member]))
+                ensembles._densities(np.stack([base, member]), " (stack member {})")
                 stacked = "accepted"
             except DomainError as error:
                 stacked = str(error)
             assert stacked == lone
             verdicts.add(lone == "accepted")
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("first", list(_STAGE))
+    @pytest.mark.parametrize("second", list(_STAGE))
+    def test_stack_error_is_the_lone_error_of_its_first_failing_member(self, first, second):
+        # a stack is refused at the earliest stage any member fails (validation, the solve's relative
+        # Hermiticity check, the spectrum's clamp), with the lone error of that stage's first member
+        stack = np.stack([_density_of_kind("valid"), _density_of_kind(first), _density_of_kind(second)])
+        stages = [_STAGE[kind] for kind in ("valid", first, second)]
+        if stages == [None] * 3:
+            lone = np.array([von_neumann_entropy(rho) for rho in stack])
+            np.testing.assert_array_equal(von_neumann_entropy(stack).view(np.uint64), lone.view(np.uint64))
+            return
+        stage = min(s for s in stages if s is not None)
+        bad = stages.index(stage)
+        with pytest.raises((DomainError, ShapeError)) as lone:
+            von_neumann_entropy(stack[bad])
+        with pytest.raises(type(lone.value)) as stacked:
+            von_neumann_entropy(stack)
+        text, suffix = str(lone.value), f" (stack member {bad})"
+        if stage == 0:  # validation names the member at the end
+            expected = text + suffix
+        elif stage == 1:  # the solve names it after what it solves
+            expected = text.replace("density matrix", "density matrix" + suffix, 1)
+        else:  # the spectrum's clamp names none
+            expected = text
+        assert str(stacked.value) == expected
+
+    def test_empty_stack_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match=r"^expected a nonempty stack of square matrices, got shape \(0, 3, 3\)$"):
+            von_neumann_entropy(np.zeros((0, 3, 3)))
 
     def test_solver_refusal_names_the_density_matrix(self):
         # ||rho - rho†||_F = 0.9e-10 passes the absolute check, but ||rho||_F = 0.48 makes the solver's
