@@ -26,6 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .csvtext import write_csv
 from .ensembles import basis_residuals
 from .errors import DomainError, NumericalError, ShapeError
 from .invariants import DEFAULT_DIMS, run_invariant_suite
@@ -39,7 +40,6 @@ from .scenario import (
     _read_spec,
     run_perturbation,
     run_scenario,
-    write_csv,
 )
 from .systems import LatticeFreeParticle, SpinHalfSystem, lattice_momentum_basis, rabi_populations
 

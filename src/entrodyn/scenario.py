@@ -37,6 +37,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
+from .csvtext import write_csv
 from .dynamics import EXPECTATION_IMAG_ATOL
 from .ensembles import (
     as_probability_vector,
@@ -64,12 +65,6 @@ MAX_DIMENSION = 128
 # Cap on time points x (CSV columns + dimension): the output table and the
 # T x n phase table of a run together hold about that many numbers.
 MAX_GRID_CELLS = 2**24
-CSV_DIGITS = 15
-# CSV cells (rows x columns) joined into one write: a buffer bounded whatever
-# the table's width (a 64-site lattice's 193 columns: 5 rows), and few enough
-# writes that an in-memory stream (a redirected stdout) costs no more than one
-# large write
-CSV_BLOCK_CELLS = 1024
 # Bytes of one entropy block's A_t stack, (points, n, n) complex, certified by
 # one stack_eig call (n = 2: 2048 points, n = 64: 2, n = 128: 1). The
 # block's traced peak is about 8.3 times this (1,067 KiB at n = 2): the basis,
@@ -779,23 +774,6 @@ class CheckResult:
         verdict = "PASS" if self.passed else "FAIL"
         text = f"{verdict} {self.name}: residual={self.residual:.3e} (tolerance {self.tolerance:.3e})"
         return text if self.passed else f"{text} worst at {self.worst}"
-
-
-def write_csv(handle, kind: str, columns, table: np.ndarray) -> None:
-    """Write a versioned banner, the header and one line per row of the float ``table``
-    to ``handle``, each value at CSV_DIGITS significant digits.
-
-    Lines go out a block of CSV_BLOCK_CELLS // width rows (at least one) at a
-    time, and each block is one %-format of a template repeated per row:
-    ``%.15g`` and ``"{:.15g}".format`` print a float through the same
-    routine, so the text is that of formatting value by value.
-    """
-    handle.write(f"# entrodyn {__version__} {kind}\n{','.join(columns)}\n")
-    line = ",".join([f"%.{CSV_DIGITS}g"] * table.shape[1]) + "\n"
-    rows = max(1, CSV_BLOCK_CELLS // table.shape[1])
-    for start in range(0, len(table), rows):
-        block = table[start : start + rows]
-        handle.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)

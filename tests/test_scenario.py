@@ -17,15 +17,16 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entrodyn import __version__, scenario
 from entrodyn.cli import main as cli_main
+from entrodyn.csvtext import CSV_BLOCK_CELLS, write_csv
 from entrodyn.dynamics import evolve_density
 from entrodyn.ensembles import spectrum_entropy, von_neumann_entropy
 from entrodyn.errors import NumericalError
 from entrodyn.linalg import hermitian_eig, partial_trace
 from entrodyn.scenario import (
-    CSV_BLOCK_CELLS,
     MAX_DIMENSION,
     EvolutionReport,
     ScenarioParseError,
@@ -38,7 +39,6 @@ from entrodyn.scenario import (
     run_scenario,
     serialize_scenario,
     time_grid,
-    write_csv,
     Basis,
     _entropies,
     _evolved,
@@ -1276,6 +1276,15 @@ class TestCsvStreaming:
             report.to_csv(handle)
         assert path.read_text(encoding="utf-8") == _csv(report)
 
+    def test_wide_table_working_set_does_not_grow_with_rows(self):
+        # a 64-site lattice's 193 columns: the traced peak is one block's, whatever the row count
+        rng = np.random.default_rng(193)
+        table = rng.random((2001, 193)) ** 3
+        columns = [f"c{i}" for i in range(193)]
+        write_csv(_Discard(), "evolution", columns, table[:1])  # builds the cached cell templates
+        peaks = [_traced_peak(lambda: write_csv(_Discard(), "evolution", columns, table[:rows])) for rows in (201, 2001)]
+        assert abs(peaks[1] - peaks[0]) <= CSV_BLOCK_CELLS * table.itemsize
+
 
 # floats whose %.15g text is easy to get wrong: signed zeros, the subnormal and float64 extremes,
 # both sides of the g style's exponent switch points and integral values
@@ -1284,13 +1293,57 @@ CSV_EDGE_VALUES = [
     1e-5, 9.999999999999999e-06, 1.0000000000000001e-05, 1e-4,
     1e15, 999999999999999.0, 999999999999999.9, 1e16, 9999999999999998.0, 1.0000000000000002e16,
     1.0, -3.0, 2.0**53, 123456789012345.0, -1234567890123456.0, 0.1, 1 / 3,
+    # the edges of the exact digit kernel's domain, 1e-8 <= |x| < 1e15, and its carries to 16 digits
+    1e-8, 9.999999999999999e-09, 1.0000000000000001e-08, 999999999999999.875, 1000000000000000.125,
+    999999999999999.5, 9.9999999999999995e-05,
 ]
+
+
+def _adversarial_cells(rng) -> np.ndarray:
+    """Floats whose 15-digit text is easy to get wrong, both signs of each: exact decimal ties, powers
+    of ten with 64 neighbours on each side (where log10 is off by one), subnormals, NaN, infinities."""
+    m = rng.integers(10**14, 10**15, 10**4)
+    ties = [m + 0.5, (m + 0.5) * 2.0 ** -rng.integers(1, 60, m.size)]
+    for j in range(1, 23):
+        # odd k / 2**j with 16 significant digits: its 16th digit is a 5, an exact tie at 15
+        k = rng.integers(-(-(10**15) // 5**j), 10**16 // 5**j, 2000) | 1
+        ties.append(k / 2.0**j)
+    powers = np.array([float(f"1e{p}") for p in range(-10, 17)])
+    neighbours = (powers.view(np.int64)[:, None] + np.arange(-64, 65)).view(np.float64).ravel()
+    subnormals = rng.integers(1, 2**52, 200, dtype=np.uint64).view(np.float64)
+    specials = np.array([0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308, *CSV_EDGE_VALUES])
+    cells = np.concatenate([*ties, neighbours, subnormals, specials])
+    return np.concatenate([cells, -cells])
 
 
 def _value_by_value(kind: str, columns, table: np.ndarray) -> str:
     """The CSV text with every value formatted by "{:.15g}".format on its own: write_csv's reference."""
     rows = "".join(",".join(map("{:.15g}".format, row)) + "\n" for row in table.tolist())
     return f"# entrodyn {__version__} {kind}\n{','.join(columns)}\n" + rows
+
+
+def _mismatched_cells(table: np.ndarray, handle=None) -> list:
+    """(value, write_csv's text, "{:.15g}".format's text) for up to 5 cells where the two differ,
+    or a line count that differs; [] when write_csv's whole text is the value-by-value text."""
+    handle = io.StringIO() if handle is None else handle
+    columns = [f"c{i}" for i in range(table.shape[1])]
+    write_csv(handle, "evolution", columns, table)
+    text, expected = handle.getvalue(), _value_by_value("evolution", columns, table)
+    if text == expected:
+        return []
+    lines = text.splitlines()[2:]
+    if len(lines) != len(table):
+        return [("lines", len(lines), len(table))]
+    cells = [cell for line in lines for cell in line.split(",")]
+    values = table.ravel().tolist()
+    return [(x, cell, f"{x:.15g}") for x, cell in zip(values, cells) if cell != f"{x:.15g}"][:5] or ["bytes"]
+
+
+class _Discard:
+    """A text handle that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
 
 
 class _RecordingHandle(io.StringIO):
@@ -1305,7 +1358,7 @@ class _RecordingHandle(io.StringIO):
 
 class TestCsvFormatting:
     @pytest.mark.parametrize("rows", [1, 63, 64, 65, 129])
-    @pytest.mark.parametrize("width", [1, 3, 16, 193])
+    @pytest.mark.parametrize("width", [1, 3, 16, 64, 193])
     def test_bytes_equal_value_by_value_formatting(self, rows, width):
         rng = np.random.default_rng(1000 * rows + width)
         table = np.empty((rows, width))
@@ -1319,8 +1372,31 @@ class TestCsvFormatting:
         write_csv(handle, "evolution", columns, table)
         assert handle.getvalue() == _value_by_value("evolution", columns, table)
         lines_per_write = [block.count("\n") for block in handle.writes[1:]]
-        block = CSV_BLOCK_CELLS // width  # 64 rows at width 16
+        block = CSV_BLOCK_CELLS // width  # 64 rows at width 64
         assert lines_per_write == [min(block, rows - start) for start in range(0, rows, block)]
+
+    def test_adversarial_cells_equal_value_by_value_formatting(self):
+        cells = _adversarial_cells(np.random.default_rng(15))
+        table = np.resize(cells, (-(-cells.size // 97), 97))
+        assert _mismatched_cells(table) == []
+
+    @pytest.mark.filterwarnings("error")
+    @given(
+        table=st.tuples(st.integers(0, 70), st.integers(1, 300)).flatmap(
+            lambda shape: st.one_of(
+                arrays(np.float64, shape, elements=st.floats()),
+                arrays(np.uint64, shape, elements=st.integers(0, 2**64 - 1)).map(lambda bits: bits.view(np.float64)),
+            )
+        )
+    )
+    def test_any_table_equals_value_by_value_formatting(self, table):
+        rows, width = table.shape
+        handle = _RecordingHandle()
+        assert _mismatched_cells(table, handle) == []
+        block = max(1, CSV_BLOCK_CELLS // width)
+        assert [text.count("\n") for text in handle.writes[1:]] == [
+            min(block, rows - start) for start in range(0, rows, block)
+        ]
 
     def test_empty_table_writes_the_header_only(self):
         handle = io.StringIO()
