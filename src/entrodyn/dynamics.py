@@ -95,6 +95,9 @@ def heisenberg_rhs(x, h) -> np.ndarray:
 
 
 def _check_index(i: int, count: int, name: str) -> int:
+    """``i`` as an int; TypeError unless it is an integer (a numpy one too; not a float, nor a bool)."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise TypeError(f"{name} index must be an integer, got {i!r}")
     i = int(i)
     if not 0 <= i < count:
         raise IndexError(f"{name} index {i} out of range for {count} basis states")

@@ -106,7 +106,8 @@ def _require_square(a: np.ndarray, what: str = "matrix") -> None:
 
 def frobenius(m) -> float:
     """Frobenius norm, as one dot product (np.linalg.norm costs more on small inputs);
-    of m rescaled by a power of two when that sum of squares overflows or underflows."""
+    of m rescaled by a power of two when that sum of squares overflows or underflows.
+    A norm beyond the float64 range is inf."""
     a = np.asarray(m)
     total = np.vdot(a, a).real
     if sys.float_info.min <= total <= sys.float_info.max or not a.any():
@@ -114,7 +115,8 @@ def frobenius(m) -> float:
     a = np.ascontiguousarray(a, dtype=np.complex128)
     e = _scale_exponent(a)
     scaled = np.ldexp(a.view(np.float64), -e)
-    return float(np.ldexp(math.sqrt(np.vdot(scaled, scaled)), e))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(np.vdot(scaled, scaled)), e))
 
 
 def identity(n: int) -> np.ndarray:
@@ -483,25 +485,32 @@ def expm_oracle(a) -> np.ndarray:
     The argument is scaled by 2**-s until its Frobenius norm is at most 0.5,
     exponentiated with a degree-``TAYLOR_DEGREE`` Taylor series, and squared s
     times. Deliberately independent of the eigendecomposition route so the
-    two can cross-check each other.
+    two can cross-check each other. A norm beyond the float64 range raises
+    DomainError, and a result beyond it NumericalError.
     """
     a = as_matrix(a)
     _require_square(a)
     n = a.shape[0]
 
     norm = frobenius(a)
+    if norm == math.inf:
+        raise DomainError("matrix norm exceeds the float64 range")
     s = 0
-    while norm / (2.0**s) > 0.5:
+    while math.ldexp(norm, -s) > 0.5:  # norm / 2**s, which cannot overflow
         s += 1
-    b = a / (2.0**s)
+    # 2.0**s is finite for s < 1024, where one division keeps the bits; beyond, it is divided out in two steps
+    b = a / (2.0**s) if s < 1024 else a / 2.0**512 / 2.0 ** (s - 512)
 
     term = identity(n)
     total = identity(n)
-    for k in range(1, TAYLOR_DEGREE + 1):
-        term = term @ b / k
-        total = total + term
-    for _ in range(s):
-        total = total @ total
+    with np.errstate(over="ignore", invalid="ignore"):  # a result beyond float64 raises below
+        for k in range(1, TAYLOR_DEGREE + 1):
+            term = term @ b / k
+            total = total + term
+        for _ in range(s):
+            total = total @ total
+    if not np.isfinite(total).all():
+        raise NumericalError("exp(a) exceeds the float64 range")
     return total
 
 

@@ -19,10 +19,14 @@ What a system kind is lives in one table, SYSTEM_KINDS: its parameters, its
 dimension, its Hamiltonian, its named bases and its factors. Parsing, the
 dimension bound and resolution all read the same row.
 
-Reports are deterministic: the same document and package version produce
-byte-identical CSV and summary output. A report's checks, like those of the
-invariant suite, are CheckResults: each summary check carries ``worst``, the
-grid time that set its residual, and a FAIL line names it.
+Both runs, ``run_scenario`` (evolve) and ``run_perturbation`` (perturb),
+walk one column table of blocks over one exp(-i H t): evolve's is the
+resolved scenario's, perturb's a single block of exact and first-order
+transition columns. Reports are deterministic: the same document and
+package version produce byte-identical CSV and summary output. A report's
+checks, like those of the invariant suite, are CheckResults: each summary
+check carries ``worst``, the grid time that set its residual, and a FAIL
+line names it.
 """
 
 from __future__ import annotations
@@ -548,21 +552,6 @@ class ResolvedScenario:
     # the system kind's eigenbasis of H as columns, the seed of H's solve; None when the kind has none
     hamiltonian_seed: np.ndarray | None
 
-    @property
-    def columns(self) -> tuple:
-        """The evolve CSV header."""
-        return ("t", *(label for _, labels, _, _ in self.column_table for label in labels))
-
-    @property
-    def column_paths(self) -> tuple:
-        """The field each header name comes from."""
-        return ("time", *(path for path, labels, _, _ in self.column_table for _ in labels))
-
-    @property
-    def transition_pairs(self) -> tuple:
-        """((source, target), ...) of outputs.transitions; empty when there are none."""
-        return next((source for _, _, kind, source in self.column_table if kind == "transitions"), ())
-
 
 def _dimension(system: dict) -> int:
     """Dimension of the system's Hilbert space, read off the spec without building H."""
@@ -574,6 +563,12 @@ def _dimension(system: dict) -> int:
     if dim > MAX_DIMENSION:
         raise ScenarioValidationError(f"system.{size}: dimension {dim} exceeds MAX_DIMENSION = {MAX_DIMENSION}")
     return dim
+
+
+def _header(column_table: tuple) -> tuple:
+    """(names, paths): a column table's CSV header, t and each block's labels, and the field of each name."""
+    names = ("t", *(label for _, labels, _, _ in column_table for label in labels))
+    return names, ("time", *(path for path, labels, _, _ in column_table for _ in labels))
 
 
 def _check_grid(time: dict, columns: int, dim: int) -> None:
@@ -688,10 +683,15 @@ def _resolve_observables(spec: dict, dim: int, h: np.ndarray, built: dict) -> tu
     return tuple(entries)
 
 
-def _require_distinct_columns(resolved: ResolvedScenario) -> None:
-    """Reject an evolve header that gives a name twice, naming the field that repeats it."""
+def _check_header(columns: tuple, paths: tuple) -> None:
+    """Reject a header name that a CSV header cell cannot hold (a comma, a quote, a CR or a LF) or that
+    the header gives twice, naming the field that gives it."""
     owner: dict = {}
-    for name, path in zip(resolved.columns, resolved.column_paths):
+    for name, path in zip(columns, paths):
+        if "," in name or '"' in name or "\r" in name or "\n" in name:
+            raise ScenarioValidationError(
+                f"{path}: column {name!r} holds a comma, a quote or a line break, which a CSV header cannot"
+            )
         if name in owner:
             raise ScenarioValidationError(f"{path}: column {name!r} is already taken by {owner[name]}")
         owner[name] = path
@@ -741,7 +741,8 @@ def resolve_scenario(spec: dict) -> ResolvedScenario:
 
     # a kind's eigenbasis is one of its named bases, so no reference can lack it
     seed = None if row.eigenbasis is None else _named_basis(system, row.eigenbasis, dim, "", built).kets.T
-    resolved = ResolvedScenario(
+    _check_grid(spec["time"], len(_header(table)[0]), dim)
+    return ResolvedScenario(
         dimension=dim,
         hamiltonian=h,
         initial_density=rho0,
@@ -750,8 +751,6 @@ def resolve_scenario(spec: dict) -> ResolvedScenario:
         column_table=table,
         hamiltonian_seed=seed,
     )
-    _check_grid(spec["time"], len(resolved.columns), dim)
-    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -872,14 +871,15 @@ def _evolved(rho0: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return rho0 * (phases[:, :, None] * phases.conj()[:, None, :])
 
 
-def _phase_sum(m: np.ndarray, phases: np.ndarray, conj_phases: np.ndarray) -> np.ndarray:
-    """sum_jk P_tj m_jk conj(P_tk) for every t; with m = (V† X V)ᵀ ∘ rho(0)' this is tr(X rho(t))."""
-    return np.einsum("tk,tk->t", phases @ m, conj_phases)
+def _phase_sum(m: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """sum_jk P_tj m_jk conj(P_tk) for every t; with m = (V† X V)ᵀ ∘ rho(0)' this is tr(X rho(t)). Taken
+    as conj(sum_k conj((P m)_tk) P_tk), conjugated in place, so no conj(P) is allocated; same values."""
+    a = phases @ m
+    total = np.einsum("tk,tk->t", np.conjugate(a, out=a), phases)
+    return np.conjugate(total, out=total)
 
 
-def _expectations(
-    x: np.ndarray, v: np.ndarray, rho0: np.ndarray, phases: np.ndarray, conj_phases: np.ndarray, what: str
-) -> np.ndarray:
+def _expectations(x: np.ndarray, v: np.ndarray, rho0: np.ndarray, phases: np.ndarray, what: str) -> np.ndarray:
     """tr(X rho(t)) over the grid, checked to be real.
 
     The column is the phase sum of X's Hermitian part (X + X†)/2. The
@@ -892,14 +892,14 @@ def _expectations(
     skew = x / 2.0 - x.conj().T / 2.0  # halved first, so no entry near the float64 limit overflows
     with np.errstate(over="ignore", invalid="ignore"):  # a product beyond float64 is named by _report
         if skew.any():
-            imag = float(np.abs(_phase_sum((vh @ skew @ v).T * rho0, phases, conj_phases)).max())
+            imag = float(np.abs(_phase_sum((vh @ skew @ v).T * rho0, phases)).max())
             if imag > EXPECTATION_IMAG_ATOL:
                 raise NumericalError(
                     f"{what}: expectation value has imaginary part {imag:.3e}; "
                     "operands are not Hermitian enough"
                 )
         hermitian = x / 2.0 + x.conj().T / 2.0
-        return _phase_sum((vh @ hermitian @ v).T * rho0, phases, conj_phases).real
+        return _phase_sum((vh @ hermitian @ v).T * rho0, phases).real
 
 
 def _amplitudes(phases: np.ndarray, ket: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -960,19 +960,20 @@ def _transition_probabilities(v: np.ndarray, phases: np.ndarray, pairs: tuple) -
     return _ket_probabilities(phases, v[source].conj(), v[[k for _, k in pairs]])
 
 
-def _frame(spec: dict, require: Callable) -> tuple:
-    """(resolved, V, times, phase table P): what both runs share, from the spec's one resolution, which
-    also validates it, and one ``hermitian_eig(H)``, seeded by the system kind's eigenbasis when it has one.
-    ``require`` rejects a resolved scenario the run cannot use, before H is diagonalised."""
-    resolved = resolve_scenario(spec)
-    require(resolved)
-    spectrum = hermitian_eig(resolved.hamiltonian, resolved.hamiltonian_seed)
-    times = time_grid(spec["time"])
-    try:
-        phases = spectrum.phases(times)
-    except DomainError as exc:  # a grid time at which exp(-i H t) is undefined
-        raise ScenarioValidationError(f"time: {exc}") from exc
-    return resolved, spectrum.eigenvectors, times, phases
+def _perturbation_table(resolved: ResolvedScenario) -> tuple:
+    """perturb's column table: one block of the exact_ and first_order_ columns of each transition
+    pair, interleaved. Refuses a scenario without transitions, or with a target that is the source."""
+    pairs = next((source for _, _, kind, source in resolved.column_table if kind == "transitions"), ())
+    if not pairs:
+        raise ScenarioValidationError("outputs.transitions: required for a perturbation run (source and targets)")
+    for i, (j, k) in enumerate(pairs):
+        if j == k:
+            raise ScenarioValidationError(
+                f"outputs.transitions.targets[{i}]: target {k} is the source; "
+                "a first-order transition needs a different target"
+            )
+    labels = tuple(f"{order}_{j}_to_{k}" for j, k in pairs for order in ("exact", "first_order"))
+    return (("outputs.transitions.targets", labels, "perturbation", pairs),)
 
 
 def _report(
@@ -986,6 +987,59 @@ def _report(
     return EvolutionReport(
         kind=kind, columns=columns, table=table, scenario=spec, tolerances=tolerances, checks=checks
     )
+
+
+def _run(spec: dict, kind: str) -> EvolutionReport:
+    """The report of a run of ``kind``, "evolution" or "perturbation": the spec's one resolution, which
+    also validates it; the run's column table, whose header is checked before H is diagonalised; one
+    ``hermitian_eig(H)``, seeded by the system kind's eigenbasis when it has one; and one walk of the
+    column table, which fills each block under its own labels and takes each summary check from the
+    blocks as they are written."""
+    resolved = resolve_scenario(spec)
+    column_table = resolved.column_table if kind == "evolution" else _perturbation_table(resolved)
+    columns, paths = _header(column_table)
+    _check_header(columns, paths)
+    spectrum = hermitian_eig(resolved.hamiltonian, resolved.hamiltonian_seed)
+    times = time_grid(spec["time"])
+    try:
+        phases = spectrum.phases(times)
+    except DomainError as exc:  # a grid time at which exp(-i H t) is undefined
+        raise ScenarioValidationError(f"time: {exc}") from exc
+    v = spectrum.eigenvectors
+    if kind == "evolution":  # the initial state in H's eigenbasis; no perturbation column reads it
+        rho0 = v.conj().T @ resolved.initial_density @ v
+        coefficients = resolved.initial_kets.coefficient_rows(v)  # row k: V† k, conjugated
+        positive = resolved.initial_weights > 0
+        mixture = list(zip(resolved.initial_weights[positive], coefficients[positive].conj()))
+    table = np.empty((times.size, len(columns)))
+    table[:, 0] = times
+    col, checks = 1, ()
+    for path, labels, block_kind, source in column_table:
+        block = table[:, col : col + len(labels)]
+        col += len(labels)
+        if block_kind == "entropy":
+            # V† K diagonalises rho(0)' when the kets K are a basis; psi alone is none, so it is solved cold
+            seed = None if "amplitudes" in spec["initial"] else coefficients.conj().T
+            entropy = _entropies(rho0, phases, seed)
+            block[:, 0] = entropy
+            checks += (entropy_constancy(entropy, times),)
+        elif block_kind == "expectation":
+            block[:, 0] = _expectations(source, v, rho0, phases, path)
+        elif block_kind == "populations":
+            block[:] = _populations(source.coefficient_rows(v), mixture, phases)
+        elif block_kind == "subsystem_entropies":
+            block[:] = _subsystem_entropies(v, mixture, phases, source)
+            if checks:  # the entropy column, written first, is there to compare with
+                checks += _subsystem_inequalities(entropy, block[:, 0], block[:, 1], times)
+        elif block_kind == "transitions":
+            block[:] = _transition_probabilities(v, phases, source)
+        else:  # perturbation: each pair's exact |u_kj(t)|² beside its small-time law t² |H_kj|²
+            block[:, 0::2] = _transition_probabilities(v, phases, source)
+            with np.errstate(over="ignore", invalid="ignore"):  # a t² |H_kj|² beyond float64 is named by _report
+                block[:, 1::2] = np.outer(times**2, [abs(resolved.hamiltonian[k, j]) ** 2 for j, k in source])
+            block[times == 0.0, 1::2] = 0.0  # the law's value at t = 0, where 0 · inf would be NaN
+    tolerances = {"entropy_constancy": ENTROPY_CONSTANCY_TOL} if kind == "evolution" else {}
+    return _report(kind, spec, columns, paths, table, tolerances, checks)
 
 
 def run_scenario(spec: dict) -> EvolutionReport:
@@ -1007,54 +1061,9 @@ def run_scenario(spec: dict) -> EvolutionReport:
     in the basis B). An A_t not already diagonal to its stopping rule, which
     exact unitary evolution does not produce, and the reduced states of the
     subsystem entropies (``_reduced_states``) are swept as stacks.
-    The table is filled in one walk of the resolved column table, each block under its own labels,
-    and each summary check is taken from the blocks as they are written.
+    The table is the walk of the resolved column table (``_run``).
     """
-    resolved, v, times, phases = _frame(spec, _require_distinct_columns)
-    rho0 = v.conj().T @ resolved.initial_density @ v
-    coefficients = resolved.initial_kets.coefficient_rows(v)  # row k: V† k, conjugated
-    positive = resolved.initial_weights > 0
-    mixture = list(zip(resolved.initial_weights[positive], coefficients[positive].conj()))
-    conj_phases = None  # only an expectation reads it: built for the first one
-    table = np.empty((times.size, len(resolved.columns)))
-    table[:, 0] = times
-    col, checks = 1, ()
-    for path, labels, kind, source in resolved.column_table:
-        block = table[:, col : col + len(labels)]
-        col += len(labels)
-        if kind == "entropy":
-            # V† K diagonalises rho(0)' when the kets K are a basis; psi alone is none, so it is solved cold
-            seed = None if "amplitudes" in spec["initial"] else coefficients.conj().T
-            entropy = _entropies(rho0, phases, seed)
-            block[:, 0] = entropy
-            checks += (entropy_constancy(entropy, times),)
-        elif kind == "expectation":
-            if conj_phases is None:
-                conj_phases = phases.conj()
-            block[:, 0] = _expectations(source, v, rho0, phases, conj_phases, path)
-        elif kind == "populations":
-            block[:] = _populations(source.coefficient_rows(v), mixture, phases)
-        elif kind == "subsystem_entropies":
-            block[:] = _subsystem_entropies(v, mixture, phases, source)
-            if checks:  # the entropy column, written first, is there to compare with
-                checks += _subsystem_inequalities(entropy, block[:, 0], block[:, 1], times)
-        else:  # transitions
-            block[:] = _transition_probabilities(v, phases, source)
-    tolerances = {"entropy_constancy": ENTROPY_CONSTANCY_TOL}
-    return _report("evolution", spec, resolved.columns, resolved.column_paths, table, tolerances, checks)
-
-
-def _require_transitions(resolved: ResolvedScenario) -> None:
-    if not resolved.transition_pairs:
-        raise ScenarioValidationError(
-            "outputs.transitions: required for a perturbation run (source and targets)"
-        )
-    for i, (j, k) in enumerate(resolved.transition_pairs):
-        if j == k:
-            raise ScenarioValidationError(
-                f"outputs.transitions.targets[{i}]: target {k} is the source; "
-                "a first-order transition needs a different target"
-            )
+    return _run(spec, "evolution")
 
 
 def run_perturbation(spec: dict) -> EvolutionReport:
@@ -1063,16 +1072,6 @@ def run_perturbation(spec: dict) -> EvolutionReport:
     The scenario Hamiltonian plays the role of the perturbing generator; the
     reference basis is the computational (site) basis. Requires an
     outputs.transitions section naming the source state and targets that
-    differ from it.
+    differ from it. Its table is one block (``_perturbation_table``) walked by ``_run``.
     """
-    resolved, v, times, phases = _frame(spec, _require_transitions)
-    pairs, h = resolved.transition_pairs, resolved.hamiltonian
-    columns = ("t", *(f"{order}_{j}_to_{k}" for j, k in pairs for order in ("exact", "first_order")))
-    table = np.empty((times.size, len(columns)))
-    table[:, 0] = times
-    table[:, 1::2] = _transition_probabilities(v, phases, pairs)
-    with np.errstate(over="ignore", invalid="ignore"):  # a t² |H_kj|² beyond float64 is named by _report
-        table[:, 2::2] = np.outer(times**2, [abs(h[k, j]) ** 2 for j, k in pairs])
-    table[times == 0.0, 2::2] = 0.0  # the law's value at t = 0, where 0 · inf would be NaN
-    paths = ("time",) + ("outputs.transitions.targets",) * (len(columns) - 1)
-    return _report("perturbation", spec, columns, paths, table, {}, ())
+    return _run(spec, "perturbation")

@@ -421,6 +421,24 @@ class TestTransitionProbabilities:
         with pytest.raises(IndexError):
             transition_probability_first_order(self._spin_basis(), -1, 1, SX, 0.1)
 
+    @pytest.mark.parametrize("index", [0.7, 1.0, True, np.float64(1.0), np.True_], ids=repr)
+    def test_non_integer_index_raises(self, index):
+        # int(0.7) == 0 once made this P(0 -> 1), silently
+        for probability in (transition_probability_exact, transition_probability_first_order):
+            with pytest.raises(TypeError, match="source index must be an integer"):
+                probability(self._spin_basis(), index, 1, SX, 0.1)
+            with pytest.raises(TypeError, match="target index must be an integer"):
+                probability(self._spin_basis(), 0, index, SX, 0.1)
+
+    def test_numpy_integer_index(self):
+        basis = self._spin_basis()
+        for j, k in ((np.int64(0), np.int32(1)), (np.uint8(0), np.int16(1))):
+            exact = transition_probability_exact(basis, j, k, SX, 0.7)
+            assert exact == transition_probability_exact(basis, 0, 1, SX, 0.7)
+            assert transition_probability_first_order(basis, j, k, SX, 0.7) == pytest.approx(0.49)
+        with pytest.raises(IndexError):
+            transition_probability_exact(basis, np.int64(2), 0, SX, 0.1)
+
     def test_small_time_ratio_approaches_one(self):
         rng = rng_for(19)
         hp = random_real_symmetric(rng, 5)

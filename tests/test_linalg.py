@@ -592,6 +592,10 @@ class TestFrobenius:
     def test_zero_matrix_is_zero(self):
         assert frobenius(np.zeros((3, 3), dtype=complex)) == 0.0
 
+    def test_norm_beyond_float64_is_inf(self):
+        # once leaked numpy's "overflow encountered in ldexp"
+        assert frobenius(np.full((2, 2), 1e308)) == np.inf
+
     def test_in_range_is_one_dot_product(self):
         h = random_hermitian(rng_for(10), 7)
         assert frobenius(h) == np.sqrt(np.vdot(h, h).real)
@@ -718,6 +722,21 @@ class TestExpmOracle:
     def test_non_square(self):
         with pytest.raises(ShapeError):
             expm_oracle(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("entry", [800.0, 5e307], ids=["800", "5e307"])
+    def test_result_beyond_float64_raises(self, entry):
+        # exp(800) overflows: once inf + nan j, silently; 5e307 made 2.0**s raise OverflowError
+        with pytest.raises(NumericalError, match="exceeds the float64 range"):
+            expm_oracle(np.diag([entry, 0.0]))
+
+    def test_norm_beyond_float64_raises(self):
+        with pytest.raises(DomainError, match="norm exceeds the float64 range"):
+            expm_oracle(np.full((2, 2), 1e308))
+
+    def test_finite_result_of_a_huge_norm(self):
+        # exp(N) = 1 + N for a nilpotent N: the scaling 2**-1024 must not overflow on the way
+        out = expm_oracle(np.array([[0.0, 1e308], [0.0, 0.0]]))
+        np.testing.assert_array_equal(out, np.array([[1.0, 1e308], [0.0, 1.0]]))
 
 
 class TestPartialTrace:

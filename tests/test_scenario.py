@@ -298,6 +298,37 @@ class TestRunPerturbation:
         with pytest.raises(ScenarioValidationError, match="transitions"):
             run_perturbation(spec)
 
+    @pytest.mark.parametrize(
+        ("name", "transitions"),
+        [("lattice_momentum.json", {"source": 2, "targets": "all"}), ("spin_rabi.json", None)],
+    )
+    def test_exact_columns_are_the_evolve_transition_columns(self, name, transitions):
+        document = json.loads((SCENARIOS / name).read_text())
+        if transitions:
+            document["outputs"]["transitions"] = transitions
+        spec = parse_scenario(json.dumps(document))
+        evolve, perturb = run_scenario(spec), run_perturbation(spec)
+        names = [column for column in evolve.columns if column.startswith("trans_")]
+        assert len(names) == (7 if transitions else 1)
+        for column in names:
+            exact = perturb.table[:, perturb.columns.index(column.replace("trans_", "exact_"))]
+            assert exact.tobytes() == evolve.table[:, evolve.columns.index(column)].tobytes()
+
+    @pytest.mark.parametrize(
+        "transitions",
+        [None, {"source": 0, "targets": [0]}],
+        ids=["without-transitions", "target-is-source"],
+    )
+    def test_refused_run_makes_no_eigensolver_call(self, transitions, eig_calls):
+        document = json.loads(SPIN_DOC)
+        if transitions:
+            document["outputs"]["transitions"] = transitions
+        spec = parse_scenario(json.dumps(document))
+        eig_calls.clear()
+        with pytest.raises(ScenarioValidationError, match=r"^outputs\.transitions"):
+            run_perturbation(spec)
+        assert eig_calls == []
+
 
 class TestDocumentEcho:
     def test_document_is_json_compatible(self):
@@ -386,6 +417,21 @@ class TestColumnValidation:
         spec = parse_scenario(json.dumps(document))
         with pytest.raises(ScenarioValidationError, match=rf"^{path}: column .* already taken"):
             run_scenario(spec)
+
+    @pytest.mark.parametrize("label", ["a,b", 'say "b"', "line\nbreak", "cr\rhere", "crlf\r\n"])
+    def test_csv_breaking_label_rejected(self, label, tmp_path, eig_calls):
+        document = json.loads(SPIN_DOC)
+        document["observables"] = [{"name": "sigma_x"}, {"name": "sigma_z", "label": label}]
+        spec = parse_scenario(json.dumps(document))
+        eig_calls.clear()
+        message = rf"^observables\[1\]: column {re.escape(repr(label))} holds a comma, a quote or a line break"
+        with pytest.raises(ScenarioValidationError, match=message) as refused:
+            run_scenario(spec)
+        assert "\n" not in str(refused.value) and eig_calls == []
+        assert _cli_exit(document, "evolve", tmp_path) == 1
+        # perturb writes no labels
+        document["outputs"]["transitions"] = {"source": 0, "targets": [1]}
+        assert _cli_exit(document, "perturb", tmp_path) == 0
 
     def test_repeated_target_rejected_for_every_command(self, tmp_path):
         document = json.loads(RABI_DOC)
@@ -1367,10 +1413,8 @@ class TestCsvFormatting:
         cells[1::3] = rng.standard_normal(cells[1::3].size) * 10.0 ** rng.integers(-7, 18, cells[1::3].size)
         # random bit patterns: every exponent, subnormals, infinities and NaNs
         cells[2::3] = rng.integers(0, 2**64, cells[2::3].size, dtype=np.uint64).view(np.float64)
-        columns = [f"c{i}" for i in range(width)]
         handle = _RecordingHandle()
-        write_csv(handle, "evolution", columns, table)
-        assert handle.getvalue() == _value_by_value("evolution", columns, table)
+        assert _mismatched_cells(table, handle) == []
         lines_per_write = [block.count("\n") for block in handle.writes[1:]]
         block = CSV_BLOCK_CELLS // width  # 64 rows at width 64
         assert lines_per_write == [min(block, rows - start) for start in range(0, rows, block)]
