@@ -176,6 +176,8 @@ def _cmd_verify(args) -> int:
         raise _UsageError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
     if not dims or not all(2 <= d <= MAX_DIMENSION for d in dims):
         raise _UsageError(f"--dims must lie between 2 and MAX_DIMENSION = {MAX_DIMENSION}, got {args.dims!r}")
+    if len(set(dims)) != len(dims):
+        raise _UsageError(f"--dims must not repeat a dimension, got {args.dims!r}")
     if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale > 0.0):
         raise _UsageError(f"--tolerance-scale must be finite and positive, got {args.tolerance_scale}")
     report = run_invariant_suite(seed=args.seed, dims=dims, tolerance_scale=args.tolerance_scale)

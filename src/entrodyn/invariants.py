@@ -1,15 +1,29 @@
 """Seeded invariant suite: every structural identity the package relies on.
 
-Each check is a generator of (draw label, residual) pairs, such as
-``("dim=8 rep=3", r)``, over its own reproducible random stream
-``rng_for(seed, check index)``. The ``_check`` decorator, the suite's one
-reducer, keeps the worst draw and compares its residual against the check's
-base tolerance times the tolerance scale. Each check returns a
-``scenario.CheckResult``, whose ``line()`` is also what ``evolve`` prints for
-a failing summary check: a FAIL line names the draw, so the same seed and
-dims reproduce it. ``corrupt_evolution`` is a negative control for the suite
-itself: it injects a dephasing (non-unitary) map into the entropy-invariance
-check, which must then fail.
+Each check is a generator over its own reproducible random stream
+``rng_for(seed, check index)``. It yields (draw label, residual) pairs, such
+as ``("dim=8 rep=3", r)``, and it asks for spectra by yielding a list of
+matrices: ``spectra = yield [h, ...]`` receives the ``hermitian_eig``
+spectrum of each, in order, bit for bit. A check draws every input, over
+all dims, before its first request, so no solve moves its random stream,
+and it holds them until it ends. A second request serves what depends on
+the first, such as the spectrum of an evolved state.
+
+``_run`` drives a list of checks in rounds. Each round runs every check to
+its next request or its end; the round's matrices are then grouped by size,
+each size is solved with one ``stack_eig`` call, and each check is sent its
+spectra. A stack member has the bits of its lone solve, so a check's result
+does not depend on which checks run beside it. ``run_invariant_suite`` runs
+all checks at once, and a check called alone, ``check(rng, dims, scale)``,
+runs as a suite of one. A failed solve names the check whose matrix failed.
+``_run`` is also the suite's one reducer: it keeps each check's worst draw
+and compares its residual against the check's base tolerance times the
+tolerance scale. Each check's result is a ``scenario.CheckResult``, whose
+``line()`` is also what ``evolve`` prints for a failing summary check: a
+FAIL line names the draw, so the same seed and dims reproduce it.
+``corrupt_evolution`` is a negative control for the suite itself: it
+injects a dephasing (non-unitary) map into the entropy-invariance check,
+which must then fail.
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ from .dynamics import (
     transition_probability_exact,
     transition_probability_first_order,
 )
+from .errors import DomainError, NumericalError, ShapeError
 from .ensembles import (
     basis_residuals,
     factor_pure,
@@ -103,33 +118,91 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+class _Check:
+    """A check ``(rng, dims, scale, **options) -> CheckResult``: its generator of ``draws``, run by ``_run``
+    as a suite of one. ``options`` pass through to the generator."""
+
+    def __init__(self, name: str, tolerance: float, draws):
+        self.name, self.tolerance, self.draws = name, tolerance, draws
+        functools.update_wrapper(self, draws)
+
+    def __call__(self, rng, dims, scale, **options) -> CheckResult:
+        return _run([(self, self.draws(rng, dims, **options))], scale)[0]
+
+
 def _check(name: str, tolerance: float):
-    """Make a generator of (draw label, residual) pairs into a check ``(rng, dims, scale, **options)``.
+    """Make a generator of draws and requests (see the module docstring) into a check named ``name``,
+    whose tolerance is ``tolerance`` times the suite's tolerance scale."""
+    return lambda draws: _Check(name, tolerance, draws)
 
-    The suite's one reducer: the residual starts at 0.0 and is replaced only
-    by a strictly larger draw, so a tie keeps the first draw and -0.0 never
-    shows, or by the first NaN draw, which no later draw replaces and which
-    fails the check; ``worst`` is that draw's label, and the tolerance is
-    ``tolerance * scale``. ``options`` pass through to the generator.
+
+def _run(runs, scale: float) -> list:
+    """The CheckResult of each (check, draws) pair of ``runs``, their generators driven together.
+
+    In each round every generator runs to its next request or its end, and the round's requests are
+    solved by ``_solve_round`` and sent back. The residual starts at 0.0 and is replaced only by a strictly
+    larger draw, so a tie keeps the first draw and -0.0 never shows, or by the first NaN draw, which no
+    later draw replaces and which fails the check; ``worst`` is that draw's label, and the tolerance is
+    the check's tolerance times ``scale``.
     """
+    worst = [(0.0, None)] * len(runs)
+    replies = dict.fromkeys(range(len(runs)))  # run index -> the spectra to send it, None at its start
+    while replies:
+        requests = {}
+        for i, reply in replies.items():
+            draws = runs[i][1]
+            try:
+                item = next(draws) if reply is None else draws.send(reply)
+                while not isinstance(item, list):
+                    (label, value), residual = item, worst[i][0]
+                    if value > residual or (math.isnan(value) and not math.isnan(residual)):
+                        worst[i] = value, label
+                    item = next(draws)
+            except StopIteration:
+                continue
+            requests[i] = item
+        replies = _solve_round(requests, runs)
+    results = []
+    for (check, _), (residual, label) in zip(runs, worst):
+        residual, limit = float(residual), float(check.tolerance * scale)
+        results.append(CheckResult(check.name, residual, limit, residual <= limit, label))
+    return results
 
-    def decorate(draws):
-        @functools.wraps(draws)
-        def check(rng, dims, scale, **options) -> CheckResult:
-            residual, worst = 0.0, None
-            for label, value in draws(rng, dims, **options):
-                if value > residual or (math.isnan(value) and not math.isnan(residual)):
-                    residual, worst = value, label
-            residual, limit = float(residual), float(tolerance * scale)
-            return CheckResult(name, residual, limit, residual <= limit, worst)
 
-        return check
+def _solve_round(requests: dict, runs) -> dict:
+    """{run index: the ``hermitian_eig`` spectrum of each matrix of its request}, bit for bit, from one
+    ``stack_eig`` call per matrix size.
 
-    return decorate
+    A failed call solves its matrices one at a time, so the error names the check whose matrix failed
+    and that matrix's place in its request, not a member of the merged stack.
+    """
+    groups: dict = {}
+    for i, matrices in requests.items():
+        for j, m in enumerate(matrices):
+            groups.setdefault(np.shape(m), []).append((i, j, m))
+    spectra = {i: [None] * len(matrices) for i, matrices in requests.items()}
+    for members in groups.values():
+        try:
+            w, v = stack_eig(np.stack([m for _, _, m in members]))
+        except (DomainError, NumericalError, ShapeError):
+            for i, j, m in members:
+                try:
+                    hermitian_eig(m)
+                except (DomainError, NumericalError, ShapeError) as error:
+                    raise type(error)(f"check {runs[i][0].name}: requested matrix {j}: {error}") from error
+            raise
+        for (i, j, _), wk, vk in zip(members, w, v):
+            spectra[i][j] = EigenDecomposition(wk, vk)
+    return spectra
 
 
 def _complex_normal(rng, dim):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _reps(dims) -> list:
+    """(dim, rep) of each draw of a check that draws REPS times per dimension, in draw order."""
+    return [(dim, rep) for dim in dims for rep in range(REPS)]
 
 
 @_check("adjoint-involution", 0.0)
@@ -158,39 +231,33 @@ def _check_kron_trace(rng, dims):
         yield f"dim={dim}", abs(trace(kron(a, b)) - rhs) / max(abs(rhs), 1.0)
 
 
-def _spectra(matrices) -> list:
-    """The ``hermitian_eig`` spectrum of each of a list of same-size matrices, bit for bit, from one
-    ``stack_eig`` solve."""
-    return [EigenDecomposition(w, v) for w, v in zip(*stack_eig(np.stack(matrices)))]
-
-
 @_check("eig-reconstruction", 1e-10)
 def _check_eig_reconstruction(rng, dims):
-    for dim in dims:
-        hs = [random_hermitian(rng, dim) for _ in range(REPS)]
-        for rep, (h, (w, v)) in enumerate(zip(hs, _spectra(hs))):
-            yield f"dim={dim} rep={rep} reconstruction", frobenius((v * w) @ v.conj().T - h) / frobenius(h)
-            yield f"dim={dim} rep={rep} orthonormality", frobenius(v.conj().T @ v - identity(dim)) / dim
+    hs = [random_hermitian(rng, dim) for dim, _ in _reps(dims)]
+    spectra = yield hs
+    for (dim, rep), h, (w, v) in zip(_reps(dims), hs, spectra):
+        yield f"dim={dim} rep={rep} reconstruction", frobenius((v * w) @ v.conj().T - h) / frobenius(h)
+        yield f"dim={dim} rep={rep} orthonormality", frobenius(v.conj().T @ v - identity(dim)) / dim
 
 
 @_check("propagator-group-law", 1e-9)
 def _check_propagator_group(rng, dims):
-    for dim in dims:
-        spectrum = hermitian_eig(random_hermitian(rng, dim))
-        t, s = rng.uniform(-3.0, 3.0, size=2)
+    draws = [(random_hermitian(rng, dim), *rng.uniform(-3.0, 3.0, size=2)) for dim in dims]
+    spectra = yield [h for h, _, _ in draws]
+    for dim, (_, t, s), spectrum in zip(dims, draws, spectra):
         lhs = spectrum.propagator(t) @ spectrum.propagator(s)
         yield f"dim={dim}", frobenius(lhs - spectrum.propagator(t + s))
 
 
 @_check("expm-cross-oracle", 1e-9)
 def _check_expm_cross_oracle(rng, dims):
-    for dim in dims:
-        draws = []
-        for _ in range(REPS):
-            h = random_hermitian(rng, dim)
-            draws.append((h, float(rng.uniform(0.1, 10.0 / frobenius(h)))))
-        for rep, ((h, t), spectrum) in enumerate(zip(draws, _spectra([h for h, _ in draws]))):
-            yield f"dim={dim} rep={rep}", frobenius(spectrum.propagator(t) - expm_oracle(-1j * h * t))
+    draws = []
+    for dim, _ in _reps(dims):
+        h = random_hermitian(rng, dim)
+        draws.append((h, float(rng.uniform(0.1, 10.0 / frobenius(h)))))
+    spectra = yield [h for h, _ in draws]
+    for (dim, rep), (h, t), spectrum in zip(_reps(dims), draws, spectra):
+        yield f"dim={dim} rep={rep}", frobenius(spectrum.propagator(t) - expm_oracle(-1j * h * t))
 
 
 @_check("partial-trace-preservation", 1e-12)
@@ -247,80 +314,93 @@ def _check_factorization_roundtrip(rng, dims):
 
 @_check("pure-state-spectrum", 1e-10)
 def _check_pure_spectrum(rng, dims):
-    for dim in dims:
-        w = hermitian_eig(pure_density(random_pure_state(rng, dim))).eigenvalues
+    spectra = yield [pure_density(random_pure_state(rng, dim)) for dim in dims]
+    for dim, (w, _) in zip(dims, spectra):
         yield f"dim={dim} top eigenvalue", abs(w[-1] - 1.0)
         yield f"dim={dim} other eigenvalues", float(np.max(np.abs(w[:-1]), initial=0.0))
 
 
 @_check("entropy-invariance", 1e-9)
 def _check_entropy_invariance(rng, dims, corrupt=False):
+    blocks = []  # REPS (rho, h, t) draws per dim
     for dim in dims:
-        draws = []
+        block = []
         for _ in range(REPS):
             rho = random_density_matrix(rng, dim)
             h = random_hermitian(rng, dim)
-            draws.append((rho, h, float(rng.uniform(0.0, 10.0))))
+            block.append((rho, h, float(rng.uniform(0.0, 10.0))))
+        blocks.append(block)
+    spectra = iter((yield [h for block in blocks for _, h, _ in block]))
+    for dim, block in zip(dims, blocks):
         states = []
-        for (rho, _, t), spectrum in zip(draws, _spectra([h for _, h, _ in draws])):
-            rho_t = evolve_density(rho, spectrum, t)
+        for rho, _, t in block:
+            rho_t = evolve_density(rho, next(spectra), t)
             if corrupt:
                 # dephasing mix: trace-preserving but not unitary
                 rho_t = 0.9 * rho_t + 0.1 * np.diag(np.diagonal(rho_t))
             states.append(rho_t)
-        entropies = von_neumann_entropy(np.stack(states + [rho for rho, _, _ in draws]))
+        entropies = von_neumann_entropy(np.stack(states + [rho for rho, _, _ in block]))
         for rep in range(REPS):
             yield f"dim={dim} rep={rep}", abs(entropies[rep] - entropies[REPS + rep])
 
 
-def _evolved_draw(rng, dim):
-    return evolve_density(random_density_matrix(rng, dim), random_hermitian(rng, dim), float(rng.uniform(0, 10)))
+def _evolved_draws(rng, dims):
+    """rho(t) = U rho U† of a drawn (rho, H, t) for each dim, H's spectrum requested; use with ``yield from``."""
+    draws = [(random_density_matrix(rng, dim), random_hermitian(rng, dim), float(rng.uniform(0, 10))) for dim in dims]
+    spectra = yield [h for _, h, _ in draws]
+    return [evolve_density(rho, spectrum, t) for (rho, _, t), spectrum in zip(draws, spectra)]
 
 
 @_check("evolution-trace-hermiticity", 1e-10)
 def _check_evolution_trace_hermiticity(rng, dims):
-    for dim in dims:
-        rho_t = _evolved_draw(rng, dim)
+    states = yield from _evolved_draws(rng, dims)
+    for dim, rho_t in zip(dims, states):
         yield f"dim={dim} trace", abs(complex(np.trace(rho_t)) - 1.0)
         yield f"dim={dim} hermiticity", frobenius(rho_t - rho_t.conj().T)
 
 
 @_check("evolution-positivity", 1e-9)
 def _check_evolution_positivity(rng, dims):
-    for dim in dims:
-        yield f"dim={dim}", -float(hermitian_eig(_evolved_draw(rng, dim)).eigenvalues[0])
+    states = yield from _evolved_draws(rng, dims)
+    spectra = yield states
+    for dim, (w, _) in zip(dims, spectra):
+        yield f"dim={dim}", -float(w[0])
 
 
 @_check("picture-equivalence", 1e-9)
 def _check_picture_equivalence(rng, dims):
-    for dim in dims:
-        draws = []
-        for _ in range(REPS):
-            x0 = random_hermitian(rng, dim)
-            rho0 = random_density_matrix(rng, dim)
-            h = random_hermitian(rng, dim)
-            draws.append((x0, rho0, h, float(rng.uniform(0, 5))))
-        for rep, ((x0, rho0, _, t), spectrum) in enumerate(zip(draws, _spectra([d[2] for d in draws]))):
-            a, b = picture_equivalence(x0, rho0, spectrum, t)
-            yield f"dim={dim} rep={rep}", abs(a - b) / max(abs(a), 1.0)
+    draws = []
+    for dim, _ in _reps(dims):
+        x0 = random_hermitian(rng, dim)
+        rho0 = random_density_matrix(rng, dim)
+        h = random_hermitian(rng, dim)
+        draws.append((x0, rho0, h, float(rng.uniform(0, 5))))
+    spectra = yield [h for _, _, h, _ in draws]
+    for (dim, rep), (x0, rho0, _, t), spectrum in zip(_reps(dims), draws, spectra):
+        a, b = picture_equivalence(x0, rho0, spectrum, t)
+        yield f"dim={dim} rep={rep}", abs(a - b) / max(abs(a), 1.0)
 
 
 @_check("spectrum-preservation", 1e-9)
 def _check_spectrum_preservation(rng, dims):
-    for dim in dims:
-        x0 = random_hermitian(rng, dim)
-        xt = heisenberg_observable(x0, random_hermitian(rng, dim), float(rng.uniform(0, 10)))
-        yield f"dim={dim}", float(np.max(np.abs(hermitian_eig(x0).eigenvalues - hermitian_eig(xt).eigenvalues)))
+    draws = [(random_hermitian(rng, dim), random_hermitian(rng, dim), float(rng.uniform(0, 10))) for dim in dims]
+    spectra = yield [x0 for x0, _, _ in draws] + [h for _, h, _ in draws]
+    x0_spectra, h_spectra = spectra[: len(dims)], spectra[len(dims) :]
+    xt_spectra = yield [heisenberg_observable(x0, spectrum, t) for (x0, _, t), spectrum in zip(draws, h_spectra)]
+    for dim, x0_spectrum, xt_spectrum in zip(dims, x0_spectra, xt_spectra):
+        yield f"dim={dim}", float(np.max(np.abs(x0_spectrum.eigenvalues - xt_spectrum.eigenvalues)))
 
 
 @_check("ehrenfest-central-difference", 0.8)
 def _check_ehrenfest(rng, dims):
+    draws = []
     for dim in dims:
         h = random_hermitian(rng, dim)
-        spectrum = hermitian_eig(h)
         x0 = random_hermitian(rng, dim)
         rho0 = random_density_matrix(rng, dim)
-        t = float(rng.uniform(0.2, 1.0))
+        draws.append((h, x0, rho0, float(rng.uniform(0.2, 1.0))))
+    spectra = yield [h for h, _, _, _ in draws]
+    for dim, (h, x0, rho0, t), spectrum in zip(dims, draws, spectra):
 
         def value(tt):
             return expectation(heisenberg_observable(x0, spectrum, tt), rho0)
@@ -335,10 +415,9 @@ def _check_ehrenfest(rng, dims):
 
 @_check("transition-normalization", 1e-9)
 def _check_transition_normalization(rng, dims):
-    for dim in dims:
-        basis = random_orthonormal_basis(rng, dim)
-        spectrum = hermitian_eig(random_hermitian(rng, dim))
-        t = float(rng.uniform(0, 5))
+    draws = [(random_orthonormal_basis(rng, dim), random_hermitian(rng, dim), float(rng.uniform(0, 5))) for dim in dims]
+    spectra = yield [h for _, h, _ in draws]
+    for dim, (basis, _, t), spectrum in zip(dims, draws, spectra):
         total = sum(transition_probability_exact(basis, 0, k, spectrum, t) for k in range(dim))
         yield f"dim={dim}", abs(total - 1.0)
 
@@ -346,13 +425,14 @@ def _check_transition_normalization(rng, dims):
 @_check("first-order-scaling", 0.2)
 def _check_first_order_scaling(rng, dims):
     # fixed dims: the scaling statement needs dim >= 3 to be nontrivial
-    for dim in (4, 6, 8):
-        hp = random_real_symmetric(rng, dim)
+    fixed = (4, 6, 8)
+    hps = [random_real_symmetric(rng, dim) for dim in fixed]
+    spectra = yield hps
+    for dim, hp, spectrum in zip(fixed, hps, spectra):
         basis = np.eye(dim, dtype=complex)
         off = np.abs(hp - np.diag(np.diagonal(hp)))
         k, j = np.unravel_index(int(np.argmax(off)), off.shape)
         norm = frobenius(hp)
-        spectrum = hermitian_eig(hp)
         times = [1e-3 / norm, 1e-2 / norm, 1e-1 / norm]
         errors = [
             abs(
@@ -411,8 +491,10 @@ def _check_composite_isolation(rng, dims):
         rho_a = random_density_matrix(rng, 2)
         rho_b = random_density_matrix(rng, 2)
         draws.append((system, rho_a, rho_b, float(rng.uniform(0, 8))))
-    joint_spectra = _spectra([composite_hamiltonian(system) for system, *_ in draws])
-    local_spectra = _spectra([h for system, *_ in draws for h in (system.h1, system.h2)])
+    spectra = yield [composite_hamiltonian(system) for system, *_ in draws] + [
+        h for system, *_ in draws for h in (system.h1, system.h2)
+    ]
+    joint_spectra, local_spectra = spectra[:REPS], spectra[REPS:]
     for rep, ((_, rho_a, rho_b, t), joint_spectrum) in enumerate(zip(draws, joint_spectra)):
         h1, h2 = local_spectra[2 * rep : 2 * rep + 2]
         # the factors are random_density_matrix draws and their unitary evolutions: PSD by construction
@@ -425,7 +507,7 @@ def _check_composite_isolation(rng, dims):
 def _check_composite_entanglement(rng, dims):
     # fixed demonstration: splittings 1, coupling 0.3, initial alpha x alpha
     system = coupled_spin_pair(1.0, 1.0, 0.3)
-    spectrum = hermitian_eig(composite_hamiltonian(system))
+    (spectrum,) = yield [composite_hamiltonian(system)]
     rho0 = pure_density(np.kron([1.0, 0.0], [1.0, 0.0]).astype(complex))
     times = np.linspace(0.0, 20.0, 81)
     u = spectrum.propagator(times)
@@ -474,29 +556,29 @@ def run_invariant_suite(
     *,
     corrupt_evolution: bool = False,
 ) -> SuiteReport:
-    """Run every invariant check with reproducible randomness.
+    """Run every invariant check with reproducible randomness, all of them together by ``_run``.
 
     ``tolerance_scale`` multiplies every tolerance (useful when hunting for
     margins) and must be finite and positive; each dimension in ``dims`` lies
-    between 2 and the scenario layer's MAX_DIMENSION. ``corrupt_evolution``
-    injects a non-unitary map into the entropy-invariance check as a negative
-    control; the suite must then fail.
+    between 2 and the scenario layer's MAX_DIMENSION, and none is repeated, so
+    each draw's label names it alone. ``corrupt_evolution`` injects a
+    non-unitary map into the entropy-invariance check as a negative control;
+    the suite must then fail.
     """
     dims = tuple(int(d) for d in dims)
     if not dims or not all(2 <= d <= MAX_DIMENSION for d in dims):
         raise ValueError(f"dims must lie between 2 and MAX_DIMENSION = {MAX_DIMENSION}, got {dims}")
+    if len(set(dims)) != len(dims):
+        raise ValueError(f"dims must not repeat a dimension, got {dims}")
     if not (math.isfinite(tolerance_scale) and tolerance_scale > 0.0):
         raise ValueError(f"tolerance_scale must be finite and positive, got {tolerance_scale}")
-    results = []
+    runs = []
     for index, check in enumerate(_CHECKS):
-        rng = rng_for(seed, index)
-        if check is _check_entropy_invariance:
-            results.append(check(rng, dims, tolerance_scale, corrupt=corrupt_evolution))
-        else:
-            results.append(check(rng, dims, tolerance_scale))
+        options = {"corrupt": corrupt_evolution} if check is _check_entropy_invariance else {}
+        runs.append((check, check.draws(rng_for(seed, index), dims, **options)))
     return SuiteReport(
         seed=int(seed),
         dims=dims,
         tolerance_scale=float(tolerance_scale),
-        results=tuple(results),
+        results=tuple(_run(runs, tolerance_scale)),
     )

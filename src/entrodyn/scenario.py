@@ -324,7 +324,9 @@ class SystemKind:
 
     fields: tuple  # Field per parameter, in document order
     dimension: int | str  # a fixed dimension, or the field whose value (a count or a matrix) sets it
-    hamiltonian: Callable  # system section -> H in the site basis; an error's message starts with its field
+    # (system section, bases) -> H in the site basis, where bases(name) is the resolution's named Basis;
+    # an error's message starts with its field
+    hamiltonian: Callable
     bases: dict = field(default_factory=dict)  # named bases besides "site": name -> (system section -> Basis)
     levels: tuple = ()  # names of the site states in 'pop_*' headers; their indices when empty
     eigenbasis: str | None = None  # the basis of ``bases`` that diagonalises H, the seed of H's solve; None: cold
@@ -345,26 +347,26 @@ SYSTEM_KINDS = {
     "spin-half": SystemKind(
         fields=(Field("delta", _number), Field("omega", _number, 0.0)),
         dimension=2,
-        hamiltonian=lambda p: spin_hamiltonian(SpinHalfSystem(delta=p["delta"], coupling=p["omega"])),
+        hamiltonian=lambda p, bases: spin_hamiltonian(SpinHalfSystem(delta=p["delta"], coupling=p["omega"])),
         levels=("alpha", "beta"),
     ),
     "lattice": SystemKind(
         fields=(Field("sites", _integer), Field("length", _number), Field("mass", _number)),
         dimension="sites",
-        hamiltonian=lambda p: lattice_hamiltonian(_lattice(p)),
+        hamiltonian=lambda p, bases: lattice_hamiltonian(_lattice(p), bases("momentum").kets),
         bases={"momentum": _momentum_basis},
         eigenbasis="momentum",  # H is diagonal in the plane waves
     ),
     "composite": SystemKind(
         fields=(Field("delta_a", _number), Field("delta_b", _number), Field("g", _number, 0.0)),
         dimension=4,
-        hamiltonian=lambda p: composite_hamiltonian(coupled_spin_pair(p["delta_a"], p["delta_b"], p["g"])),
+        hamiltonian=lambda p, bases: composite_hamiltonian(coupled_spin_pair(p["delta_a"], p["delta_b"], p["g"])),
         factors=(2, 2),
     ),
     "explicit-matrices": SystemKind(
         fields=(Field("hamiltonian", _complex_matrix),),
         dimension="hamiltonian",
-        hamiltonian=lambda p: require_hermitian(_complex_array(p["hamiltonian"]), what="hamiltonian"),
+        hamiltonian=lambda p, bases: require_hermitian(_complex_array(p["hamiltonian"]), what="hamiltonian"),
     ),
 }
 
@@ -706,11 +708,11 @@ def resolve_scenario(spec: dict) -> ResolvedScenario:
     system, outputs = spec["system"], spec["outputs"]
     row = SYSTEM_KINDS[system["kind"]]
     dim = _dimension(system)
+    built: dict = {}
     try:
-        h = row.hamiltonian(system)
+        h = row.hamiltonian(system, lambda name: _named_basis(system, name, dim, "", built))
     except (DomainError, ShapeError) as exc:
         raise ScenarioValidationError(f"system.{exc}") from exc
-    built: dict = {}
     rho0, kets, weights = _resolve_initial(spec, dim, built)
     observables = _resolve_observables(spec, dim, h, built)  # checked whether or not they are written
     table = (("outputs.entropy", ("entropy",), "entropy", None),) if outputs["entropy"] else ()

@@ -117,13 +117,15 @@ def lattice_momentum_basis(system: LatticeFreeParticle) -> np.ndarray:
     return np.exp(1j * np.outer(p, x)) / math.sqrt(n)
 
 
-def lattice_hamiltonian(system: LatticeFreeParticle) -> np.ndarray:
+def lattice_hamiltonian(system: LatticeFreeParticle, basis: np.ndarray | None = None) -> np.ndarray:
     """Kinetic energy p^2 / 2m, expressed in the site basis.
 
     Diagonal in the momentum basis by construction: each plane-wave row is an
-    exact eigenvector with eigenvalue p_k^2 / 2m.
+    exact eigenvector with eigenvalue p_k^2 / 2m. ``basis`` is the system's
+    ``lattice_momentum_basis`` when the caller already holds it; it is built
+    here when not given.
     """
-    b = lattice_momentum_basis(system)
+    b = lattice_momentum_basis(system) if basis is None else basis
     energies = lattice_momenta(system) ** 2 / (2.0 * system.mass)
     h = (b.T * energies) @ b.conj()
     # halving each term first keeps a diagonal near the float64 limit from overflowing, with the same bits

@@ -16,6 +16,7 @@ import pytest
 from entrodyn.cli import RABI_COLUMNS, main
 from entrodyn import cli, ensembles, invariants, linalg, scenario, systems
 from entrodyn.ensembles import spectrum_entropy
+from entrodyn.errors import DomainError
 from entrodyn.invariants import run_invariant_suite
 from entrodyn.linalg import hermitian_eig
 from entrodyn.sampling import DEFAULT_SEED, random_hermitian, rng_for
@@ -65,6 +66,13 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "--dims" in err and "MAX_DIMENSION" in err
+
+    @pytest.mark.parametrize("dims", ["4,4", "2,8,2", "4, 4"])
+    def test_repeated_dims_rejected(self, dims, capsys):
+        # two draws would share one label, so a FAIL line's worst draw would name no single draw
+        code, out, err = run_cli(["verify", "--dims", dims], capsys)
+        assert (code, out) == (2, "")
+        assert "--dims" in err and "repeat" in err
 
     @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
     def test_meaningless_tolerance_scale_rejected(self, scale, capsys):
@@ -139,7 +147,17 @@ class TestInvariantSuite:
         run_invariant_suite(1, (2, 4, 8))
         assert flags and not any(flags)
         stacks = [size for size in solves if size > 1]
-        assert (solves.count(1), len(stacks), sum(stacks)) == (52, 22, 306)
+        assert (solves.count(1), len(stacks), sum(stacks)) == (19, 14, 339)
+        assert sum(solves) == 358
+
+    def test_checks_solve_once_per_size_per_round(self, monkeypatch):
+        # the checks' own solves: round one stacks every first request by size (11 checks draw 32 matrices
+        # of each of the dims, first-order-scaling one of sizes 4, 6 and 8, the composites twelve of size 2
+        # and seven of size 4), round two the evolved states of evolution-positivity and spectrum-preservation
+        calls, original = [], invariants.stack_eig
+        monkeypatch.setattr(invariants, "stack_eig", lambda stack: calls.append(stack.shape[:2]) or original(stack))
+        run_invariant_suite(1, (2, 4, 8))
+        assert calls == [(44, 2), (40, 4), (33, 8), (1, 6), (2, 2), (2, 4), (2, 8)]
 
     def test_verdicts_stable_across_seeds(self):
         verdicts = set()
@@ -152,6 +170,22 @@ class TestInvariantSuite:
     def test_meaningless_tolerance_scale_raises(self, scale):
         with pytest.raises(ValueError, match="tolerance_scale"):
             run_invariant_suite(dims=(2,), tolerance_scale=scale)
+
+    @pytest.mark.parametrize("dims", [(4, 4), (2, 8, 2)])
+    def test_repeated_dims_raise(self, dims):
+        with pytest.raises(ValueError, match="repeat"):
+            run_invariant_suite(dims=dims)
+
+    def test_merged_solve_error_names_the_failing_check(self):
+        # the stub's non-Hermitian matrix is member 7 of the merged 4 x 4 stack, after eig-reconstruction's six
+        @invariants._check("stub", 1.0)
+        def stub(rng, dims):
+            yield [random_hermitian(rng, 4), np.triu(np.ones((4, 4)))]
+
+        real = invariants._check_eig_reconstruction
+        runs = [(real, real.draws(rng_for(1, 3), (2, 4))), (stub, stub.draws(rng_for(1), ()))]
+        with pytest.raises(DomainError, match=r"^check stub: requested matrix 1: eigensolver input is not Hermitian"):
+            invariants._run(runs, 1.0)
 
     def test_dims_above_max_dimension_raise(self):
         with pytest.raises(ValueError, match="MAX_DIMENSION"):
@@ -175,8 +209,21 @@ class TestInvariantSuite:
 
     @pytest.mark.parametrize("index", range(len(invariants._CHECKS)))
     def test_draw_labels_are_distinct(self, index):
-        draws = invariants._CHECKS[index].__wrapped__(rng_for(DEFAULT_SEED, index), (2, 3, 4, 8))
-        labels = [label for label, _ in draws]
+        check, dims, labels = invariants._CHECKS[index], (2, 3, 4, 8), []
+
+        def noted(draws):
+            # the check's draws and requests, passed through as _run takes them, each label noted
+            try:
+                item = next(draws)
+                while True:
+                    if not isinstance(item, list):
+                        labels.append(item[0])
+                    item = draws.send((yield item))
+            except StopIteration:
+                pass
+
+        (result,) = invariants._run([(check, noted(check.draws(rng_for(DEFAULT_SEED, index), dims)))], 1.0)
+        assert result == check(rng_for(DEFAULT_SEED, index), dims, 1.0)
         assert labels and len(set(labels)) == len(labels)
 
     def test_fail_line_names_the_draw(self):
@@ -274,13 +321,13 @@ class TestEvolveCommand:
         assert code == 0 and len(resolutions) == 1
 
     def test_lattice_run_builds_its_momentum_basis_once(self, capsys, monkeypatch):
-        # lattice_hamiltonian builds its own; the resolution builds one more, which the initial state, the
-        # momentum populations and the seed of H's solve share
+        # the resolution builds one, which H, the initial state, the momentum populations and the seed of
+        # H's solve share
         calls = []
         original = systems.lattice_momentum_basis
         _rebind(monkeypatch, original, lambda system: calls.append(system) or original(system))
         code, _, _ = run_cli(["evolve", str(SCENARIOS / "lattice_momentum.json")], capsys)
-        assert code == 0 and len(calls) == 2
+        assert code == 0 and len(calls) == 1
 
     def test_block_diagonal_hamiltonian_matches_an_eigh_oracle(self, capsys, tmp_path):
         h, weights, document = _block_diagonal_document()

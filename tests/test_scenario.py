@@ -26,6 +26,7 @@ from entrodyn.dynamics import evolve_density
 from entrodyn.ensembles import spectrum_entropy, von_neumann_entropy
 from entrodyn.errors import NumericalError
 from entrodyn.linalg import hermitian_eig, partial_trace
+from entrodyn.systems import LatticeFreeParticle, lattice_hamiltonian
 from entrodyn.scenario import (
     MAX_DIMENSION,
     EvolutionReport,
@@ -240,6 +241,17 @@ class TestRunScenario:
         for j in range(1, len(report.columns)):
             assert np.ptp(report.table[:, j]) <= 1e-9
         assert report.passed
+
+    @pytest.mark.parametrize("sites, length, mass", [(8, 2 * math.pi, 1.0), (5, 1.0, 0.3), (64, 1.0, 1.0)])
+    def test_lattice_hamiltonian_keeps_its_bits(self, sites, length, mass):
+        # the resolution builds H from the momentum basis it holds for the rest of the run
+        document = {
+            "system": {"kind": "lattice", "sites": sites, "length": length, "mass": mass},
+            "initial": {"state": "momentum", "index": 1},
+            "time": {"start": 0.0, "stop": 1.0, "points": 2},
+        }
+        h = resolve_scenario(parse_scenario(json.dumps(document))).hamiltonian
+        assert h.tobytes() == lattice_hamiltonian(LatticeFreeParticle(sites, length, mass)).tobytes()
 
     def test_single_point_grid(self):
         document = json.loads(SPIN_DOC)
