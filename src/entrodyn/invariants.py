@@ -7,7 +7,10 @@ matrices: ``spectra = yield [h, ...]`` receives the ``hermitian_eig``
 spectrum of each, in order, bit for bit. A check draws every input, over
 all dims, before its first request, so no solve moves its random stream,
 and it holds them until it ends. A second request serves what depends on
-the first, such as the spectrum of an evolved state.
+the first, such as the spectrum of an evolved state. Every spectrum a check
+uses is requested: its entropies' density spectra through ``_entropies``
+and the Rabi checks' spin Hamiltonians too, so the suite solves nothing
+outside its rounds.
 
 ``_run`` drives a list of checks in rounds. Each round runs every check to
 its next request or its end; the round's matrices are then grouped by size,
@@ -45,12 +48,13 @@ from .dynamics import (
 )
 from .errors import DomainError, NumericalError, ShapeError
 from .ensembles import (
+    _densities,
     basis_residuals,
     factor_pure,
     mixture_density,
     pure_density,
     shannon_entropy,
-    von_neumann_entropy,
+    spectrum_entropy,
 )
 from .linalg import (
     EigenDecomposition,
@@ -79,11 +83,12 @@ from .scenario import MAX_DIMENSION, CheckResult
 from .systems import (
     LatticeFreeParticle,
     SpinHalfSystem,
+    alpha_populations,
     composite_hamiltonian,
     coupled_spin_pair,
     lattice_hamiltonian,
     lattice_momentum_basis,
-    rabi_populations,
+    spin_hamiltonian,
 )
 
 DEFAULT_DIMS = (2, 4, 8)
@@ -254,7 +259,9 @@ def _check_expm_cross_oracle(rng, dims):
     draws = []
     for dim, _ in _reps(dims):
         h = random_hermitian(rng, dim)
-        draws.append((h, float(rng.uniform(0.1, 10.0 / frobenius(h)))))
+        # t ||h||_F at most 10, and t at least 0.1 where that allows it (||h||_F passes 100 near dim 100)
+        high = 10.0 / frobenius(h)
+        draws.append((h, float(rng.uniform(min(0.1, high), high))))
     spectra = yield [h for h, _ in draws]
     for (dim, rep), (h, t), spectrum in zip(_reps(dims), draws, spectra):
         yield f"dim={dim} rep={rep}", frobenius(spectrum.propagator(t) - expm_oracle(-1j * h * t))
@@ -280,27 +287,38 @@ def _check_entropy_bounds(rng, dims):
         yield f"dim={dim} pure", shannon_entropy(np.eye(dim)[0])
 
 
+def _entropies(groups):
+    """The von Neumann entropy of each member of each (T, n, n) density stack of ``groups``, with the bits of
+    ``von_neumann_entropy(group)``: each group is validated as it validates one, every member's spectrum is
+    requested, and each group's spectra give its entropies. Use with ``yield from``."""
+    groups = [_densities(np.asarray(group, dtype=np.complex128), " (stack member {})") for group in groups]
+    spectra = iter((yield [rho for group in groups for rho in group]))
+    return [spectrum_entropy(np.array([next(spectra).eigenvalues for _ in group])) for group in groups]
+
+
 @_check("mixture-spectrum-entropy", 1e-9)
 def _check_mixture_spectrum(rng, dims):
+    blocks = []  # REPS (rho, weights) draws per dim
     for dim in dims:
-        draws = []
+        block = []
         for _ in range(REPS):
             basis = random_orthonormal_basis(rng, dim)
             weights = random_probability_vector(rng, dim)
-            draws.append((mixture_density(basis, weights), weights))
-        entropies = von_neumann_entropy(np.stack([rho for rho, _ in draws]))
-        for rep, ((_, weights), entropy) in enumerate(zip(draws, entropies)):
+            block.append((mixture_density(basis, weights), weights))
+        blocks.append(block)
+    entropies = yield from _entropies([[rho for rho, _ in block] for block in blocks])
+    for dim, block, block_entropies in zip(dims, blocks, entropies):
+        for rep, ((_, weights), entropy) in enumerate(zip(block, block_entropies)):
             yield f"dim={dim} rep={rep}", abs(entropy - shannon_entropy(weights))
 
 
 @_check("entropy-additivity", 1e-9)
 def _check_entropy_additivity(rng, dims):
-    for dim in dims:
-        rho_a = random_density_matrix(rng, 2)
-        rho_b = random_density_matrix(rng, dim)
-        # each factor's solve refuses an eigenvalue below EIGENVALUE_CLAMP, so the product is a density matrix
-        split = von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b)
-        yield f"dim={dim}", abs(von_neumann_entropy(kron(rho_a, rho_b)) - split)
+    draws = [(random_density_matrix(rng, 2), random_density_matrix(rng, dim)) for dim in dims]
+    # spectrum_entropy refuses an eigenvalue below EIGENVALUE_CLAMP, each factor's and the product's alike
+    entropies = yield from _entropies([[m] for rho_a, rho_b in draws for m in (rho_a, rho_b, kron(rho_a, rho_b))])
+    for dim, (s_a, s_b, s_ab) in zip(dims, np.reshape(entropies, (len(dims), 3))):
+        yield f"dim={dim}", abs(s_ab - (s_a + s_b))
 
 
 @_check("factorization-roundtrip", 1e-12)
@@ -331,7 +349,8 @@ def _check_entropy_invariance(rng, dims, corrupt=False):
             block.append((rho, h, float(rng.uniform(0.0, 10.0))))
         blocks.append(block)
     spectra = iter((yield [h for block in blocks for _, h, _ in block]))
-    for dim, block in zip(dims, blocks):
+    groups = []  # per dim: its REPS evolved states, then its REPS initial ones
+    for block in blocks:
         states = []
         for rho, _, t in block:
             rho_t = evolve_density(rho, next(spectra), t)
@@ -339,7 +358,8 @@ def _check_entropy_invariance(rng, dims, corrupt=False):
                 # dephasing mix: trace-preserving but not unitary
                 rho_t = 0.9 * rho_t + 0.1 * np.diag(np.diagonal(rho_t))
             states.append(rho_t)
-        entropies = von_neumann_entropy(np.stack(states + [rho for rho, _, _ in block]))
+        groups.append(states + [rho for rho, _, _ in block])
+    for dim, entropies in zip(dims, (yield from _entropies(groups))):
         for rep in range(REPS):
             yield f"dim={dim} rep={rep}", abs(entropies[rep] - entropies[REPS + rep])
 
@@ -448,19 +468,24 @@ def _check_first_order_scaling(rng, dims):
 
 @_check("rabi-population-sum", 1e-12)
 def _check_rabi_population_sum(rng, dims):
-    for rep in range(REPS):
+    draws = []
+    for _ in range(REPS):
         system = SpinHalfSystem(delta=float(rng.uniform(-4, 4)), coupling=float(rng.uniform(-4, 4)))
-        pa, pb = rabi_populations(system, float(rng.uniform(0, 20)))
+        draws.append((system, float(rng.uniform(0, 20))))
+    spectra = yield [spin_hamiltonian(system) for system, _ in draws]
+    for rep, ((_, t), spectrum) in enumerate(zip(draws, spectra)):
+        pa, pb = alpha_populations(spectrum, t)
         yield f"rep={rep}", abs(pa + pb - 1.0)
 
 
 @_check("rabi-closed-form", 1e-9)
 def _check_rabi_closed_form(rng, dims):
-    for delta, omega in ((0.0, 1.0), (1.0, 1.0), (3.0, 4.0)):
-        system = SpinHalfSystem(delta=delta, coupling=omega)
+    cases = ((0.0, 1.0), (1.0, 1.0), (3.0, 4.0))
+    spectra = yield [spin_hamiltonian(SpinHalfSystem(delta=delta, coupling=omega)) for delta, omega in cases]
+    for (delta, omega), spectrum in zip(cases, spectra):
         e = math.sqrt(delta * delta + omega * omega)
         times = np.linspace(0.0, 20.0, 200)
-        for i, (t, pb) in enumerate(zip(times, rabi_populations(system, times)[1])):
+        for i, (t, pb) in enumerate(zip(times, alpha_populations(spectrum, times)[1])):
             closed = (omega * omega / (e * e)) * math.sin(e * t / 2.0) ** 2
             yield f"delta={delta:g} omega={omega:g} t[{i}]", abs(pb - closed)
 
@@ -512,9 +537,10 @@ def _check_composite_entanglement(rng, dims):
     times = np.linspace(0.0, 20.0, 81)
     u = spectrum.propagator(times)
     states = u @ rho0 @ u.conj().swapaxes(1, 2)
-    for t, entropy in zip(times, von_neumann_entropy(states)):
+    reduced = np.einsum("tikjk->tij", states.reshape(-1, 2, 2, 2, 2))
+    entropies, subsystem = yield from _entropies([states, reduced])
+    for t, entropy in zip(times, entropies):
         yield f"global entropy t={t:g}", abs(entropy)
-    subsystem = von_neumann_entropy(np.einsum("tikjk->tij", states.reshape(-1, 2, 2, 2, 2)))
     # shortfall below the 0.1-nat threshold counts against the check
     yield "peak subsystem entropy", 0.1 - max(0.0, *subsystem)
 

@@ -9,9 +9,9 @@ import numpy as np
 
 from .ensembles import as_density_matrix
 from .errors import DomainError, ShapeError
-from .linalg import as_matrix, hermitian_eig, identity, kron, require_hermitian
+from .linalg import EigenDecomposition, as_matrix, hermitian_eig, identity, kron, require_hermitian
 
-# Grid points per stacked propagator product in rabi_populations: a fixed
+# Grid points per stacked propagator product in alpha_populations: a fixed
 # block bounds its working set whatever the grid length.
 RABI_BLOCK_POINTS = 256
 
@@ -45,16 +45,23 @@ def spin_hamiltonian(system: SpinHalfSystem) -> np.ndarray:
 def rabi_populations(system: SpinHalfSystem, times) -> tuple[np.ndarray, np.ndarray]:
     """Populations (p_alpha, p_beta) over ``times`` for the initial state alpha = (1, 0).
 
-    Computed by exact evolution under the spin Hamiltonian, diagonalised once,
-    not from any closed form. The grid is evaluated RABI_BLOCK_POINTS points at
-    a time: ``EigenDecomposition.propagator`` gives the block's U(t) as one
-    stacked product, and U(t) alpha is column 0 of each. Each modulus is
-    Python's scalar ``abs``, squared, so a population has the bits of
-    ``abs(evolve_state(alpha, h, t)[k]) ** 2``; numpy's
-    vectorised complex ``abs`` rounds differently in the last bit. Both arrays
-    have the shape of ``times``; a non-finite w t raises DomainError.
+    Computed by exact evolution under the spin Hamiltonian, diagonalised once
+    here, not from any closed form: ``alpha_populations`` of its spectrum.
     """
-    spectrum = hermitian_eig(spin_hamiltonian(system))
+    return alpha_populations(hermitian_eig(spin_hamiltonian(system)), times)
+
+
+def alpha_populations(spectrum: EigenDecomposition, times) -> tuple[np.ndarray, np.ndarray]:
+    """Populations (p_alpha, p_beta) over ``times`` for alpha = (1, 0) evolved under a 2-level ``spectrum``.
+
+    The grid is evaluated RABI_BLOCK_POINTS points at a time:
+    ``EigenDecomposition.propagator`` gives the block's U(t) as one stacked
+    product, and U(t) alpha is column 0 of each. Each modulus is Python's
+    scalar ``abs``, squared, so a population has the bits of
+    ``abs(evolve_state(alpha, spectrum, t)[k]) ** 2``; numpy's vectorised
+    complex ``abs`` rounds differently in the last bit. Both arrays have the
+    shape of ``times``; a non-finite w t raises DomainError.
+    """
     flat = np.ravel(times)
     populations = np.empty((*np.shape(times), 2))
     cells = populations.reshape(-1)  # (p_alpha, p_beta) pairs in grid order

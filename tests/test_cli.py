@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the invariant suite."""
 
+import hashlib
 import json
 import math
 import os
@@ -30,6 +31,44 @@ from entrodyn.scenario import (
 from entrodyn.systems import SpinHalfSystem, spin_hamiltonian
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# (worst draw, residual by repr, sha256 prefix of every draw's label and residual and then of every entropy and
+# Rabi population it read, by repr) of the six checks whose entropies and populations were lone solves before
+# the suite stacked them, keyed by (seed, dims, corrupt_evolution), as those lone solves gave them
+_MOVED_CHECK_PINS = {
+    (1, (2, 4, 8), False): {
+        "mixture-spectrum-entropy": ("dim=2 rep=2", "4.440892098500626e-16", "589e774322112d56"),
+        "entropy-additivity": ("dim=2", "4.440892098500626e-16", "c5e00254c03d195c"),
+        "entropy-invariance": ("dim=8 rep=5", "2.4424906541753444e-15", "17a386e3307f2cb4"),
+        "rabi-population-sum": ("rep=1", "6.661338147750939e-16", "6ec632ebda57eb0b"),
+        "rabi-closed-form": ("delta=0 omega=1 t[141]", "2.1094237467877974e-15", "0e63a645e9ad91a9"),
+        "composite-entanglement": ("global entropy t=10.75", "9.186760925873516e-16", "4d761046b8097524"),
+    },
+    (1, (2, 4, 8), True): {
+        "mixture-spectrum-entropy": ("dim=2 rep=2", "4.440892098500626e-16", "589e774322112d56"),
+        "entropy-additivity": ("dim=2", "4.440892098500626e-16", "c5e00254c03d195c"),
+        "entropy-invariance": ("dim=2 rep=1", "0.16397747837814475", "9388a57d12ef3243"),
+        "rabi-population-sum": ("rep=1", "6.661338147750939e-16", "6ec632ebda57eb0b"),
+        "rabi-closed-form": ("delta=0 omega=1 t[141]", "2.1094237467877974e-15", "0e63a645e9ad91a9"),
+        "composite-entanglement": ("global entropy t=10.75", "9.186760925873516e-16", "4d761046b8097524"),
+    },
+    (7, (2, 3, 5, 8), False): {
+        "mixture-spectrum-entropy": ("dim=8 rep=2", "4.440892098500626e-16", "29cdaa1eaed12110"),
+        "entropy-additivity": ("dim=5", "8.881784197001252e-16", "6b860b5907bafeb3"),
+        "entropy-invariance": ("dim=8 rep=3", "1.1102230246251565e-15", "c9b98e90c11360df"),
+        "rabi-population-sum": ("rep=0", "4.440892098500626e-16", "4b4d0ba71e79f564"),
+        "rabi-closed-form": ("delta=0 omega=1 t[141]", "2.1094237467877974e-15", "0e63a645e9ad91a9"),
+        "composite-entanglement": ("global entropy t=10.75", "9.186760925873516e-16", "4d761046b8097524"),
+    },
+    (7, (2, 3, 5, 8), True): {
+        "mixture-spectrum-entropy": ("dim=8 rep=2", "4.440892098500626e-16", "29cdaa1eaed12110"),
+        "entropy-additivity": ("dim=5", "8.881784197001252e-16", "6b860b5907bafeb3"),
+        "entropy-invariance": ("dim=3 rep=1", "0.11450377074512286", "968f1fc36ca098f4"),
+        "rabi-population-sum": ("rep=0", "4.440892098500626e-16", "4b4d0ba71e79f564"),
+        "rabi-closed-form": ("delta=0 omega=1 t[141]", "2.1094237467877974e-15", "0e63a645e9ad91a9"),
+        "composite-entanglement": ("global entropy t=10.75", "9.186760925873516e-16", "4d761046b8097524"),
+    },
+}
 
 
 def run_cli(argv, capsys):
@@ -132,9 +171,9 @@ class TestInvariantSuite:
         assert (result.name, result.worst, result.residual) == ("entropy-invariance", worst, residual)
 
     def test_default_suite_makes_no_positivity_solve(self, monkeypatch):
-        # composites are kron products of draws that are PSD by construction, and each factor's entropy
-        # solve refuses an eigenvalue below EIGENVALUE_CLAMP; work counts are exact, so traffic shows here:
-        # every eigensolve, lone or stacked, entropy or not, is one linalg._solve of a stack
+        # composites are kron products of draws that are PSD by construction, and the entropy of each
+        # factor's spectrum refuses an eigenvalue below EIGENVALUE_CLAMP; work counts are exact, so traffic
+        # shows here: every eigensolve, lone or stacked, entropy or not, is one linalg._solve of a stack
         flags, solves = [], []
         original, solve = ensembles.as_density_matrix, linalg._solve
 
@@ -147,17 +186,75 @@ class TestInvariantSuite:
         run_invariant_suite(1, (2, 4, 8))
         assert flags and not any(flags)
         stacks = [size for size in solves if size > 1]
-        assert (solves.count(1), len(stacks), sum(stacks)) == (19, 14, 339)
+        assert (solves.count(1), len(stacks), sum(stacks)) == (2, 6, 356)
         assert sum(solves) == 358
 
     def test_checks_solve_once_per_size_per_round(self, monkeypatch):
-        # the checks' own solves: round one stacks every first request by size (11 checks draw 32 matrices
-        # of each of the dims, first-order-scaling one of sizes 4, 6 and 8, the composites twelve of size 2
-        # and seven of size 4), round two the evolved states of evolution-positivity and spectrum-preservation
+        # every solve of the suite: round one stacks every first request by size (11 checks draw 32 matrices
+        # of each of the dims, mixture-spectrum-entropy 6, entropy-additivity the factors 2 and dim and their
+        # product, first-order-scaling one of sizes 4, 6 and 8, the composites twelve of size 2 and seven of
+        # size 4, the Rabi checks nine spin Hamiltonians), round two the entropy-invariance states (12 per
+        # dim), the composite-entanglement states and their factors (81 each), and the evolved states of
+        # evolution-positivity and spectrum-preservation
         calls, original = [], invariants.stack_eig
         monkeypatch.setattr(invariants, "stack_eig", lambda stack: calls.append(stack.shape[:2]) or original(stack))
         run_invariant_suite(1, (2, 4, 8))
-        assert calls == [(44, 2), (40, 4), (33, 8), (1, 6), (2, 2), (2, 4), (2, 8)]
+        assert calls == [(63, 2), (48, 4), (41, 8), (1, 16), (1, 6), (95, 2), (95, 4), (14, 8)]
+
+    def test_suite_solves_only_through_its_rounds(self, monkeypatch):
+        # the entropies and the Rabi populations are spectra of the round stacks too, not lone solves
+        def refused(*args, **kwargs):
+            raise AssertionError("a solve outside the suite's rounds")
+
+        for lone in (ensembles.von_neumann_entropy, systems.rabi_populations, linalg.hermitian_eig):
+            _rebind(monkeypatch, lone, refused)
+        assert run_invariant_suite(1, (2, 4, 8)).passed
+
+    @pytest.mark.parametrize("seed, dims, corrupt", list(_MOVED_CHECK_PINS))
+    def test_round_stacked_entropies_and_populations_keep_their_bits(self, seed, dims, corrupt, monkeypatch):
+        # each check's draws, then each entropy and population it computed, so a one-bit change in any shows
+        draws, values, current = {}, {}, [None]
+        run, entropies, populations = invariants._run, invariants._entropies, invariants.alpha_populations
+
+        def noted(out):
+            values.setdefault(current[0], []).extend(repr(x) for part in out for x in np.ravel(part).tolist())
+            return out
+
+        def traced(name, checks):
+            # the check's draws and requests, passed through as _run takes them, each draw and value noted
+            seen = draws.setdefault(name, [])
+            try:
+                current[0] = name
+                item = next(checks)
+                while True:
+                    if not isinstance(item, list):
+                        seen.append(f"{item[0]} {float(item[1])!r}")
+                    reply = yield item
+                    current[0] = name
+                    item = checks.send(reply)
+            except StopIteration:
+                pass
+
+        def traced_run(runs, scale):
+            return run([(check, traced(check.name, checks)) for check, checks in runs], scale)
+
+        def noted_entropies(groups):
+            return noted((yield from entropies(groups)))
+
+        def digest(name):
+            return hashlib.sha256("\n".join(draws[name] + values[name]).encode()).hexdigest()[:16]
+
+        monkeypatch.setattr(invariants, "_run", traced_run)
+        monkeypatch.setattr(invariants, "_entropies", noted_entropies)
+        monkeypatch.setattr(invariants, "alpha_populations", lambda spectrum, t: noted(populations(spectrum, t)))
+        report = run_invariant_suite(seed, dims, 1e-6 if corrupt else 1.0, corrupt_evolution=corrupt)
+        pins = _MOVED_CHECK_PINS[seed, dims, corrupt]
+        assert {r.name: (r.worst, repr(r.residual), digest(r.name)) for r in report.results if r.name in pins} == pins
+
+    def test_expm_cross_oracle_draws_a_time_at_any_dimension(self):
+        # ||h||_F of a dim-100 draw passes 100, so 10 / ||h||_F lies below the 0.1 the time range starts at
+        result = invariants._check_expm_cross_oracle(rng_for(1, 5), (100,), 1.0)
+        assert result.passed
 
     def test_verdicts_stable_across_seeds(self):
         verdicts = set()
