@@ -16,10 +16,15 @@ digits in numpy, exactly, and prints them as integers:
   err. So (q - floor(q) - 1/2) + err has the sign of the exact fraction less
   a half, which rounds the value to 15 digits, and is 0 only at an exact
   decimal tie, which goes to even, as dtoa does.
-- Trailing zeros are stripped, and the cell is written by a template chosen
-  by (sign, e, significant digits), with the decimal point, a leading
-  ``0.000``, the zero-padded fraction width and the ``e-05`` built in, so
-  it takes one or two ``%d`` arguments.
+- The 15 digits stay a float64 integer x < 2**50, so integer work is float
+  work: fl(x / 10**k) is an integer exactly when 10**k divides x (its
+  rounding error is below a quarter of the 10**-k gap to one), and its
+  floor is x // 10**k. Trailing zeros are stripped that way, and the
+  significant digits are 15 less the zeros stripped.
+- The cell is written by a template chosen by (sign, e, significant
+  digits), with the decimal point, a leading ``0.000``, the zero-padded
+  fraction width and the ``e-05`` built in, so it takes one or two ``%d``
+  arguments.
 
 Zeros have templates too. A cell the kernel does not cover (NaN, ±inf,
 0 < |x| < 1e-8, |x| >= 1e15, or digits that carry to 16) is written by
@@ -44,8 +49,9 @@ CSV_BLOCK_CELLS = 4096
 # decimal exponents the kernel covers: 10**(CSV_DIGITS - 1 - e) is an exact float64
 _LOWEST, _HIGHEST = -8, CSV_DIGITS - 1
 _EXPONENTS = _HIGHEST - _LOWEST + 1
-_POW10 = np.array([10**k for k in range(CSV_DIGITS + 1)], dtype=np.int64)
+_TENS = np.array([float(10**k) for k in range(CSV_DIGITS + 1)])
 _SCALE = np.array([float(10**k) for k in range(_EXPONENTS)])
+_NEGATIVE = (_EXPONENTS + 1) * CSV_DIGITS * 2  # a negative cell's offset among the templates
 _SPLITTER = 2.0**27 + 1.0  # Veltkamp: a float64 splits into two 26-bit halves
 
 
@@ -60,8 +66,9 @@ _SCALE_HIGH, _SCALE_LOW = _split(_SCALE)
 
 @cache
 def _templates() -> np.ndarray:
-    """Cell templates indexed by [negative, e - _LOWEST, significant digits - 1, last column]; the
-    index after the last exponent holds the zeros. Each ends with "," or, in the last column, "\\n"."""
+    """Cell templates, flat in the order of an array indexed by [negative, e - _LOWEST, significant
+    digits - 1, last column]; the index after the last exponent holds the zeros. Each ends with ","
+    or, in the last column, "\\n"."""
     cells = []
     for sign in ("", "-"):
         for e in range(_LOWEST, _HIGHEST + 2):
@@ -74,7 +81,7 @@ def _templates() -> np.ndarray:
                 else:
                     text = "%d" + (f".%0{fraction}d" if fraction > 0 else "") + (f"e-{-e:02d}" if e < 0 else "")
                 cells += [sign + text + ",", sign + text + "\n"]
-    return np.array(cells, dtype=object).reshape(2, _EXPONENTS + 1, CSV_DIGITS, 2)
+    return np.array(cells, dtype=object)
 
 
 def _block_text(block: np.ndarray) -> str:
@@ -92,26 +99,30 @@ def _block_text(block: np.ndarray) -> str:
     q = np.where(covered, q, 1e14)
     floor = np.floor(q)
     above_half = (q - floor - 0.5) + err
-    whole = floor.astype(np.int64)
-    whole += (above_half > 0) | ((above_half == 0) & (whole & 1 == 1))
-    covered &= whole < 10**CSV_DIGITS  # no carry to 16 digits
-    stripped = whole
-    for zeros in (8, 4, 2, 1):  # at most 14 trailing zeros: strip 8, 4, 2 and 1 where they divide
-        quotient, remainder = np.divmod(stripped, _POW10[zeros])
-        stripped = np.where(remainder == 0, quotient, stripped)
-    digits = np.searchsorted(_POW10, stripped, side="right")  # significant digits
+    half = 0.5 * floor
+    whole = floor + ((above_half > 0) | ((above_half == 0) & (np.floor(half) != half)))  # a tie goes to even
+    covered &= whole < 1e15  # no carry to 16 digits
+    stripped, digits = whole, np.full(block.shape, CSV_DIGITS)
+    for zeros in (8, 4, 2, 1):  # at most 15 trailing zeros: strip 8, 4, 2 and 1 where they divide
+        quotient = stripped / _TENS[zeros]
+        divides = quotient == np.floor(quotient)
+        stripped = np.where(divides, quotient, stripped)
+        np.subtract(digits, zeros, out=digits, where=divides)
+    np.maximum(digits, 1, out=digits)  # 10**15 (a carry to 16 digits) strips 15 zeros: keep its slot in range
     fraction = np.maximum(digits - 1 - np.maximum(e, 0), 0)
     small = (e < 0) & (e >= -4)  # 0.000ddd: the stripped digits are the one argument
     arguments = np.empty(block.shape + (2,), dtype=np.int64)
-    arguments[..., 0] = np.where(small, stripped, whole // _POW10[_HIGHEST - np.maximum(e, 0)])
-    arguments[..., 1] = stripped % _POW10[fraction]
+    arguments[..., 0] = np.where(small, stripped, np.floor(whole / _TENS[_HIGHEST - np.maximum(e, 0)]))
+    tens = _TENS[fraction]
+    arguments[..., 1] = stripped - np.floor(stripped / tens) * tens  # np.fmod is ~30 times slower
     used = np.empty(arguments.shape, dtype=bool)
     used[..., 0] = covered
     used[..., 1] = covered & ~small & (fraction > 0)
     zero = block == 0
-    negative = np.signbit(block).view(np.uint8)  # an index, where a bool array would be a mask
-    last = (np.arange(block.shape[1]) == block.shape[1] - 1).view(np.uint8)
-    cells = _templates()[negative, np.where(zero, _EXPONENTS, e - _LOWEST), digits - 1, last].ravel()
+    last = np.arange(block.shape[1]) == block.shape[1] - 1
+    slot = (np.where(zero, _EXPONENTS, e - _LOWEST) * CSV_DIGITS + digits - 1) * 2 + last
+    slot += np.signbit(block) * _NEGATIVE
+    cells = _templates().take(slot.ravel())
     for index in np.flatnonzero(~(covered | zero)):
         cells[index] = "%.15g" % block.flat[index] + cells[index][-1]
     return "".join(cells.tolist()) % tuple(arguments[used].tolist())

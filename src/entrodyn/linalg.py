@@ -32,6 +32,13 @@ JACOBI_MAX_SWEEPS = 100
 SEED_UNITARITY_TOL = 1e-12
 # Taylor degree for the scaling-and-squaring exponential.
 TAYLOR_DEGREE = 12
+# The error model of scaling and squaring (Higham 2005) for an anti-Hermitian a, whose exp(a) = U is
+# unitary: the s squarings multiply the unitarity defect of the Taylor factor T(a 2^-s) by 2^s, which
+# is below 4 ||a||_F. That defect is at most 2 (1/2)^14 / 13! (about 177 u, u = 2^-53) of truncation at
+# ||a 2^-s||_F <= 1/2, plus a few u of rounding, taken as 8 u. So ||U†U - 1||_F <= EXPM_DEFECT_PER_NORM
+# * ||a||_F, and past EXPM_MAX_ANTI_HERMITIAN_NORM, where that bound reaches 1, no digit of U is left.
+EXPM_DEFECT_PER_NORM = 4 * (2 * 0.5 ** (TAYLOR_DEGREE + 2) / math.factorial(TAYLOR_DEGREE + 1) + 8 * 2.0**-53)
+EXPM_MAX_ANTI_HERMITIAN_NORM = 1 / EXPM_DEFECT_PER_NORM
 
 
 class EigenDecomposition(NamedTuple):
@@ -67,9 +74,11 @@ class EigenDecomposition(NamedTuple):
 
     def propagator(self, times) -> np.ndarray:
         """Unitary U(t) = exp(-i h t) = V diag(exp(-i w t)) V†: (n, n) for a scalar time,
-        a (T, n, n) stack for a grid of T times, each member the same product."""
+        a (T, n, n) stack for a grid of T times. The T products are one GEMM, the (T n, n) rows
+        of V diag(exp(-i w t)) times V†, and each member has the bits of its time's lone product."""
         v = self.eigenvectors
-        u = (v * self.phases(times)[:, None, :]) @ v.conj().T
+        n = len(v)
+        u = ((v * self.phases(times)[:, None, :]).reshape(-1, n) @ v.conj().T).reshape(-1, n, n)
         return u[0] if np.ndim(times) == 0 else u
 
 
@@ -218,6 +227,25 @@ def _round_shift(m: int) -> np.ndarray:
     shift = np.array(shift)
     shift.flags.writeable = False
     return shift
+
+
+@functools.cache
+def _group_size(m: int) -> int:
+    """Pairs c per rotation factor of a round on m slots (see ``_Rounds``): the largest divisor of
+    k = m // 2 with c <= 4 and c m <= 64. A group's product is one BLAS call where its pairs' were c,
+    at c times their flops; measured, that pays while c m <= 64 and costs beyond (m = 48, c = 2: 6%
+    slower). It is a rule of m alone, so a stack member keeps the bits of its lone solve."""
+    return max((c for c in range(2, 5) if (m // 2) % c == 0 and c * m <= 64), default=1)
+
+
+@functools.cache
+def _round_gather(m: int) -> np.ndarray:
+    """Flat gather that moves a working storage [A; V], (2m, m), on one round: a round's shift moves
+    A's rows and the columns of [A; V] by ``_round_shift``."""
+    shift = _round_shift(m)
+    gather = (np.concatenate([shift, np.arange(m, 2 * m)])[:, None] * m + shift).ravel()
+    gather.flags.writeable = False
+    return gather
 
 
 def jacobi_schedule(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -401,7 +429,13 @@ class _Rounds:
     s holds the working matrix A and the product V of the rotations so far,
     both in the current round's slot layout, where slots (2j, 2j + 1) hold the
     round's j-th pair (in either order). A sweep's m - 1 shifts take the ring
-    once around, so every sweep starts and ends in the identity layout. The
+    once around, so every sweep starts and ends in the identity layout. A
+    round applies its rotations by two batched products, J† from the left to
+    the rows of A and J from the right to the columns of A and V, with the
+    rotations of c = ``_group_size(m)`` consecutive pairs in one
+    block-diagonal (2c, 2c) factor: k / c BLAS calls per product, not one per
+    pair. The factor's entries outside its pairs' 2 x 2 blocks stay zero and
+    add exact zeros, so a grouped product has the bits of the pairs' own. The
     views below are built once per storage, with the same ellipsis indexing
     for one storage and a stack, so a stack member gets the arithmetic of
     its lone solve. A lone storage skips a round whose pairs are all zero.
@@ -414,26 +448,33 @@ class _Rounds:
         if len(s) == 1:  # the same arithmetic without the stack's bookkeeping per round
             s = s[0]
         m = s.shape[-1]
-        k = m // 2
+        k, c = m // 2, _group_size(m)
         batch = s.shape[:-2]
         self.s, self.m, self.stacked = s, m, bool(batch)
         self.entries = s.reshape(batch + (-1,))
         flat = self.entries[..., : m * m]  # A
-        if m > 2:  # a round's shift moves A's rows and the columns of [A; V] by _round_shift
-            shift = _round_shift(m)
-            self.gather = (np.concatenate([shift, np.arange(m, 2 * m)])[:, None] * m + shift).ravel()
+        if m > 2:
+            self.gather = _round_gather(m)
         # Entries (2j, 2j), (2j + 1, 2j + 1), (2j, 2j + 1) and (2j + 1, 2j) of A.
         step = 2 * (m + 1)
         self.a_pp = flat[..., ::step].real
         self.a_qq = flat[..., m + 1 :: step].real
         self.a_pq = flat[..., 1::step]
         self.a_qp = flat[..., m::step]
-        self.rows = flat.reshape(batch + (k, 2, m))  # rows (2j, 2j + 1) of A
+        self.rows = flat.reshape(batch + (k // c, 2 * c, m))  # rows (2j, 2j + 1) of A, c pairs a group
         # columns (2j, 2j + 1) of A and V, as rows of the transpose
-        self.cols = s.mT.reshape(batch + (k, 2, 2 * m))
-        self.rot = np.empty(batch + (k, 2, 2), dtype=np.complex128)
-        self.rot_diag = self.rot.reshape(batch + (k, 4))[..., ::3]
-        self.rot_pq, self.rot_qp = self.rot[..., 0, 1], self.rot[..., 1, 0]
+        self.cols = s.mT.reshape(batch + (k // c, 2 * c, 2 * m))
+        # Group g's factor is block-diagonal: pair j = c g + i owns its rows and columns (2i, 2i + 1), and
+        # the entries outside those 2 x 2 blocks stay zero. The factors sit in a flat buffer at a stride of
+        # c (4c + 2) entries, 2c more than a factor's own, so that pair j's entries (2i, 2i), (2i, 2i + 1),
+        # (2i + 1, 2i) and (2i + 1, 2i + 1) lie at j (4c + 2) + (0, 1, 2c, 2c + 1): one stride for all k
+        # pairs, as for A's. The 2c entries after each factor are never read.
+        span = 4 * c + 2
+        buffers = np.zeros((2,) + batch + (k // c, c * span), dtype=np.complex128)  # factors, then their conjugates
+        factors = buffers[..., : 4 * c * c].reshape((2,) + batch + (k // c, 2 * c, 2 * c))
+        self.buffer, self.buffer_conj, self.rot, self.rot_conj = buffers[0], buffers[1], factors[0], factors[1]
+        entries = self.buffer.reshape(batch + (k, span))
+        self.rot_diag, self.rot_pq, self.rot_qp = entries[..., :: 2 * c + 1], entries[..., 1], entries[..., 2 * c]
 
     def sweep(self) -> None:
         """One sweep."""
@@ -460,12 +501,13 @@ class _Rounds:
                 t[dead] = 0.0
                 c = 1.0 / np.hypot(1.0, t)  # 1 / sqrt(1 + t^2)
                 su = t * c * (a_pq / r)  # s times the phase of a_pq
-                # rot[j] = [[c, -s u], [s conj(u), c]] = J†, the adjoint of pair j's rotation.
+                # Pair j's block of its group's factor is [[c, -s u], [s conj(u), c]] = J†, the adjoint of its rotation.
                 self.rot_diag[...] = c[..., None]
                 np.negative(su, out=self.rot_pq)
                 np.conjugate(su, out=self.rot_qp)
                 rows[...] = rot @ rows  # A <- J† A
-                cols[...] = rot.conj() @ cols  # A <- A J and V <- V J
+                np.conjugate(self.buffer, out=self.buffer_conj)
+                cols[...] = self.rot_conj @ cols  # A <- A J and V <- V J
                 a_pq[...] = 0.0
                 a_qp[...] = 0.0
                 if kept is not None:
@@ -486,7 +528,10 @@ def expm_oracle(a) -> np.ndarray:
     exponentiated with a degree-``TAYLOR_DEGREE`` Taylor series, and squared s
     times. Deliberately independent of the eigendecomposition route so the
     two can cross-check each other. A norm beyond the float64 range raises
-    DomainError, and a result beyond it NumericalError.
+    DomainError, and a result beyond it NumericalError. For an anti-Hermitian
+    a (a + a† = 0 to HERMITICITY_RTOL) the result is unitary to
+    EXPM_DEFECT_PER_NORM * ||a||_F, and a norm past EXPM_MAX_ANTI_HERMITIAN_NORM,
+    where that bound reaches 1, raises DomainError.
     """
     a = as_matrix(a)
     _require_square(a)
@@ -495,6 +540,13 @@ def expm_oracle(a) -> np.ndarray:
     norm = frobenius(a)
     if norm == math.inf:
         raise DomainError("matrix norm exceeds the float64 range")
+    if norm > EXPM_MAX_ANTI_HERMITIAN_NORM:
+        scaled = np.ldexp(a.view(np.float64), -_scale_exponent(a)).view(np.complex128)
+        if _norms(scaled + scaled.conj().T) <= HERMITICITY_RTOL * _norms(scaled):
+            raise DomainError(
+                f"||a||_F = {norm:.3e} of an anti-Hermitian a exceeds {EXPM_MAX_ANTI_HERMITIAN_NORM:.3e}, "
+                "where the scaling-and-squaring error bound on ||U†U - 1||_F of the unitary exp(a) reaches 1"
+            )
     s = 0
     while math.ldexp(norm, -s) > 0.5:  # norm / 2**s, which cannot overflow
         s += 1

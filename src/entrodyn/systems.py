@@ -55,9 +55,10 @@ def alpha_populations(spectrum: EigenDecomposition, times) -> tuple[np.ndarray, 
     """Populations (p_alpha, p_beta) over ``times`` for alpha = (1, 0) evolved under a 2-level ``spectrum``.
 
     The grid is evaluated RABI_BLOCK_POINTS points at a time:
-    ``EigenDecomposition.propagator`` gives the block's U(t) as one stacked
-    product, and U(t) alpha is column 0 of each. Each modulus is Python's
-    scalar ``abs``, squared, so a population has the bits of
+    ``EigenDecomposition.propagator`` gives the block's U(t) by one GEMM,
+    each U(t) with the bits of its lone product, and U(t) alpha is column 0
+    of each. Each modulus is Python's scalar ``abs``, squared, so a
+    population has the bits of
     ``abs(evolve_state(alpha, spectrum, t)[k]) ** 2``; numpy's vectorised
     complex ``abs`` rounds differently in the last bit. Both arrays have the
     shape of ``times``; a non-finite w t raises DomainError.

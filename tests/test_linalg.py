@@ -5,6 +5,7 @@ route) and against direct reconstruction residuals; the two matrix
 exponential routes cross-check each other.
 """
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from entrodyn.linalg import (
     stack_eig,
     trace,
 )
-from entrodyn.sampling import random_hermitian, rng_for
+from entrodyn.sampling import random_density_matrix, random_hermitian, random_unitary, rng_for
 from entrodyn.systems import LatticeFreeParticle, lattice_hamiltonian, lattice_momentum_basis, pauli
 
 SX, SY, SZ = pauli()
@@ -582,6 +583,56 @@ class TestDeepUnderflow:
             stack_eig(stack)
 
 
+def _pinned_solves(n):
+    """Lone and stacked solves at n, in a fixed order: a GUE draw, a density draw and a block-sparse
+    draw whose zeros are half -0.0, each alone; two seeded solves of the GUE draw (a random unitary
+    seed and a near eigenbasis); then those three, a diagonal member and a rescaled GUE member as one
+    stack, each of whose members must have the bits of its lone solve. Returns the arrays to pin."""
+    rng = rng_for(61, n)
+    gue, density = random_hermitian(rng, n), random_density_matrix(rng, n)
+    sparse = block_diagonal(random_hermitian(rng, n // 2), _sparse_hermitian(rng, n - n // 2))
+    sparse[(sparse == 0) & (rng.random((n, n)) < 0.5)] = complex(-0.0, -0.0)
+    members = np.stack([gue, density, sparse, np.diag(np.diag(gue)), 1e-150 * gue])
+    lone = [hermitian_eig(m) for m in members]
+    w, v = stack_eig(members)
+    for i, solo in enumerate(lone):
+        _assert_bits_equal(w[i], solo.eigenvalues)
+        _assert_bits_equal(v[i], solo.eigenvectors)
+    seeded = [
+        hermitian_eig(gue, random_unitary(rng, n)),
+        hermitian_eig(gue + 1e-6 * density, lone[0].eigenvectors),
+    ]
+    return [array for solve in lone[:3] + seeded for array in solve]
+
+
+# sha256 of the eigenvalue and eigenvector bytes of _pinned_solves(n), in order: the bits of one product
+# per rotation pair, which grouped products must keep. Like the goldens, they hold for numpy's own BLAS.
+PINNED_SOLVES = {
+    2: "170846b05747dae79ff6e3d826e212837c92671420a1af532230fc86559260d7",
+    3: "f20c7d8f2330e6f1f335745d340e8ec259e8de7a9c2e1aecf65ac8f5a0f46828",
+    4: "a60672825e7fad93bc79d5d67b1ac60c68946e7ab314ae9c575d38843a612f99",
+    5: "b309d243b0360db5fd40b70d791cf989da5ac24b4ff1736670e9605d85285df2",
+    6: "07423ca885352468aa5c0b73169b03f20e7b0083ea3f1481fd2db8eff90eacfe",
+    8: "f2c536a50f74991397ce1ddf159fd83a972f8ca88da98b71af3a6a7a88a6228d",
+    9: "24aa0e89ff78b850ee52f80de73e6fe45e54bae2fde833fcb985731c3bcfee85",
+    16: "b6ab69e5df1cf71ae71923d3260de9dc12dced96930854bb57eb1fb220709a2e",
+    32: "0834aee5d2155ece91a18c90175b6c5b254a12b1eed05db55a6bb97f5308a6ee",
+    64: "7007ae6bf453ca93d3af26afc237356dace425f4a32b56b54c26056b91128d39",
+}
+
+
+class TestSolverBits:
+    """The solver's bits, pinned by digest: a change to how the rotations are multiplied out must
+    leave every eigenvalue and eigenvector bit, signed zeros included."""
+
+    @pytest.mark.parametrize("n", sorted(PINNED_SOLVES))
+    def test_solves_keep_their_pinned_bits(self, n):
+        digest = hashlib.sha256()
+        for array in _pinned_solves(n):
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == PINNED_SOLVES[n]
+
+
 class TestFrobenius:
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_scales_match_scaled_reference(self, scale):
@@ -658,6 +709,21 @@ class TestExpmHermitian:
                 expm_hermitian(h, t)
 
 
+# (n, points): the n = 64 stack stops at 256 points, as 3000 would take 200 MB
+PROPAGATOR_STACKS = [(n, points) for n in (2, 4, 8, 64) for points in (1, 7, 256, 3000) if n * n * points <= 2**20]
+
+
+class TestPropagatorStack:
+    @pytest.mark.parametrize("n, points", PROPAGATOR_STACKS)
+    def test_member_has_the_bits_of_its_lone_product(self, n, points):
+        spectrum = hermitian_eig(random_hermitian(rng_for(74, n), n))
+        times = np.linspace(-40.0, 40.0, points)
+        stack = spectrum.propagator(times)
+        assert stack.shape == (points, n, n)
+        for t, u in zip(times, stack):
+            _assert_bits_equal(u, spectrum.propagator(t))
+
+
 class TestPhaseTable:
     def test_names_the_first_time_without_a_phase(self):
         spectrum = hermitian_eig(1e300 * SZ)
@@ -732,6 +798,27 @@ class TestExpmOracle:
     def test_norm_beyond_float64_raises(self):
         with pytest.raises(DomainError, match="norm exceeds the float64 range"):
             expm_oracle(np.full((2, 2), 1e308))
+
+    def test_anti_hermitian_norm_past_the_error_bound_raises(self):
+        # once [[0, 0], [0, 1]], silently, for a unitary exp(a) of which no digit was left
+        with pytest.raises(DomainError, match=r"^\|\|a\|\|_F = 5\.000e\+307 of an anti-Hermitian a exceeds 1\.220e\+13"):
+            expm_oracle(-1j * np.diag([5e307, 0.0]))
+        h = random_hermitian(rng_for(72), 4)
+        a = -1j * h / frobenius(h)
+        with pytest.raises(DomainError, match="anti-Hermitian"):
+            expm_oracle(2 * linalg.EXPM_MAX_ANTI_HERMITIAN_NORM * a)
+        u = expm_oracle(0.5 * linalg.EXPM_MAX_ANTI_HERMITIAN_NORM * a)  # within the bound: an answer
+        assert frobenius(u.conj().T @ u - identity(4)) <= 0.5
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_error_model_bounds_the_unitarity_defect(self, n):
+        rng = rng_for(73, n)
+        # at 2**40 a 1 x 1 argument scales to exactly 1/2, the Taylor truncation's worst case
+        for norm in [10.0**k for k in range(13)] + [2.0**40]:
+            h = random_hermitian(rng, n)
+            a = -1j * h * (norm / frobenius(h))
+            u = expm_oracle(a)
+            assert frobenius(u.conj().T @ u - identity(n)) <= linalg.EXPM_DEFECT_PER_NORM * frobenius(a)
 
     def test_finite_result_of_a_huge_norm(self):
         # exp(N) = 1 + N for a nilpotent N: the scaling 2**-1024 must not overflow on the way
