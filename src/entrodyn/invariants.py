@@ -1,32 +1,39 @@
 """Seeded invariant suite: every structural identity the package relies on.
 
-Each check is a generator over its own reproducible random stream
-``rng_for(seed, check index)``. It yields (draw label, residual) pairs, such
-as ``("dim=8 rep=3", r)``, and it asks for spectra by yielding a list of
-matrices: ``spectra = yield [h, ...]`` receives the ``hermitian_eig``
-spectrum of each, in order, bit for bit. A check draws every input, over
-all dims, before its first request, so no solve moves its random stream,
-and it holds them until it ends. A second request serves what depends on
-the first, such as the spectrum of an evolved state. Every spectrum a check
-uses is requested: its entropies' density spectra through ``_entropies``
-and the Rabi checks' spin Hamiltonians too, so the suite solves nothing
-outside its rounds.
+A check is a generator of one dimension's draws, ``draws(rng, dim)``. It
+yields (draw label, residual) pairs, such as ``("dim=8 rep=3", r)``, and it
+asks for spectra by yielding a list of matrices: ``spectra = yield [h, ...]``
+receives the ``hermitian_eig`` spectrum of each, in order, bit for bit. A
+check draws its dimension's inputs before its first request, so no solve
+moves its random stream, and it holds them until it ends. A second request
+serves what depends on the first, such as the spectrum of an evolved state.
+Every spectrum a check uses is requested: its entropies' density spectra
+through ``_entropies`` and the Rabi checks' spin Hamiltonians too, so the
+suite solves nothing outside its rounds.
 
-``_run`` drives a list of checks in rounds. Each round runs every check to
-its next request or its end; the round's matrices are then grouped by size,
-each size is solved with one ``stack_eig`` call, and each check is sent its
-spectra. A stack member has the bits of its lone solve, so a check's result
-does not depend on which checks run beside it. ``run_invariant_suite`` runs
-all checks at once, and a check called alone, ``check(rng, dims, scale)``,
-runs as a suite of one. A failed solve names the check whose matrix failed.
-``_run`` is also the suite's one reducer: it keeps each check's worst draw
-and compares its residual against the check's base tolerance times the
-tolerance scale. Each check's result is a ``scenario.CheckResult``, whose
-``line()`` is also what ``evolve`` prints for a failing summary check: a
-FAIL line names the draw, so the same seed and dims reproduce it.
-``corrupt_evolution`` is a negative control for the suite itself: it
-injects a dephasing (non-unitary) map into the entropy-invariance check,
-which must then fail.
+A check runs once per dimension, each run drawing from the check's one
+random stream ``rng_for(seed, check index)`` in dims order: at the suite's
+dims, or at the sizes its declaration fixes, ``_check(name, tolerance,
+dims=(4, 6, 8))``, whatever dims the suite is given. ``check.runs(rng, dims)``
+makes those (check, dim, draws) runs.
+
+``_run`` drives a list of runs in rounds. Each round runs every generator, in
+list order, to its next request or its end; the round's matrices are then
+grouped by size, each size is solved with one ``stack_eig`` call, and each
+run is sent its spectra. So a check's runs draw, request and reduce dimension
+by dimension, and every dimension of every check shares a round's stacks. A
+stack member has the bits of its lone solve, so a check's result does not
+depend on which checks run beside it. ``run_invariant_suite`` runs all checks
+at once, and a check called alone, ``check(rng, dims, scale)``, runs as a
+suite of one. A failed solve names the check and dimension whose matrix
+failed. ``_run`` is also the suite's one reducer: it keeps each check's worst
+draw over all its runs and compares its residual against the check's base
+tolerance times the tolerance scale. Each check's result is a
+``scenario.CheckResult``, whose ``line()`` is also what ``evolve`` prints for
+a failing summary check: a FAIL line names the draw, so the same seed and
+dims reproduce it. ``corrupt_evolution`` is a negative control for the suite
+itself: it injects a dephasing (non-unitary) map into the entropy-invariance
+check, which must then fail.
 """
 
 from __future__ import annotations
@@ -124,51 +131,58 @@ class SuiteReport:
 
 
 class _Check:
-    """A check ``(rng, dims, scale, **options) -> CheckResult``: its generator of ``draws``, run by ``_run``
-    as a suite of one. ``options`` pass through to the generator."""
+    """A check ``(rng, dims, scale, **options) -> CheckResult``: its ``runs``, driven by ``_run`` as a suite of
+    one. ``options`` pass through to its generator of one dimension's ``draws``."""
 
-    def __init__(self, name: str, tolerance: float, draws):
-        self.name, self.tolerance, self.draws = name, tolerance, draws
+    def __init__(self, name: str, tolerance: float, dims: tuple, draws):
+        self.name, self.tolerance, self.dims, self.draws = name, tolerance, dims, draws
         functools.update_wrapper(self, draws)
 
+    def runs(self, rng, dims, **options) -> list:
+        """A (check, dim, draws) run for each of its own ``dims``, or if it names none each of ``dims``, in
+        order, every generator drawing from ``rng``."""
+        return [(self, dim, self.draws(rng, dim, **options)) for dim in self.dims or dims]
+
     def __call__(self, rng, dims, scale, **options) -> CheckResult:
-        return _run([(self, self.draws(rng, dims, **options))], scale)[0]
+        return _run(self.runs(rng, dims, **options), scale)[0]
 
 
-def _check(name: str, tolerance: float):
-    """Make a generator of draws and requests (see the module docstring) into a check named ``name``,
-    whose tolerance is ``tolerance`` times the suite's tolerance scale."""
-    return lambda draws: _Check(name, tolerance, draws)
+def _check(name: str, tolerance: float, dims=()):
+    """Make a generator of one dimension's draws and requests (see the module docstring) into a check named
+    ``name``, whose tolerance is ``tolerance`` times the suite's tolerance scale, run at its own fixed
+    ``dims`` if it names any, else at the suite's."""
+    return lambda draws: _Check(name, tolerance, dims, draws)
 
 
 def _run(runs, scale: float) -> list:
-    """The CheckResult of each (check, draws) pair of ``runs``, their generators driven together.
+    """The CheckResult of each check of the (check, dim, draws) ``runs``, in order of its first run, its runs'
+    generators driven together and their draws reduced into it.
 
-    In each round every generator runs to its next request or its end, and the round's requests are
-    solved by ``_solve_round`` and sent back. The residual starts at 0.0 and is replaced only by a strictly
-    larger draw, so a tie keeps the first draw and -0.0 never shows, or by the first NaN draw, which no
-    later draw replaces and which fails the check; ``worst`` is that draw's label, and the tolerance is
-    the check's tolerance times ``scale``.
+    In each round every generator, in list order, runs to its next request or its end, and the round's
+    requests are solved by ``_solve_round`` and sent back. A check's residual starts at 0.0 and is replaced
+    only by a strictly larger draw, so a tie keeps the first draw and -0.0 never shows, or by the first NaN
+    draw, which no later draw replaces and which fails the check; ``worst`` is that draw's label, and the
+    tolerance is the check's tolerance times ``scale``.
     """
-    worst = [(0.0, None)] * len(runs)
+    worst = {check: (0.0, None) for check, _, _ in runs}
     replies = dict.fromkeys(range(len(runs)))  # run index -> the spectra to send it, None at its start
     while replies:
         requests = {}
         for i, reply in replies.items():
-            draws = runs[i][1]
+            check, _, draws = runs[i]
             try:
                 item = next(draws) if reply is None else draws.send(reply)
                 while not isinstance(item, list):
-                    (label, value), residual = item, worst[i][0]
+                    (label, value), residual = item, worst[check][0]
                     if value > residual or (math.isnan(value) and not math.isnan(residual)):
-                        worst[i] = value, label
+                        worst[check] = value, label
                     item = next(draws)
             except StopIteration:
                 continue
             requests[i] = item
         replies = _solve_round(requests, runs)
     results = []
-    for (check, _), (residual, label) in zip(runs, worst):
+    for check, (residual, label) in worst.items():
         residual, limit = float(residual), float(check.tolerance * scale)
         results.append(CheckResult(check.name, residual, limit, residual <= limit, label))
     return results
@@ -178,8 +192,8 @@ def _solve_round(requests: dict, runs) -> dict:
     """{run index: the ``hermitian_eig`` spectrum of each matrix of its request}, bit for bit, from one
     ``stack_eig`` call per matrix size.
 
-    A failed call solves its matrices one at a time, so the error names the check whose matrix failed
-    and that matrix's place in its request, not a member of the merged stack.
+    A failed call solves its matrices one at a time, so the error names the check and dimension whose
+    matrix failed and that matrix's place in its request, not a member of the merged stack.
     """
     groups: dict = {}
     for i, matrices in requests.items():
@@ -194,7 +208,8 @@ def _solve_round(requests: dict, runs) -> dict:
                 try:
                     hermitian_eig(m)
                 except (DomainError, NumericalError, ShapeError) as error:
-                    raise type(error)(f"check {runs[i][0].name}: requested matrix {j}: {error}") from error
+                    check, dim, _ = runs[i]
+                    raise type(error)(f"check {check.name} (dim {dim}): requested matrix {j}: {error}") from error
             raise
         for (i, j, _), wk, vk in zip(members, w, v):
             spectra[i][j] = EigenDecomposition(wk, vk)
@@ -205,86 +220,76 @@ def _complex_normal(rng, dim):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
-def _reps(dims) -> list:
-    """(dim, rep) of each draw of a check that draws REPS times per dimension, in draw order."""
-    return [(dim, rep) for dim in dims for rep in range(REPS)]
-
-
 @_check("adjoint-involution", 0.0)
-def _check_adjoint_involution(rng, dims):
-    for dim in dims:
-        m = _complex_normal(rng, dim)
-        yield f"dim={dim}", float(np.max(np.abs(adjoint(adjoint(m)) - m)))
+def _check_adjoint_involution(rng, dim):
+    m = _complex_normal(rng, dim)
+    yield f"dim={dim}", float(np.max(np.abs(adjoint(adjoint(m)) - m)))
 
 
 @_check("trace-cyclicity", 1e-12)
-def _check_trace_cyclicity(rng, dims):
-    for dim in dims:
-        for rep in range(REPS):
-            a = _complex_normal(rng, dim)
-            b = _complex_normal(rng, dim)
-            lhs, rhs = trace(matmul(a, b)), trace(matmul(b, a))
-            yield f"dim={dim} rep={rep}", abs(lhs - rhs) / max(abs(rhs), 1.0)
+def _check_trace_cyclicity(rng, dim):
+    for rep in range(REPS):
+        a = _complex_normal(rng, dim)
+        b = _complex_normal(rng, dim)
+        lhs, rhs = trace(matmul(a, b)), trace(matmul(b, a))
+        yield f"dim={dim} rep={rep}", abs(lhs - rhs) / max(abs(rhs), 1.0)
 
 
 @_check("kron-trace-product", 1e-12)
-def _check_kron_trace(rng, dims):
-    for dim in dims:
-        a = _complex_normal(rng, dim)
-        b = _complex_normal(rng, min(dim, KRON_FACTOR_MAX))
-        rhs = trace(a) * trace(b)
-        yield f"dim={dim}", abs(trace(kron(a, b)) - rhs) / max(abs(rhs), 1.0)
+def _check_kron_trace(rng, dim):
+    a = _complex_normal(rng, dim)
+    b = _complex_normal(rng, min(dim, KRON_FACTOR_MAX))
+    rhs = trace(a) * trace(b)
+    yield f"dim={dim}", abs(trace(kron(a, b)) - rhs) / max(abs(rhs), 1.0)
 
 
 @_check("eig-reconstruction", 1e-10)
-def _check_eig_reconstruction(rng, dims):
-    hs = [random_hermitian(rng, dim) for dim, _ in _reps(dims)]
+def _check_eig_reconstruction(rng, dim):
+    hs = [random_hermitian(rng, dim) for _ in range(REPS)]
     spectra = yield hs
-    for (dim, rep), h, (w, v) in zip(_reps(dims), hs, spectra):
+    for rep, (h, (w, v)) in enumerate(zip(hs, spectra)):
         yield f"dim={dim} rep={rep} reconstruction", frobenius((v * w) @ v.conj().T - h) / frobenius(h)
         yield f"dim={dim} rep={rep} orthonormality", frobenius(v.conj().T @ v - identity(dim)) / dim
 
 
 @_check("propagator-group-law", 1e-9)
-def _check_propagator_group(rng, dims):
-    draws = [(random_hermitian(rng, dim), *rng.uniform(-3.0, 3.0, size=2)) for dim in dims]
-    spectra = yield [h for h, _, _ in draws]
-    for dim, (_, t, s), spectrum in zip(dims, draws, spectra):
-        lhs = spectrum.propagator(t) @ spectrum.propagator(s)
-        yield f"dim={dim}", frobenius(lhs - spectrum.propagator(t + s))
+def _check_propagator_group(rng, dim):
+    h = random_hermitian(rng, dim)
+    t, s = rng.uniform(-3.0, 3.0, size=2)
+    (spectrum,) = yield [h]
+    lhs = spectrum.propagator(t) @ spectrum.propagator(s)
+    yield f"dim={dim}", frobenius(lhs - spectrum.propagator(t + s))
 
 
 @_check("expm-cross-oracle", 1e-9)
-def _check_expm_cross_oracle(rng, dims):
+def _check_expm_cross_oracle(rng, dim):
     draws = []
-    for dim, _ in _reps(dims):
+    for _ in range(REPS):
         h = random_hermitian(rng, dim)
         # t ||h||_F at most 10, and t at least 0.1 where that allows it (||h||_F passes 100 near dim 100)
         high = 10.0 / frobenius(h)
         draws.append((h, float(rng.uniform(min(0.1, high), high))))
     spectra = yield [h for h, _ in draws]
-    for (dim, rep), (h, t), spectrum in zip(_reps(dims), draws, spectra):
+    for rep, ((h, t), spectrum) in enumerate(zip(draws, spectra)):
         yield f"dim={dim} rep={rep}", frobenius(spectrum.propagator(t) - expm_oracle(-1j * h * t))
 
 
 @_check("partial-trace-preservation", 1e-12)
-def _check_partial_trace(rng, dims):
-    for dim in dims:
-        m = _complex_normal(rng, 2 * dim)
-        for keep in ("A", "B"):
-            reduced = partial_trace(m, 2, dim, keep)
-            yield f"dim={dim} keep={keep}", abs(trace(reduced) - trace(m)) / max(abs(trace(m)), 1.0)
+def _check_partial_trace(rng, dim):
+    m = _complex_normal(rng, 2 * dim)
+    for keep in ("A", "B"):
+        reduced = partial_trace(m, 2, dim, keep)
+        yield f"dim={dim} keep={keep}", abs(trace(reduced) - trace(m)) / max(abs(trace(m)), 1.0)
 
 
 @_check("entropy-bounds", 1e-12)
-def _check_entropy_bounds(rng, dims):
-    for dim in dims:
-        for rep in range(REPS):
-            s = shannon_entropy(random_probability_vector(rng, dim))
-            yield f"dim={dim} rep={rep} below 0", -s
-            yield f"dim={dim} rep={rep} above log dim", s - math.log(dim) - 1e-12
-        yield f"dim={dim} uniform", abs(shannon_entropy(np.full(dim, 1.0 / dim)) - math.log(dim))
-        yield f"dim={dim} pure", shannon_entropy(np.eye(dim)[0])
+def _check_entropy_bounds(rng, dim):
+    for rep in range(REPS):
+        s = shannon_entropy(random_probability_vector(rng, dim))
+        yield f"dim={dim} rep={rep} below 0", -s
+        yield f"dim={dim} rep={rep} above log dim", s - math.log(dim) - 1e-12
+    yield f"dim={dim} uniform", abs(shannon_entropy(np.full(dim, 1.0 / dim)) - math.log(dim))
+    yield f"dim={dim} pure", shannon_entropy(np.eye(dim)[0])
 
 
 def _entropies(groups):
@@ -297,177 +302,155 @@ def _entropies(groups):
 
 
 @_check("mixture-spectrum-entropy", 1e-9)
-def _check_mixture_spectrum(rng, dims):
-    blocks = []  # REPS (rho, weights) draws per dim
-    for dim in dims:
-        block = []
-        for _ in range(REPS):
-            basis = random_orthonormal_basis(rng, dim)
-            weights = random_probability_vector(rng, dim)
-            block.append((mixture_density(basis, weights), weights))
-        blocks.append(block)
-    entropies = yield from _entropies([[rho for rho, _ in block] for block in blocks])
-    for dim, block, block_entropies in zip(dims, blocks, entropies):
-        for rep, ((_, weights), entropy) in enumerate(zip(block, block_entropies)):
-            yield f"dim={dim} rep={rep}", abs(entropy - shannon_entropy(weights))
+def _check_mixture_spectrum(rng, dim):
+    draws = []
+    for _ in range(REPS):
+        basis = random_orthonormal_basis(rng, dim)
+        weights = random_probability_vector(rng, dim)
+        draws.append((mixture_density(basis, weights), weights))
+    (entropies,) = yield from _entropies([[rho for rho, _ in draws]])
+    for rep, ((_, weights), entropy) in enumerate(zip(draws, entropies)):
+        yield f"dim={dim} rep={rep}", abs(entropy - shannon_entropy(weights))
 
 
 @_check("entropy-additivity", 1e-9)
-def _check_entropy_additivity(rng, dims):
-    draws = [(random_density_matrix(rng, 2), random_density_matrix(rng, dim)) for dim in dims]
+def _check_entropy_additivity(rng, dim):
+    rho_a, rho_b = random_density_matrix(rng, 2), random_density_matrix(rng, dim)
     # spectrum_entropy refuses an eigenvalue below EIGENVALUE_CLAMP, each factor's and the product's alike
-    entropies = yield from _entropies([[m] for rho_a, rho_b in draws for m in (rho_a, rho_b, kron(rho_a, rho_b))])
-    for dim, (s_a, s_b, s_ab) in zip(dims, np.reshape(entropies, (len(dims), 3))):
-        yield f"dim={dim}", abs(s_ab - (s_a + s_b))
+    (s_a,), (s_b,), (s_ab,) = yield from _entropies([[rho_a], [rho_b], [kron(rho_a, rho_b)]])
+    yield f"dim={dim}", abs(s_ab - (s_a + s_b))
 
 
 @_check("factorization-roundtrip", 1e-12)
-def _check_factorization_roundtrip(rng, dims):
-    for dim in dims:
-        for rep in range(REPS):
-            w = random_probability_vector(rng, dim)
-            psi = factor_pure(w, rng.uniform(-math.pi, math.pi, size=dim))
-            yield f"dim={dim} rep={rep}", float(np.max(np.abs(np.abs(psi) ** 2 - w)))
+def _check_factorization_roundtrip(rng, dim):
+    for rep in range(REPS):
+        w = random_probability_vector(rng, dim)
+        psi = factor_pure(w, rng.uniform(-math.pi, math.pi, size=dim))
+        yield f"dim={dim} rep={rep}", float(np.max(np.abs(np.abs(psi) ** 2 - w)))
 
 
 @_check("pure-state-spectrum", 1e-10)
-def _check_pure_spectrum(rng, dims):
-    spectra = yield [pure_density(random_pure_state(rng, dim)) for dim in dims]
-    for dim, (w, _) in zip(dims, spectra):
-        yield f"dim={dim} top eigenvalue", abs(w[-1] - 1.0)
-        yield f"dim={dim} other eigenvalues", float(np.max(np.abs(w[:-1]), initial=0.0))
+def _check_pure_spectrum(rng, dim):
+    ((w, _),) = yield [pure_density(random_pure_state(rng, dim))]
+    yield f"dim={dim} top eigenvalue", abs(w[-1] - 1.0)
+    yield f"dim={dim} other eigenvalues", float(np.max(np.abs(w[:-1]), initial=0.0))
 
 
 @_check("entropy-invariance", 1e-9)
-def _check_entropy_invariance(rng, dims, corrupt=False):
-    blocks = []  # REPS (rho, h, t) draws per dim
-    for dim in dims:
-        block = []
-        for _ in range(REPS):
-            rho = random_density_matrix(rng, dim)
-            h = random_hermitian(rng, dim)
-            block.append((rho, h, float(rng.uniform(0.0, 10.0))))
-        blocks.append(block)
-    spectra = iter((yield [h for block in blocks for _, h, _ in block]))
-    groups = []  # per dim: its REPS evolved states, then its REPS initial ones
-    for block in blocks:
-        states = []
-        for rho, _, t in block:
-            rho_t = evolve_density(rho, next(spectra), t)
-            if corrupt:
-                # dephasing mix: trace-preserving but not unitary
-                rho_t = 0.9 * rho_t + 0.1 * np.diag(np.diagonal(rho_t))
-            states.append(rho_t)
-        groups.append(states + [rho for rho, _, _ in block])
-    for dim, entropies in zip(dims, (yield from _entropies(groups))):
-        for rep in range(REPS):
-            yield f"dim={dim} rep={rep}", abs(entropies[rep] - entropies[REPS + rep])
-
-
-def _evolved_draws(rng, dims):
-    """rho(t) = U rho U† of a drawn (rho, H, t) for each dim, H's spectrum requested; use with ``yield from``."""
-    draws = [(random_density_matrix(rng, dim), random_hermitian(rng, dim), float(rng.uniform(0, 10))) for dim in dims]
+def _check_entropy_invariance(rng, dim, corrupt=False):
+    draws = []
+    for _ in range(REPS):
+        rho = random_density_matrix(rng, dim)
+        h = random_hermitian(rng, dim)
+        draws.append((rho, h, float(rng.uniform(0.0, 10.0))))
     spectra = yield [h for _, h, _ in draws]
-    return [evolve_density(rho, spectrum, t) for (rho, _, t), spectrum in zip(draws, spectra)]
+    states = []
+    for (rho, _, t), spectrum in zip(draws, spectra):
+        rho_t = evolve_density(rho, spectrum, t)
+        if corrupt:
+            # dephasing mix: trace-preserving but not unitary
+            rho_t = 0.9 * rho_t + 0.1 * np.diag(np.diagonal(rho_t))
+        states.append(rho_t)
+    # the REPS evolved states, then the REPS initial ones
+    (entropies,) = yield from _entropies([states + [rho for rho, _, _ in draws]])
+    for rep in range(REPS):
+        yield f"dim={dim} rep={rep}", abs(entropies[rep] - entropies[REPS + rep])
+
+
+def _evolved_draw(rng, dim):
+    """rho(t) = U rho U† of a drawn (rho, H, t), H's spectrum requested; use with ``yield from``."""
+    rho, h, t = random_density_matrix(rng, dim), random_hermitian(rng, dim), float(rng.uniform(0, 10))
+    (spectrum,) = yield [h]
+    return evolve_density(rho, spectrum, t)
 
 
 @_check("evolution-trace-hermiticity", 1e-10)
-def _check_evolution_trace_hermiticity(rng, dims):
-    states = yield from _evolved_draws(rng, dims)
-    for dim, rho_t in zip(dims, states):
-        yield f"dim={dim} trace", abs(complex(np.trace(rho_t)) - 1.0)
-        yield f"dim={dim} hermiticity", frobenius(rho_t - rho_t.conj().T)
+def _check_evolution_trace_hermiticity(rng, dim):
+    rho_t = yield from _evolved_draw(rng, dim)
+    yield f"dim={dim} trace", abs(complex(np.trace(rho_t)) - 1.0)
+    yield f"dim={dim} hermiticity", frobenius(rho_t - rho_t.conj().T)
 
 
 @_check("evolution-positivity", 1e-9)
-def _check_evolution_positivity(rng, dims):
-    states = yield from _evolved_draws(rng, dims)
-    spectra = yield states
-    for dim, (w, _) in zip(dims, spectra):
-        yield f"dim={dim}", -float(w[0])
+def _check_evolution_positivity(rng, dim):
+    rho_t = yield from _evolved_draw(rng, dim)
+    ((w, _),) = yield [rho_t]
+    yield f"dim={dim}", -float(w[0])
 
 
 @_check("picture-equivalence", 1e-9)
-def _check_picture_equivalence(rng, dims):
+def _check_picture_equivalence(rng, dim):
     draws = []
-    for dim, _ in _reps(dims):
+    for _ in range(REPS):
         x0 = random_hermitian(rng, dim)
         rho0 = random_density_matrix(rng, dim)
         h = random_hermitian(rng, dim)
         draws.append((x0, rho0, h, float(rng.uniform(0, 5))))
     spectra = yield [h for _, _, h, _ in draws]
-    for (dim, rep), (x0, rho0, _, t), spectrum in zip(_reps(dims), draws, spectra):
+    for rep, ((x0, rho0, _, t), spectrum) in enumerate(zip(draws, spectra)):
         a, b = picture_equivalence(x0, rho0, spectrum, t)
         yield f"dim={dim} rep={rep}", abs(a - b) / max(abs(a), 1.0)
 
 
 @_check("spectrum-preservation", 1e-9)
-def _check_spectrum_preservation(rng, dims):
-    draws = [(random_hermitian(rng, dim), random_hermitian(rng, dim), float(rng.uniform(0, 10))) for dim in dims]
-    spectra = yield [x0 for x0, _, _ in draws] + [h for _, h, _ in draws]
-    x0_spectra, h_spectra = spectra[: len(dims)], spectra[len(dims) :]
-    xt_spectra = yield [heisenberg_observable(x0, spectrum, t) for (x0, _, t), spectrum in zip(draws, h_spectra)]
-    for dim, x0_spectrum, xt_spectrum in zip(dims, x0_spectra, xt_spectra):
-        yield f"dim={dim}", float(np.max(np.abs(x0_spectrum.eigenvalues - xt_spectrum.eigenvalues)))
+def _check_spectrum_preservation(rng, dim):
+    x0, h, t = random_hermitian(rng, dim), random_hermitian(rng, dim), float(rng.uniform(0, 10))
+    x0_spectrum, h_spectrum = yield [x0, h]
+    (xt_spectrum,) = yield [heisenberg_observable(x0, h_spectrum, t)]
+    yield f"dim={dim}", float(np.max(np.abs(x0_spectrum.eigenvalues - xt_spectrum.eigenvalues)))
 
 
 @_check("ehrenfest-central-difference", 0.8)
-def _check_ehrenfest(rng, dims):
-    draws = []
-    for dim in dims:
-        h = random_hermitian(rng, dim)
-        x0 = random_hermitian(rng, dim)
-        rho0 = random_density_matrix(rng, dim)
-        draws.append((h, x0, rho0, float(rng.uniform(0.2, 1.0))))
-    spectra = yield [h for h, _, _, _ in draws]
-    for dim, (h, x0, rho0, t), spectrum in zip(dims, draws, spectra):
+def _check_ehrenfest(rng, dim):
+    h = random_hermitian(rng, dim)
+    x0 = random_hermitian(rng, dim)
+    rho0 = random_density_matrix(rng, dim)
+    t = float(rng.uniform(0.2, 1.0))
+    (spectrum,) = yield [h]
 
-        def value(tt):
-            return expectation(heisenberg_observable(x0, spectrum, tt), rho0)
+    def value(tt):
+        return expectation(heisenberg_observable(x0, spectrum, tt), rho0)
 
-        exact = expectation(heisenberg_rhs(heisenberg_observable(x0, spectrum, t), h), rho0)
+    exact = expectation(heisenberg_rhs(heisenberg_observable(x0, spectrum, t), h), rho0)
 
-        def error(delta):
-            return abs((value(t + delta) - value(t - delta)) / (2 * delta) - exact)
+    def error(delta):
+        return abs((value(t + delta) - value(t - delta)) / (2 * delta) - exact)
 
-        yield f"dim={dim}", abs(error(1e-3) / error(5e-4) - 4.0)
+    yield f"dim={dim}", abs(error(1e-3) / error(5e-4) - 4.0)
 
 
 @_check("transition-normalization", 1e-9)
-def _check_transition_normalization(rng, dims):
-    draws = [(random_orthonormal_basis(rng, dim), random_hermitian(rng, dim), float(rng.uniform(0, 5))) for dim in dims]
-    spectra = yield [h for _, h, _ in draws]
-    for dim, (basis, _, t), spectrum in zip(dims, draws, spectra):
-        total = sum(transition_probability_exact(basis, 0, k, spectrum, t) for k in range(dim))
-        yield f"dim={dim}", abs(total - 1.0)
+def _check_transition_normalization(rng, dim):
+    basis, h, t = random_orthonormal_basis(rng, dim), random_hermitian(rng, dim), float(rng.uniform(0, 5))
+    (spectrum,) = yield [h]
+    total = sum(transition_probability_exact(basis, 0, k, spectrum, t) for k in range(dim))
+    yield f"dim={dim}", abs(total - 1.0)
 
 
-@_check("first-order-scaling", 0.2)
-def _check_first_order_scaling(rng, dims):
-    # fixed dims: the scaling statement needs dim >= 3 to be nontrivial
-    fixed = (4, 6, 8)
-    hps = [random_real_symmetric(rng, dim) for dim in fixed]
-    spectra = yield hps
-    for dim, hp, spectrum in zip(fixed, hps, spectra):
-        basis = np.eye(dim, dtype=complex)
-        off = np.abs(hp - np.diag(np.diagonal(hp)))
-        k, j = np.unravel_index(int(np.argmax(off)), off.shape)
-        norm = frobenius(hp)
-        times = [1e-3 / norm, 1e-2 / norm, 1e-1 / norm]
-        errors = [
-            abs(
-                transition_probability_exact(basis, j, k, spectrum, t)
-                / transition_probability_first_order(basis, j, k, hp, t)
-                - 1.0
-            )
-            for t in times
-        ]
-        slope = float(np.polyfit(np.log(times), np.log(errors), 1)[0])
-        yield f"dim={dim}", abs(slope - 2.0)
+# fixed dims: the scaling statement needs dim >= 3 to be nontrivial
+@_check("first-order-scaling", 0.2, dims=(4, 6, 8))
+def _check_first_order_scaling(rng, dim):
+    hp = random_real_symmetric(rng, dim)
+    (spectrum,) = yield [hp]
+    basis = np.eye(dim, dtype=complex)
+    off = np.abs(hp - np.diag(np.diagonal(hp)))
+    k, j = np.unravel_index(int(np.argmax(off)), off.shape)
+    norm = frobenius(hp)
+    times = [1e-3 / norm, 1e-2 / norm, 1e-1 / norm]
+    errors = [
+        abs(
+            transition_probability_exact(basis, j, k, spectrum, t)
+            / transition_probability_first_order(basis, j, k, hp, t)
+            - 1.0
+        )
+        for t in times
+    ]
+    slope = float(np.polyfit(np.log(times), np.log(errors), 1)[0])
+    yield f"dim={dim}", abs(slope - 2.0)
 
 
-@_check("rabi-population-sum", 1e-12)
-def _check_rabi_population_sum(rng, dims):
+@_check("rabi-population-sum", 1e-12, dims=(2,))
+def _check_rabi_population_sum(rng, dim):
     draws = []
     for _ in range(REPS):
         system = SpinHalfSystem(delta=float(rng.uniform(-4, 4)), coupling=float(rng.uniform(-4, 4)))
@@ -478,8 +461,8 @@ def _check_rabi_population_sum(rng, dims):
         yield f"rep={rep}", abs(pa + pb - 1.0)
 
 
-@_check("rabi-closed-form", 1e-9)
-def _check_rabi_closed_form(rng, dims):
+@_check("rabi-closed-form", 1e-9, dims=(2,))
+def _check_rabi_closed_form(rng, dim):
     cases = ((0.0, 1.0), (1.0, 1.0), (3.0, 4.0))
     spectra = yield [spin_hamiltonian(SpinHalfSystem(delta=delta, coupling=omega)) for delta, omega in cases]
     for (delta, omega), spectrum in zip(cases, spectra):
@@ -490,26 +473,25 @@ def _check_rabi_closed_form(rng, dims):
             yield f"delta={delta:g} omega={omega:g} t[{i}]", abs(pb - closed)
 
 
-@_check("lattice-basis-residuals", 1e-12)
-def _check_lattice_basis(rng, dims):
-    for n in (2, 3, 4, 8, 16, 32, 64):
-        basis = lattice_momentum_basis(LatticeFreeParticle(sites=n, length=1.0, mass=1.0))
-        ortho, completeness = basis_residuals(basis)
-        yield f"sites={n} orthonormality", ortho
-        yield f"sites={n} completeness", completeness
+@_check("lattice-basis-residuals", 1e-12, dims=(2, 3, 4, 8, 16, 32, 64))
+def _check_lattice_basis(rng, dim):
+    basis = lattice_momentum_basis(LatticeFreeParticle(sites=dim, length=1.0, mass=1.0))
+    ortho, completeness = basis_residuals(basis)
+    yield f"sites={dim} orthonormality", ortho
+    yield f"sites={dim} completeness", completeness
 
 
-@_check("lattice-momentum-projectors", 1e-10)
-def _check_lattice_projectors(rng, dims):
-    system = LatticeFreeParticle(sites=8, length=2.0, mass=1.0)
+@_check("lattice-momentum-projectors", 1e-10, dims=(8,))
+def _check_lattice_projectors(rng, dim):
+    system = LatticeFreeParticle(sites=dim, length=2.0, mass=1.0)
     h = lattice_hamiltonian(system)
     for k, row in enumerate(lattice_momentum_basis(system)):
         proj = np.outer(row, row.conj())
         yield f"momentum row {k}", frobenius(h @ proj - proj @ h)
 
 
-@_check("composite-isolation", 1e-9)
-def _check_composite_isolation(rng, dims):
+@_check("composite-isolation", 1e-9, dims=(4,))
+def _check_composite_isolation(rng, dim):
     draws = []
     for _ in range(REPS):
         system = coupled_spin_pair(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)), 0.0)
@@ -528,8 +510,8 @@ def _check_composite_isolation(rng, dims):
         yield f"rep={rep}", frobenius(joint - split)
 
 
-@_check("composite-entanglement", 1e-9)
-def _check_composite_entanglement(rng, dims):
+@_check("composite-entanglement", 1e-9, dims=(4,))
+def _check_composite_entanglement(rng, dim):
     # fixed demonstration: splittings 1, coupling 0.3, initial alpha x alpha
     system = coupled_spin_pair(1.0, 1.0, 0.3)
     (spectrum,) = yield [composite_hamiltonian(system)]
@@ -582,26 +564,28 @@ def run_invariant_suite(
     *,
     corrupt_evolution: bool = False,
 ) -> SuiteReport:
-    """Run every invariant check with reproducible randomness, all of them together by ``_run``.
+    """Run every invariant check with reproducible randomness, once per dimension, all runs together by
+    ``_run``.
 
     ``tolerance_scale`` multiplies every tolerance (useful when hunting for
     margins) and must be finite and positive; each dimension in ``dims`` lies
     between 2 and the scenario layer's MAX_DIMENSION, and none is repeated, so
-    each draw's label names it alone. ``corrupt_evolution`` injects a
+    each draw's label names it alone; a check that fixes its own sizes runs at
+    those instead. ``corrupt_evolution`` injects a
     non-unitary map into the entropy-invariance check as a negative control;
     the suite must then fail.
     """
     dims = tuple(int(d) for d in dims)
     if not dims or not all(2 <= d <= MAX_DIMENSION for d in dims):
         raise ValueError(f"dims must lie between 2 and MAX_DIMENSION = {MAX_DIMENSION}, got {dims}")
-    if len(set(dims)) != len(dims):
+    if sorted(set(dims)) != sorted(dims):
         raise ValueError(f"dims must not repeat a dimension, got {dims}")
     if not (math.isfinite(tolerance_scale) and tolerance_scale > 0.0):
         raise ValueError(f"tolerance_scale must be finite and positive, got {tolerance_scale}")
     runs = []
     for index, check in enumerate(_CHECKS):
         options = {"corrupt": corrupt_evolution} if check is _check_entropy_invariance else {}
-        runs.append((check, check.draws(rng_for(seed, index), dims, **options)))
+        runs.extend(check.runs(rng_for(seed, index), dims, **options))
     return SuiteReport(
         seed=int(seed),
         dims=dims,

@@ -113,6 +113,24 @@ def _json_integer(digits: str):
         return _LongInteger(digits)
 
 
+class _RepeatedKey(dict):
+    """A JSON object that gives its field ``key`` more than once, each field at its last value as ``json.loads``
+    keeps it. Every mapping a reader accepts passes ``_as_mapping``, which rejects this one with its path."""
+
+    def __init__(self, pairs, key):
+        super().__init__(pairs)
+        self.key = key
+
+
+def _json_object(pairs):
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            return _RepeatedKey(pairs, key)
+        seen.add(key)
+    return dict(pairs)
+
+
 _scalar_text = json.JSONEncoder().encode
 
 
@@ -173,6 +191,8 @@ def _as_mapping(node, path, allowed):
     unknown = sorted(set(node) - set(allowed))
     if unknown:
         raise ScenarioParseError(f"{path}: unknown field(s) {', '.join(unknown)}")
+    if isinstance(node, _RepeatedKey):
+        raise ScenarioParseError(f"{path}: field {node.key!r} is given twice")
     return node
 
 
@@ -482,7 +502,7 @@ OUTPUT_FIELDS = (
 def _document_spec(text: str) -> dict:
     """The spec of a scenario document: every field read and checked, no reference resolved yet."""
     try:
-        document = json.loads(text, parse_int=_json_integer)
+        document = json.loads(text, parse_int=_json_integer, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"

@@ -70,6 +70,37 @@ _MOVED_CHECK_PINS = {
     },
 }
 
+# sha256 of a suite report's format() text, then each result's name, residual by repr and worst draw, one line
+# each, at tolerance scale 1e-6 (so most checks fail and name their worst draw), keyed by (seed, dims,
+# corrupt_evolution), as the suite gave them while each check drew every dimension in one generator
+_SUITE_PINS = {
+    (1, (2, 4, 8), False): "c4bad7b059ebd77278fe5f329e0e9679985f3959b6a1bb9293ea6854adcf6714",
+    (1, (2, 4, 8), True): "8355ad8f0e43d0b3777be44a0f97c179be7c872e998aec8dd0f74baded7db749",
+    (1, (2, 3, 5, 8), False): "ab26f0e4a7db5642c60aebe96cbd024612034c3edb28d7a796c8c89a18e873dc",
+    (1, (2, 3, 5, 8), True): "08847767ec72fe7fdd82fc966b24fb3952217413ec40c7c0cd63181a52a479a9",
+    (7, (2, 4, 8), False): "5488753beacb96d834d988b7b3e0879e32fa64fe998c81b167bda142838ffbec",
+    (7, (2, 4, 8), True): "62057cc4dd49aaa9eda41deadfcb670c6b2ba07764c4988c9201d98d4d9387e5",
+    (7, (2, 3, 5, 8), False): "5267c5a1bd31840ef3607bb7a1d4df9c2d7aed2d8133b443320584a094815649",
+    (7, (2, 3, 5, 8), True): "977f95e6788c0392bce12d37954fff89d6ca9d5aab3980717f9eda9d5eb55239",
+    (42, (2, 4, 8), False): "c68e74669d0d146aa2dae173b0705ec5d2d884311006de57c766f7259eb1904b",
+    (42, (2, 4, 8), True): "83fda620fb7b61cfe7a4b33033f54980d5e2ef9f687452c32d481f3dd4dfdc3c",
+    (42, (2, 3, 5, 8), False): "4e0e0e3116562b925f86e85a4f6cbec736abc353a99b0708d6bfb9c590a0cc65",
+    (42, (2, 3, 5, 8), True): "c6f2a7723511df17423b8048b85c5edc6d6f4da9675db0434035fabfafa2bbd7",
+}
+
+
+def _noted(draws, note):
+    """The generator ``draws``, passed through as ``_run`` takes it, ``note`` called on each (label, residual)
+    draw."""
+    try:
+        item = next(draws)
+        while True:
+            if not isinstance(item, list):
+                note(item)
+            item = draws.send((yield item))
+    except StopIteration:
+        pass
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -236,7 +267,7 @@ class TestInvariantSuite:
                 pass
 
         def traced_run(runs, scale):
-            return run([(check, traced(check.name, checks)) for check, checks in runs], scale)
+            return run([(check, dim, traced(check.name, checks)) for check, dim, checks in runs], scale)
 
         def noted_entropies(groups):
             return noted((yield from entropies(groups)))
@@ -276,12 +307,12 @@ class TestInvariantSuite:
     def test_merged_solve_error_names_the_failing_check(self):
         # the stub's non-Hermitian matrix is member 7 of the merged 4 x 4 stack, after eig-reconstruction's six
         @invariants._check("stub", 1.0)
-        def stub(rng, dims):
-            yield [random_hermitian(rng, 4), np.triu(np.ones((4, 4)))]
+        def stub(rng, dim):
+            yield [random_hermitian(rng, dim), np.triu(np.ones((dim, dim)))]
 
-        real = invariants._check_eig_reconstruction
-        runs = [(real, real.draws(rng_for(1, 3), (2, 4))), (stub, stub.draws(rng_for(1), ()))]
-        with pytest.raises(DomainError, match=r"^check stub: requested matrix 1: eigensolver input is not Hermitian"):
+        runs = invariants._check_eig_reconstruction.runs(rng_for(1, 3), (2, 4)) + stub.runs(rng_for(1), (4,))
+        message = r"^check stub \(dim 4\): requested matrix 1: eigensolver input is not Hermitian"
+        with pytest.raises(DomainError, match=message):
             invariants._run(runs, 1.0)
 
     def test_dims_above_max_dimension_raise(self):
@@ -307,21 +338,48 @@ class TestInvariantSuite:
     @pytest.mark.parametrize("index", range(len(invariants._CHECKS)))
     def test_draw_labels_are_distinct(self, index):
         check, dims, labels = invariants._CHECKS[index], (2, 3, 4, 8), []
-
-        def noted(draws):
-            # the check's draws and requests, passed through as _run takes them, each label noted
-            try:
-                item = next(draws)
-                while True:
-                    if not isinstance(item, list):
-                        labels.append(item[0])
-                    item = draws.send((yield item))
-            except StopIteration:
-                pass
-
-        (result,) = invariants._run([(check, noted(check.draws(rng_for(DEFAULT_SEED, index), dims)))], 1.0)
+        runs = check.runs(rng_for(DEFAULT_SEED, index), dims)
+        noted = [(c, d, _noted(draws, lambda item: labels.append(item[0]))) for c, d, draws in runs]
+        (result,) = invariants._run(noted, 1.0)
         assert result == check(rng_for(DEFAULT_SEED, index), dims, 1.0)
         assert labels and len(set(labels)) == len(labels)
+
+    @pytest.mark.parametrize("seed, dims, corrupt", list(_SUITE_PINS))
+    def test_suite_keeps_its_bits(self, seed, dims, corrupt):
+        report = run_invariant_suite(seed, dims, 1e-6, corrupt_evolution=corrupt)
+        parts = [report.format()] + [f"{r.name} {r.residual!r} {r.worst}" for r in report.results]
+        assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == _SUITE_PINS[seed, dims, corrupt]
+
+    def test_fixed_size_checks_ignore_the_suite_dims(self, monkeypatch):
+        run = invariants._run
+        fixed = [check.name for check in invariants._CHECKS if check.dims]
+
+        def drawn(dims):
+            # every draw of each fixed-size check, by label and residual repr, in the suite at ``dims``
+            noted = {}
+
+            def noting_run(runs, scale):
+                return run([(c, d, _noted(draws, noted.setdefault(c.name, []).append)) for c, d, draws in runs], scale)
+
+            monkeypatch.setattr(invariants, "_run", noting_run)
+            run_invariant_suite(1, dims)
+            return {name: [(label, repr(float(value))) for label, value in noted[name]] for name in fixed}
+
+        alone = drawn((3,))
+        assert fixed == [
+            "first-order-scaling",
+            "rabi-population-sum",
+            "rabi-closed-form",
+            "lattice-basis-residuals",
+            "lattice-momentum-projectors",
+            "composite-isolation",
+            "composite-entanglement",
+        ]
+        assert [label for label, _ in alone["first-order-scaling"]] == ["dim=4", "dim=6", "dim=8"]
+        assert [label for label, _ in alone["lattice-basis-residuals"]] == [
+            f"sites={n} {part}" for n in (2, 3, 4, 8, 16, 32, 64) for part in ("orthonormality", "completeness")
+        ]
+        assert alone == drawn((2, 4, 8))
 
     def test_fail_line_names_the_draw(self):
         text = run_invariant_suite(dims=(2, 4), corrupt_evolution=True).format()
@@ -344,7 +402,7 @@ class TestInvariantSuite:
         draws += (("nan", math.nan), ("lower", 1.0), ("nan again", math.nan))
 
         @invariants._check("stub", 1.0)
-        def stub(rng, dims, count):
+        def stub(rng, dim, count):
             yield from draws[:count]
 
         assert stub(None, (2,), 0.5, count=3) == invariants.CheckResult("stub", 2.0, 0.5, False, "first")
@@ -353,9 +411,12 @@ class TestInvariantSuite:
         result = stub(None, (2,), 1e300, count=len(draws))
         assert math.isnan(result.residual) and (result.passed, result.worst) == (False, "nan")
         assert result.line() == "FAIL stub: residual=nan (tolerance 1.000e+300) worst at nan"
-        negative = invariants._check("stub", 1.0)(lambda rng, dims: iter([("a", -0.0), ("b", -1.0)]))(None, (), 1.0)
+        negative = invariants._check("stub", 1.0)(lambda rng, dim: iter([("a", -0.0), ("b", -1.0)]))(None, (2,), 1.0)
         assert negative.worst is None and math.copysign(1.0, negative.residual) == 1.0
         assert f"{negative.residual:.3e}" == "0.000e+00"
+        # a check's runs, one per dimension, reduce into its one result, and a tie across them keeps the first
+        per_dim = invariants._check("stub", 1.0)(lambda rng, dim: iter([(f"dim={dim}", 1.0)]))
+        assert per_dim(None, (2, 4), 1.0) == invariants.CheckResult("stub", 1.0, 1.0, True, "dim=2")
 
 
 class TestEvolveCommand:
@@ -609,6 +670,17 @@ class TestEvolveCommand:
         code, _, err = run_cli(["evolve", str(path)], capsys)
         assert code == 1
         assert "sum to 1" in err
+
+    def test_repeated_field_is_exit_two(self, capsys, tmp_path):
+        # json.loads keeps a repeated key's last value, so this document once ran with delta 2.0
+        path = tmp_path / "repeated.json"
+        path.write_text(
+            '{"system": {"kind": "spin-half", "delta": 1.0, "delta": 2.0}, "initial": {"state": "alpha"}, '
+            '"time": {"start": 0, "stop": 1, "points": 2}}'
+        )
+        argv = ["evolve", str(path), "--out", str(tmp_path / "out.csv"), "--summary", str(tmp_path / "out.json")]
+        assert run_cli(argv, capsys) == (2, "", "error: system: field 'delta' is given twice\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["repeated.json"]
 
 
 # A small valid document; each case below replaces one top-level section.

@@ -76,6 +76,12 @@ RABI_DOC = """
 }
 """
 
+# sections of a small valid document, as JSON text
+SYSTEM = '"system": {"kind": "spin-half", "delta": 1.0}'
+INITIAL = '"initial": {"state": "alpha"}'
+TIME = '"time": {"start": 0, "stop": 1, "points": 3}'
+
+
 class TestParsing:
     def test_valid_spin_document(self):
         spec = parse_scenario(SPIN_DOC)
@@ -112,6 +118,27 @@ class TestParsing:
         document["system"]["typo_field"] = 1.0
         with pytest.raises(ScenarioParseError, match="typo_field"):
             parse_scenario(json.dumps(document))
+
+    @pytest.mark.parametrize(
+        "sections, path, key",
+        [
+            (['"system": {"kind": "spin-half", "delta": 1.0, "delta": 2.0}', INITIAL, TIME], "system", "delta"),
+            (['"system": {"kind": "spin-half", "kind": "spin-half", "delta": 1}', INITIAL, TIME], "system", "kind"),
+            ([SYSTEM, SYSTEM, INITIAL, TIME], "document", "system"),
+            ([SYSTEM, INITIAL, '"time": {"start": 0, "stop": 1, "points": 3, "stop": 2}'], "time", "stop"),
+            ([SYSTEM, INITIAL, TIME, '"observables": [{"name": "sigma_z", "name": "sigma_x"}]'],
+             "observables[0]", "name"),
+            (
+                [SYSTEM, INITIAL, TIME, '"outputs": {"transitions": {"source": 0, "source": 1}}'],
+                "outputs.transitions",
+                "source",
+            ),
+        ],
+    )
+    def test_repeated_field_rejected(self, sections, path, key):
+        # json.loads keeps a repeated key's last value; each mapping names the first field it repeats instead
+        with pytest.raises(ScenarioParseError, match=f"^{re.escape(path)}: field '{key}' is given twice$"):
+            parse_scenario("{" + ", ".join(sections) + "}")
 
     def test_unknown_system_kind(self):
         document = json.loads(SPIN_DOC)
