@@ -39,6 +39,9 @@ TAYLOR_DEGREE = 12
 # * ||a||_F, and past EXPM_MAX_ANTI_HERMITIAN_NORM, where that bound reaches 1, no digit of U is left.
 EXPM_DEFECT_PER_NORM = 4 * (2 * 0.5 ** (TAYLOR_DEGREE + 2) / math.factorial(TAYLOR_DEGREE + 1) + 8 * 2.0**-53)
 EXPM_MAX_ANTI_HERMITIAN_NORM = 1 / EXPM_DEFECT_PER_NORM
+# Matrix entries (512 KiB of complex128) of V diag(exp(-i w t)) built per GEMM of a propagator stack:
+# at least one time's n x n, however long the grid.
+PROPAGATOR_BLOCK_ENTRIES = 2**15
 
 
 class EigenDecomposition(NamedTuple):
@@ -74,11 +77,18 @@ class EigenDecomposition(NamedTuple):
 
     def propagator(self, times) -> np.ndarray:
         """Unitary U(t) = exp(-i h t) = V diag(exp(-i w t)) V†: (n, n) for a scalar time,
-        a (T, n, n) stack for a grid of T times. The T products are one GEMM, the (T n, n) rows
-        of V diag(exp(-i w t)) times V†, and each member has the bits of its time's lone product."""
+        a (T, n, n) stack for a grid of T times. The products are GEMMs, the (b n, n) rows of
+        V diag(exp(-i w t)) for a block of b times (PROPAGATOR_BLOCK_ENTRIES entries) times V†,
+        each written into its part of the stack; so the working set beyond the stack is one
+        block, and each member has the bits of its time's lone product."""
         v = self.eigenvectors
         n = len(v)
-        u = ((v * self.phases(times)[:, None, :]).reshape(-1, n) @ v.conj().T).reshape(-1, n, n)
+        phases, v_adjoint = self.phases(times), v.conj().T
+        u = np.empty((len(phases), n, n), dtype=np.complex128)
+        step = max(1, PROPAGATOR_BLOCK_ENTRIES // (n * n))
+        for start in range(0, len(phases), step):
+            block = phases[start : start + step, None, :]
+            np.matmul((v * block).reshape(-1, n), v_adjoint, out=u[start : start + step].reshape(-1, n))
         return u[0] if np.ndim(times) == 0 else u
 
 

@@ -57,11 +57,13 @@ def alpha_populations(spectrum: EigenDecomposition, times) -> tuple[np.ndarray, 
     The grid is evaluated RABI_BLOCK_POINTS points at a time:
     ``EigenDecomposition.propagator`` gives the block's U(t) by one GEMM,
     each U(t) with the bits of its lone product, and U(t) alpha is column 0
-    of each. Each modulus is Python's scalar ``abs``, squared, so a
-    population has the bits of
-    ``abs(evolve_state(alpha, spectrum, t)[k]) ** 2``; numpy's vectorised
-    complex ``abs`` rounds differently in the last bit. Both arrays have the
-    shape of ``times``; a non-finite w t raises DomainError.
+    of each. Each modulus is libm's ``hypot`` of the real and imaginary
+    parts, raised to the power 2 by libm's ``pow``, as Python's
+    ``abs(complex)`` and ``float ** 2`` do, so a population has the bits of
+    ``abs(evolve_state(alpha, spectrum, t)[k]) ** 2``. numpy's complex
+    ``abs``, and squaring the modulus by ``**`` or by a product, round
+    differently in the last bit. Both arrays have the shape of ``times``;
+    a non-finite w t raises DomainError.
     """
     flat = np.ravel(times)
     populations = np.empty((*np.shape(times), 2))
@@ -69,7 +71,8 @@ def alpha_populations(spectrum: EigenDecomposition, times) -> tuple[np.ndarray, 
     for start in range(0, flat.size, RABI_BLOCK_POINTS):
         block = flat[start : start + RABI_BLOCK_POINTS]
         amplitudes = spectrum.propagator(block)[:, :, 0]
-        cells[2 * start : 2 * (start + block.size)] = [abs(a) ** 2 for a in amplitudes.ravel().tolist()]
+        moduli = np.hypot(amplitudes.real, amplitudes.imag)
+        cells[2 * start : 2 * (start + block.size)] = np.float_power(moduli, 2.0).ravel()
     return populations[..., 0], populations[..., 1]
 
 

@@ -6,6 +6,7 @@ exponential routes cross-check each other.
 """
 
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -722,6 +723,21 @@ class TestPropagatorStack:
         assert stack.shape == (points, n, n)
         for t, u in zip(times, stack):
             _assert_bits_equal(u, spectrum.propagator(t))
+
+
+class TestPropagatorWorkingSet:
+    def test_peak_is_the_stack_and_one_block(self):
+        """n = 16 at 3000 times: a 12.3 MB stack. Its GEMMs go block by block into it, so no
+        V diag(exp(-i w t)) temporary as large as the stack is ever held."""
+        spectrum = hermitian_eig(random_hermitian(rng_for(16), 16))
+        times = np.linspace(0.0, 30.0, 3000)
+        tracemalloc.start()
+        try:
+            stack = spectrum.propagator(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * stack.nbytes
 
 
 class TestPhaseTable:

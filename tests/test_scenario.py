@@ -19,7 +19,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entrodyn import __version__, scenario
+from entrodyn import __version__, csvtext, scenario
 from entrodyn.cli import main as cli_main
 from entrodyn.csvtext import CSV_BLOCK_CELLS, write_csv
 from entrodyn.dynamics import evolve_density
@@ -1366,7 +1366,7 @@ class TestCsvStreaming:
         rng = np.random.default_rng(193)
         table = rng.random((2001, 193)) ** 3
         columns = [f"c{i}" for i in range(193)]
-        write_csv(_Discard(), "evolution", columns, table[:1])  # builds the cached cell templates
+        write_csv(_Discard(), "evolution", columns, table[:1])  # builds the cached pattern tables
         peaks = [_traced_peak(lambda: write_csv(_Discard(), "evolution", columns, table[:rows])) for rows in (201, 2001)]
         assert abs(peaks[1] - peaks[0]) <= CSV_BLOCK_CELLS * table.itemsize
 
@@ -1485,6 +1485,40 @@ class TestCsvFormatting:
         handle = io.StringIO()
         write_csv(handle, "rabi", ("t", "pop_alpha", "pop_beta"), np.empty((0, 3)))
         assert handle.getvalue() == f"# entrodyn {__version__} rabi\nt,pop_alpha,pop_beta\n"
+
+
+class TestCsvSlots:
+    def test_every_slot_equals_value_by_value_formatting(self):
+        """One value for each slot: sign, exponent -8 to 14 (or a zero), significant digits 1 to 15,
+        and (each value in both columns) last column or not. Every value's slot is its own, and
+        each cell reads as '%.15g' writes it."""
+        rng = np.random.default_rng(2 * 24 * 15 * 2)
+        values = []
+        for e in range(-8, 15):
+            for digits in range(1, 16):
+                inner = "".join(map(str, rng.integers(0, 10, max(digits - 2, 0))))
+                last = str(rng.integers(1, 10)) if digits > 1 else ""
+                values.append(float(f"{rng.integers(1, 10)}.{inner}{last}e{e}"))
+        values += [0.0]
+        table = np.repeat(np.concatenate([values, np.negative(values)])[:, None], 2, axis=1)
+        slots, _ = csvtext._slots(table)
+        assert len(set(slots.tolist())) == slots.size == 2 * (23 * 15 + 1) * 2
+        assert slots.max() < 2 * 24 * 15 * 2  # no cell is written by '%.15g' itself
+        assert _mismatched_cells(table) == []
+
+    @pytest.mark.parametrize("shape", [(6, 6), (36, 1), (1, 36), (3, 12)])
+    def test_block_of_fallback_cells_only(self, shape):
+        cells = [np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e-9]
+        table = np.array([np.roll(cells, shift) for shift in range(6)]).reshape(shape)
+        assert _mismatched_cells(table) == []
+
+    def test_fallback_cells_in_first_and_last_columns(self):
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((8, 5))
+        table[:, 0] = [np.nan, -np.inf, 5e-324, -1.23456789012345e-300, 1e300, -1e-9, 1e15, -0.0]
+        table[:, -1] = table[::-1, 0]
+        assert _mismatched_cells(table) == []
+        assert _mismatched_cells(table[:, :1]) == []
 
 
 def _with_integer(document: dict, digits: int) -> str:

@@ -34,6 +34,7 @@ from entrodyn.systems import (
     CompositeSystem,
     LatticeFreeParticle,
     SpinHalfSystem,
+    alpha_populations,
     compose_density,
     composite_hamiltonian,
     coupled_spin_pair,
@@ -179,6 +180,31 @@ class TestRabiPopulations:
             for got, want in zip(rabi_populations(system, times), _pointwise_populations(system, times)):
                 assert got.shape == np.shape(times)
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_moduli_equal_scalar_abs_squared_bit_for_bit(self):
+        """Seeded amplitudes of every magnitude from 1e-160 to 1e150, zeros of each sign, subnormal
+        parts and unit-disk values, fed to alpha_populations as the first column of a stand-in
+        propagator stack: each population has the bits of Python's ``abs(a) ** 2``."""
+        rng = rng_for(30)
+        size = 3 * RABI_BLOCK_POINTS + 11
+        magnitude = 10.0 ** rng.uniform(-160.0, 150.0, 2 * size)
+        amplitudes = magnitude * np.exp(2j * np.pi * rng.random(2 * size))
+        amplitudes[: size // 2] = np.sqrt(rng.random(size // 2)) * np.exp(2j * np.pi * rng.random(size // 2))
+        subnormal = rng.integers(1, 2**52, 200, dtype=np.uint64).view(np.float64)
+        amplitudes[-200:] = subnormal + 1j * rng.choice([0.0, -0.0, 1e-310, 0.5], 200)
+        zeros = [0.0, -0.0]
+        amplitudes[-208:-200] = [complex(re, im) for re in zeros for im in zeros] + [5e-324j, -5e-324, 1.0, -1j]
+        column = amplitudes.reshape(size, 2)
+
+        class Stack:
+            def propagator(self, times):
+                stack = np.zeros((len(times), 2, 2), dtype=np.complex128)
+                stack[:, :, 0] = column[times.astype(int)]
+                return stack
+
+        pa, pb = alpha_populations(Stack(), np.arange(size, dtype=float))
+        want = np.array([abs(a) ** 2 for a in amplitudes.tolist()])
+        np.testing.assert_array_equal(np.column_stack((pa, pb)).ravel().view(np.int64), want.view(np.int64))
 
     def test_working_set_is_one_block(self):
         """At 10**5 points the peak stays within a constant of the (T, 2) populations it returns,
