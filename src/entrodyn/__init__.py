@@ -21,14 +21,12 @@ from .errors import (
 )
 from .linalg import (
     EigenDecomposition,
-    adjoint,
     expm_hermitian,
     expm_oracle,
     frobenius,
     hermitian_eig,
     identity,
     kron,
-    matmul,
     partial_trace,
     trace,
 )

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra: products, a Hermitian eigensolver, matrix exponentials.
+"""Dense complex linear algebra: Kronecker products, partial traces, a Hermitian eigensolver, matrix exponentials.
 
 Everything operates on plain complex128 ndarrays. All functions are pure:
 arguments are never mutated and results are freshly allocated, so values can
@@ -140,20 +140,6 @@ def frobenius(m) -> float:
 
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T.copy()
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
 
 
 def kron(a, b) -> np.ndarray:

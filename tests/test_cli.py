@@ -72,20 +72,20 @@ _MOVED_CHECK_PINS = {
 
 # sha256 of a suite report's format() text, then each result's name, residual by repr and worst draw, one line
 # each, at tolerance scale 1e-6 (so most checks fail and name their worst draw), keyed by (seed, dims,
-# corrupt_evolution), as the suite gave them while each check drew every dimension in one generator
+# corrupt_evolution), as the suite gives them with each check drawing from its declared stream
 _SUITE_PINS = {
-    (1, (2, 4, 8), False): "c4bad7b059ebd77278fe5f329e0e9679985f3959b6a1bb9293ea6854adcf6714",
-    (1, (2, 4, 8), True): "8355ad8f0e43d0b3777be44a0f97c179be7c872e998aec8dd0f74baded7db749",
-    (1, (2, 3, 5, 8), False): "ab26f0e4a7db5642c60aebe96cbd024612034c3edb28d7a796c8c89a18e873dc",
-    (1, (2, 3, 5, 8), True): "08847767ec72fe7fdd82fc966b24fb3952217413ec40c7c0cd63181a52a479a9",
-    (7, (2, 4, 8), False): "5488753beacb96d834d988b7b3e0879e32fa64fe998c81b167bda142838ffbec",
-    (7, (2, 4, 8), True): "62057cc4dd49aaa9eda41deadfcb670c6b2ba07764c4988c9201d98d4d9387e5",
-    (7, (2, 3, 5, 8), False): "5267c5a1bd31840ef3607bb7a1d4df9c2d7aed2d8133b443320584a094815649",
-    (7, (2, 3, 5, 8), True): "977f95e6788c0392bce12d37954fff89d6ca9d5aab3980717f9eda9d5eb55239",
-    (42, (2, 4, 8), False): "c68e74669d0d146aa2dae173b0705ec5d2d884311006de57c766f7259eb1904b",
-    (42, (2, 4, 8), True): "83fda620fb7b61cfe7a4b33033f54980d5e2ef9f687452c32d481f3dd4dfdc3c",
-    (42, (2, 3, 5, 8), False): "4e0e0e3116562b925f86e85a4f6cbec736abc353a99b0708d6bfb9c590a0cc65",
-    (42, (2, 3, 5, 8), True): "c6f2a7723511df17423b8048b85c5edc6d6f4da9675db0434035fabfafa2bbd7",
+    (1, (2, 4, 8), False): "c7864aec87656c2e548fccf153feba8a979621b7e28260915f5efe6bf5b4dd32",
+    (1, (2, 4, 8), True): "46bc1d8e124113d4d9c76188e2f47f76488245d5ea32e010ed9b6e830e659164",
+    (1, (2, 3, 5, 8), False): "005581ebb19a699d04b81e8b8baec4c1438cf8982fa85f3fcbf47aa91a982f4f",
+    (1, (2, 3, 5, 8), True): "3214132a8298b8dedbedecbc33102bca6ee35ce6896ffbe14340716311d24647",
+    (7, (2, 4, 8), False): "97961854f7b4af50080bebc9f927bbb432f962aa19fa60b56eaa7e6671b89e34",
+    (7, (2, 4, 8), True): "9b12960c0e19faef0d627f59e6629b1d3b4cbf19f8120ba88c4e2183bd062282",
+    (7, (2, 3, 5, 8), False): "feb9822ae6bbcfd48acbbf88c54aaafdbe7ad11cd4d04ff846be77382cc50b2b",
+    (7, (2, 3, 5, 8), True): "ecadf81d718250ba5bd34c94463344d074adc394d898c08f9134856954c93b20",
+    (42, (2, 4, 8), False): "895e3d9ddf69a74b1f07a9f37b6f6c851aa55185c6526d1614c0ddf1c9f5ab27",
+    (42, (2, 4, 8), True): "fb98f3b30b23103a16a78969aa10b1bac3a2e64e87c9d6e4ed3f8693cfacb614",
+    (42, (2, 3, 5, 8), False): "cf4b72424069b5b1d2eeca90c1d415972fb17738d6c0fd1c004b195a7c078cdb",
+    (42, (2, 3, 5, 8), True): "93a6d1852e376b0fe632b81a6327a5885debedc6b73a3698646a5a7f3d9188c3",
 }
 
 
@@ -284,7 +284,8 @@ class TestInvariantSuite:
 
     def test_expm_cross_oracle_draws_a_time_at_any_dimension(self):
         # ||h||_F of a dim-100 draw passes 100, so 10 / ||h||_F lies below the 0.1 the time range starts at
-        result = invariants._check_expm_cross_oracle(rng_for(1, 5), (100,), 1.0)
+        check = invariants._check_expm_cross_oracle
+        result = check(rng_for(1, check.stream), (100,), 1.0)
         assert result.passed
 
     def test_verdicts_stable_across_seeds(self):
@@ -306,11 +307,12 @@ class TestInvariantSuite:
 
     def test_merged_solve_error_names_the_failing_check(self):
         # the stub's non-Hermitian matrix is member 7 of the merged 4 x 4 stack, after eig-reconstruction's six
-        @invariants._check("stub", 1.0)
+        @invariants._check("stub", 1.0, 0)
         def stub(rng, dim):
             yield [random_hermitian(rng, dim), np.triu(np.ones((dim, dim)))]
 
-        runs = invariants._check_eig_reconstruction.runs(rng_for(1, 3), (2, 4)) + stub.runs(rng_for(1), (4,))
+        check = invariants._check_eig_reconstruction
+        runs = check.runs(rng_for(1, check.stream), (2, 4)) + stub.runs(rng_for(1), (4,))
         message = r"^check stub \(dim 4\): requested matrix 1: eigensolver input is not Hermitian"
         with pytest.raises(DomainError, match=message):
             invariants._run(runs, 1.0)
@@ -323,7 +325,8 @@ class TestInvariantSuite:
         # the whole (dim^2 x dim^2) product at dim = MAX_DIMENSION would be a 4 GiB array
         tracemalloc.start()
         try:
-            result = invariants._check_kron_trace(rng_for(0, 2), (MAX_DIMENSION,), 1.0)
+            check = invariants._check_kron_trace
+            result = check(rng_for(0, check.stream), (MAX_DIMENSION,), 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -338,11 +341,42 @@ class TestInvariantSuite:
     @pytest.mark.parametrize("index", range(len(invariants._CHECKS)))
     def test_draw_labels_are_distinct(self, index):
         check, dims, labels = invariants._CHECKS[index], (2, 3, 4, 8), []
-        runs = check.runs(rng_for(DEFAULT_SEED, index), dims)
+        runs = check.runs(rng_for(DEFAULT_SEED, check.stream), dims)
         noted = [(c, d, _noted(draws, lambda item: labels.append(item[0]))) for c, d, draws in runs]
         (result,) = invariants._run(noted, 1.0)
-        assert result == check(rng_for(DEFAULT_SEED, index), dims, 1.0)
+        assert result == check(rng_for(DEFAULT_SEED, check.stream), dims, 1.0)
         assert labels and len(set(labels)) == len(labels)
+
+    def test_each_check_draws_from_its_declared_stream(self):
+        # the suite draws a check from rng_for(seed, check.stream), a number fixed in its declaration, so
+        # deleting or adding a check moves no other check's draws
+        assert {check.name: check.stream for check in invariants._CHECKS} == {
+            "kron-trace-product": 2,
+            "eig-reconstruction": 3,
+            "propagator-group-law": 4,
+            "expm-cross-oracle": 5,
+            "partial-trace-preservation": 6,
+            "entropy-bounds": 7,
+            "mixture-spectrum-entropy": 8,
+            "entropy-additivity": 9,
+            "factorization-roundtrip": 10,
+            "pure-state-spectrum": 11,
+            "entropy-invariance": 12,
+            "evolution-trace-hermiticity": 13,
+            "evolution-positivity": 14,
+            "picture-equivalence": 15,
+            "spectrum-preservation": 16,
+            "ehrenfest-central-difference": 17,
+            "transition-normalization": 18,
+            "first-order-scaling": 19,
+            "rabi-population-sum": 20,
+            "rabi-closed-form": 21,
+            "lattice-basis-residuals": 22,
+            "lattice-momentum-projectors": 23,
+            "composite-isolation": 24,
+            "composite-entanglement": 25,
+        }
+        assert len({check.stream for check in invariants._CHECKS}) == len(invariants._CHECKS) == 24
 
     @pytest.mark.parametrize("seed, dims, corrupt", list(_SUITE_PINS))
     def test_suite_keeps_its_bits(self, seed, dims, corrupt):
@@ -392,16 +426,17 @@ class TestInvariantSuite:
         seed, dims, scale = 11, (2, 3, 5), 1e-6
         report = run_invariant_suite(seed=seed, dims=dims, tolerance_scale=scale)
         assert not report.passed  # so failing results, with their labels, are compared too
-        for index, check in enumerate(invariants._CHECKS):
-            alone = check(rng_for(seed, index), dims, scale)
-            assert alone == report.results[index]
+        assert len(report.results) == len(invariants._CHECKS)
+        for check, result in zip(invariants._CHECKS, report.results):
+            alone = check(rng_for(seed, check.stream), dims, scale)
+            assert alone == result
             assert (alone.worst is None) == (alone.residual == 0.0)
 
     def test_reducer_keeps_the_first_of_tied_draws(self):
         draws = (("zero", -0.0), ("first", 2.0), ("second", 2.0))
         draws += (("nan", math.nan), ("lower", 1.0), ("nan again", math.nan))
 
-        @invariants._check("stub", 1.0)
+        @invariants._check("stub", 1.0, 0)
         def stub(rng, dim, count):
             yield from draws[:count]
 
@@ -411,11 +446,11 @@ class TestInvariantSuite:
         result = stub(None, (2,), 1e300, count=len(draws))
         assert math.isnan(result.residual) and (result.passed, result.worst) == (False, "nan")
         assert result.line() == "FAIL stub: residual=nan (tolerance 1.000e+300) worst at nan"
-        negative = invariants._check("stub", 1.0)(lambda rng, dim: iter([("a", -0.0), ("b", -1.0)]))(None, (2,), 1.0)
+        negative = invariants._check("stub", 1.0, 0)(lambda rng, dim: iter([("a", -0.0), ("b", -1.0)]))(None, (2,), 1.0)
         assert negative.worst is None and math.copysign(1.0, negative.residual) == 1.0
         assert f"{negative.residual:.3e}" == "0.000e+00"
         # a check's runs, one per dimension, reduce into its one result, and a tie across them keeps the first
-        per_dim = invariants._check("stub", 1.0)(lambda rng, dim: iter([(f"dim={dim}", 1.0)]))
+        per_dim = invariants._check("stub", 1.0, 0)(lambda rng, dim: iter([(f"dim={dim}", 1.0)]))
         assert per_dim(None, (2, 4), 1.0) == invariants.CheckResult("stub", 1.0, 1.0, True, "dim=2")
 
 

@@ -39,7 +39,7 @@ CASES = {
     "basis_check": (0, ("basis-check",)),
     "verify_default": (0, ("verify",)),
     "verify_seed7": (0, ("verify", "--seed", "7", "--dims", "2,3,5,8")),
-    # 18 of 26 checks fail at this scale, so each FAIL line and its draw are pinned
+    # 17 of 24 checks fail at this scale, so each FAIL line and its draw are pinned
     "verify_tight": (1, ("verify", "--dims", "3,5,16", "--tolerance-scale", "1e-6")),
 }
 

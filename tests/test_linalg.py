@@ -18,7 +18,6 @@ from entrodyn import linalg
 from entrodyn.errors import ConvergenceError, DomainError, NumericalError, ShapeError
 from entrodyn.linalg import (
     EigenDecomposition,
-    adjoint,
     expm_hermitian,
     expm_oracle,
     frobenius,
@@ -26,7 +25,6 @@ from entrodyn.linalg import (
     identity,
     jacobi_schedule,
     kron,
-    matmul,
     partial_trace,
     require_hermitian,
     stack_eig,
@@ -36,43 +34,6 @@ from entrodyn.sampling import random_density_matrix, random_hermitian, random_un
 from entrodyn.systems import LatticeFreeParticle, lattice_hamiltonian, lattice_momentum_basis, pauli
 
 SX, SY, SZ = pauli()
-
-
-class TestAdjoint:
-    def test_identity_self_adjoint(self):
-        np.testing.assert_array_equal(adjoint(identity(2)), identity(2))
-
-    def test_sigma_y_hermitian(self):
-        np.testing.assert_array_equal(adjoint(SY), SY)
-
-    def test_raising_lowering_swap(self):
-        raising = np.array([[0, 1], [0, 0]], dtype=complex)
-        lowering = np.array([[0, 0], [1, 0]], dtype=complex)
-        np.testing.assert_array_equal(adjoint(raising), lowering)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
-    def test_involution(self, seed, dim):
-        rng = rng_for(seed)
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        np.testing.assert_array_equal(adjoint(adjoint(m)), m)
-
-
-class TestMatmul:
-    def test_identity_neutral(self):
-        m = np.array([[1, 2j], [3, 4]], dtype=complex)
-        np.testing.assert_array_equal(matmul(identity(2), m), m)
-
-    def test_sigma_x_squared(self):
-        # by hand: [[0,1],[1,0]] @ [[0,1],[1,0]] = [[1,0],[0,1]]
-        np.testing.assert_allclose(matmul(SX, SX), identity(2), atol=0)
-
-    def test_sigma_x_sigma_y(self):
-        # by hand: [[0,1],[1,0]] @ [[0,-i],[i,0]] = [[i,0],[0,-i]] = i sigma_z
-        np.testing.assert_allclose(matmul(SX, SY), 1j * SZ, atol=0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
 
 
 class TestKron:
@@ -115,8 +76,8 @@ class TestTrace:
         rng = rng_for(seed)
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        lhs = trace(matmul(a, b))
-        rhs = trace(matmul(b, a))
+        lhs = trace(a @ b)
+        rhs = trace(b @ a)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
