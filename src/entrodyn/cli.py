@@ -7,7 +7,8 @@ Subcommands:
   rabi         two-level populations over a time grid, CSV on stdout
   basis-check  orthonormality/completeness residuals for the built-in bases
 
-Exit codes: 0 success, 1 invariant or validation failure, 2 malformed input.
+Exit codes: 0 success, 1 invariant or validation failure, 2 malformed input or
+an output (a target file, stdout) that cannot be written.
 Each command raises what it cannot do; ``main`` alone maps the error to its
 exit code and prints ``error: <message>``. No environment variables are
 consulted; every input is explicit.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import re
@@ -59,6 +61,9 @@ _SCENARIO_RUNS = {
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
 
+# built on the first main call, not at import, and reused: parse_args leaves the parser as it was, and argparse
+# looks up sys.stdout, sys.stderr and the terminal width when it prints, not when it is built
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrodyn",
@@ -108,13 +113,20 @@ class _UsageError(Exception):
     """A flag or file the command cannot use: malformed input."""
 
 
-def _output(flag: str, path: str):
-    """The file at ``path`` opened for appending, which changes nothing in it; a path that cannot be
-    opened is a bad ``flag``."""
+@contextlib.contextmanager
+def _writing(flag: str):
+    """An OSError raised while opening, emptying, writing or closing the target of ``flag`` is a bad
+    ``flag``."""
     try:
-        return open(path, "a", encoding="utf-8", newline="")
+        yield
     except OSError as exc:
         raise _UsageError(f"cannot write {flag}: {exc}") from None
+
+
+def _output(flag: str, path: str):
+    """The file at ``path`` opened for appending, which changes nothing in it."""
+    with _writing(flag):
+        return open(path, "a", encoding="utf-8", newline="")
 
 
 def _load(path: str):
@@ -129,32 +141,42 @@ def _load(path: str):
 def _write_report(report: EvolutionReport, args, scenario: os.stat_result) -> int:
     """Write the CSV and the summary. Both targets are opened before either is emptied or written,
     so a target that cannot be opened, a target that is the ``scenario`` file, or two targets that are
-    one regular file, leave both as they were: an existing file keeps what it held, and a file that
-    opening it created is removed again."""
+    one regular file, leave both as they were: an existing file keeps what it held. Each regular target
+    is then emptied before either is written, so a write that fails leaves no byte of what a file held,
+    only what was written. On any failure, a file that opening it created is removed again."""
     paths = {flag: path for flag, path in (("--out", args.out), ("--summary", args.summary)) if path is not None}
     new = [path for path in paths.values() if not os.path.lexists(path)]
-    with contextlib.ExitStack() as stack:
-        try:
-            targets = {flag: stack.enter_context(_output(flag, path)) for flag, path in paths.items()}
-            status = {flag: os.fstat(handle.fileno()) for flag, handle in targets.items()}
-            # a pipe or a device is written as it is
-            files = [flag for flag in targets if stat.S_ISREG(status[flag].st_mode)]
-            for flag in files:
-                if os.path.samestat(status[flag], scenario):
-                    raise _UsageError(f"{flag} names the scenario file: {paths[flag]}")
-            if len(files) == 2 and os.path.samestat(*(status[flag] for flag in files)):
-                raise _UsageError(f"--out and --summary name the same file: {args.summary}")
-        except _UsageError:
-            stack.close()
-            for path in new:
-                with contextlib.suppress(OSError):
-                    os.remove(path)
-            raise
+    targets = {}
+    try:
+        for flag, path in paths.items():
+            targets[flag] = _output(flag, path)
+        status = {flag: os.fstat(handle.fileno()) for flag, handle in targets.items()}
+        # a pipe or a device is written as it is
+        files = [flag for flag in targets if stat.S_ISREG(status[flag].st_mode)]
         for flag in files:
-            targets[flag].truncate(0)
-        report.to_csv(targets.get("--out", sys.stdout))
+            if os.path.samestat(status[flag], scenario):
+                raise _UsageError(f"{flag} names the scenario file: {paths[flag]}")
+        if len(files) == 2 and os.path.samestat(*(status[flag] for flag in files)):
+            raise _UsageError(f"--out and --summary name the same file: {args.summary}")
+        for flag in files:
+            with _writing(flag):
+                targets[flag].truncate(0)
+        if "--out" in targets:
+            with _writing("--out"), targets.pop("--out") as handle:
+                report.to_csv(handle)
+        else:
+            report.to_csv(sys.stdout)
         if "--summary" in targets:
-            targets["--summary"].write(report.summary_json())
+            with _writing("--summary"), targets.pop("--summary") as handle:
+                handle.write(report.summary_json())
+    except BaseException:
+        for handle in targets.values():
+            with contextlib.suppress(OSError):
+                handle.close()
+        for path in new:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     for check in report.checks:
         if not check.passed:
             print(check.line(), file=sys.stderr)
@@ -232,16 +254,36 @@ _COMMANDS = {
 }
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor, if it has one, at os.devnull, so that the interpreter's flush at exit
+    writes what stdout still buffers without a second error. A StringIO has none and is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except (_UsageError, ScenarioParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ScenarioValidationError, DomainError, ShapeError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except OSError as exc:
+        # every file a command opens turns its own OSError into a _UsageError, so this one is stdout's:
+        # a closed pipe (BrokenPipeError) or a full device
+        _stdout_to_devnull()
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -1,12 +1,17 @@
 """Tests for the command-line interface and the invariant suite."""
 
+import argparse
+import errno
 import hashlib
+import io
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -691,6 +696,64 @@ class TestEvolveCommand:
         argv = ["evolve", str(SCENARIOS / "spin_static.json"), "--out", os.devnull, "--summary", os.devnull]
         assert run_cli(argv, capsys) == (0, "", "")
 
+    def test_new_target_gets_the_mode_open_gives(self, capsys, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        reference = tmp_path / "reference"
+        with open(reference, "w"):
+            pass
+        out = tmp_path / "series.csv"
+        assert run_cli(["evolve", str(SCENARIOS / "spin_static.json"), "--out", str(out)], capsys)[0] == 0
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode) == 0o666 & ~umask
+
+    def test_pipe_and_device_are_written_as_they_are(self, capsys, tmp_path):
+        # only a regular file is emptied: truncating a FIFO or /dev/null would fail with EINVAL
+        expected = run_cli(["evolve", str(SCENARIOS / "spin_rabi.json")], capsys)[1]
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()))
+        reader.start()
+        argv = ["evolve", str(SCENARIOS / "spin_rabi.json"), "--out", str(fifo), "--summary", os.devnull]
+        code = run_cli(argv, capsys)
+        reader.join()
+        assert code == (0, "", "") and received == [expected]
+
+    def test_failed_write_keeps_no_byte_of_the_old_text(self, capsys, monkeypatch, tmp_path):
+        # the report fails after part of its text went out, over a file that held more: the file holds
+        # what was written and no byte of what it held; the summary was emptied with it, before either write
+        written = "# entrodyn partial\n" + "1," * 5000
+
+        def partial(self, handle):
+            handle.write(written)
+            handle.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(scenario.EvolutionReport, "to_csv", partial)
+        out, summary = tmp_path / "series.csv", tmp_path / "summary.json"
+        out.write_text("an older and longer file\n" * 1000)
+        summary.write_text("held\n")
+        argv = ["evolve", str(SCENARIOS / "spin_static.json"), "--out", str(out), "--summary", str(summary)]
+        assert run_cli(argv, capsys) == (2, "", "error: cannot write --out: [Errno 28] No space left on device\n")
+        assert out.read_text() == written and summary.read_bytes() == b""
+
+    def test_failed_write_removes_the_files_it_created(self, capsys, monkeypatch, tmp_path):
+        def failing(self, handle):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(scenario.EvolutionReport, "to_csv", failing)
+        argv = ["evolve", str(SCENARIOS / "spin_static.json"), "--out", str(tmp_path / "a"), "--summary", str(tmp_path / "b")]
+        assert run_cli(argv, capsys) == (2, "", "error: cannot write --out: [Errno 5] Input/output error\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("flag", ["--out", "--summary"])
+    def test_full_device_is_input_error(self, flag, capsys):
+        # /dev/full takes a write and fails at its flush, when the target is closed
+        argv = ["evolve", str(SCENARIOS / "spin_static.json"), flag, "/dev/full"]
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (2, f"error: cannot write {flag}: [Errno 28] No space left on device\n")
+
     def test_validation_failure_is_exit_one(self, capsys, tmp_path):
         path = tmp_path / "badprob.json"
         path.write_text(
@@ -1013,6 +1076,124 @@ class TestBasisCheckCommand:
         assert code == 2
         assert out == ""
         assert "--lattice-n" in err and "MAX_DIMENSION" in err
+
+
+def _called(argv, capsys):
+    """(exit code, stdout, stderr) of ``main(argv)``, argparse's SystemExit taken for its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    # usage errors, --version and -h between commands, and a verify with every flag set before one with none
+    SEQUENCE = [
+        ["verify", "--seed", "5", "--dims", "2,3", "--tolerance-scale", "2"],
+        ["rabi", "--points", "0"],
+        ["verify"],
+        ["rabi", "--no-such-flag"],
+        ["rabi", "--points", "3", "--delta", "-1e-1"],
+        ["--version"],
+        ["rabi", "--points", "3"],
+        ["evolve", "-h"],
+        ["basis-check", "--lattice-n", "3"],
+        ["perturb", str(SCENARIOS / "spin_rabi.json")],
+        ["evolve"],
+        ["evolve", str(SCENARIOS / "spin_rabi.json")],
+    ]
+    HELPS = [["-h"], ["verify", "-h"], ["evolve", "-h"], ["perturb", "-h"], ["rabi", "-h"], ["basis-check", "-h"]]
+
+    def test_one_parser_tree_per_process(self, capsys, monkeypatch):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.__wrapped__()
+        tree = len(built)
+        built.clear()
+        cli._build_parser.cache_clear()
+        for argv in (["rabi", "--points", "2"], ["basis-check", "--lattice-n", "2"], ["verify", "--dims", "2"]):
+            assert run_cli(argv, capsys)[0] == 0
+        # one tree: the top-level parser and one per subcommand, a help text each
+        assert len(built) == tree == len(self.HELPS)
+
+    def test_reuse_leaves_every_output_as_a_fresh_parser_gives_it(self, capsys):
+        reused = [_called(argv, capsys) for argv in self.SEQUENCE]
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._build_parser.cache_clear()
+            fresh.append(_called(argv, capsys))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0]
+        assert reused[2][1].startswith(f"invariant suite: seed={DEFAULT_SEED} dims=[2, 4, 8] tolerance_scale=1\n")
+
+    def test_help_text_matches_a_fresh_parser(self, capsys, monkeypatch):
+        # argparse reads the terminal width when it prints help, so a reused parser follows COLUMNS
+        run_cli(["rabi", "--points", "2"], capsys)
+        helps = {}
+        for columns in ("50", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in self.HELPS:
+                helps[columns, argv[0]] = reused = _called(argv, capsys)
+                with pytest.raises(SystemExit):
+                    cli._build_parser.__wrapped__().parse_args(argv)
+                assert reused == (0, capsys.readouterr().out, "")
+        assert helps["50", "-h"] != helps["200", "-h"]
+
+
+class TestClosedStdout:
+    # the interpreter's own stdout buffer, as a shell pipeline gives it, not PYTHONUNBUFFERED's
+    BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+
+    def test_closed_pipe_is_input_error(self):
+        # the reader takes one line and closes the pipe, as `entrodyn rabi ... | head -1` does
+        argv = [sys.executable, "-m", "entrodyn", "rabi", "--points", "200000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.BUFFERED) as child:
+            assert child.stdout.readline().startswith(b"# entrodyn ")
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (2, b"error: cannot write stdout: [Errno 32] Broken pipe\n")
+
+    def test_pipe_closed_before_the_first_write_is_input_error(self):
+        # verify's report stays in stdout's buffer until main flushes it; that flush fails, and the
+        # buffer, still full, goes to os.devnull at exit instead of raising a second time
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            argv = [sys.executable, "-m", "entrodyn", "verify", "--dims", "2"]
+            done = subprocess.run(argv, stdout=writer, stderr=subprocess.PIPE, env=self.BUFFERED, timeout=60)
+        finally:
+            os.close(writer)
+        assert (done.returncode, done.stderr) == (2, b"error: cannot write stdout: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize("fails", ["write", "flush"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--dims", "2"],
+            ["basis-check", "--lattice-n", "2"],
+            ["rabi", "--points", "2"],
+            ["evolve", str(SCENARIOS / "spin_rabi.json")],
+            ["perturb", str(SCENARIOS / "spin_rabi.json")],
+        ],
+    )
+    def test_failed_stdout_is_input_error(self, argv, fails, capsys, monkeypatch):
+        # an in-process stdout has no file descriptor, so it is only reported, not redirected
+        def broken(*args):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        stdout = io.StringIO()
+        setattr(stdout, fails, broken)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(argv)
+        assert (code, capsys.readouterr().err) == (2, "error: cannot write stdout: [Errno 32] Broken pipe\n")
 
 
 class TestModuleEntryPoint:

@@ -2,6 +2,8 @@
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -98,3 +100,12 @@ def test_tracer_names_resolve_on_their_modules():
                 missing.append(f"{layer}.{name}")
     assert missing == []
     assert isinstance(importlib.import_module("entrodyn.invariants")._CHECKS, tuple)
+
+
+def test_cli_import_loads_the_modules_the_tracer_reads():
+    """perfbench/tracing.py takes entrodyn.invariants and entrodyn.sampling from sys.modules once the
+    benchmark has imported entrodyn.cli, so cli must import both eagerly: lazy imports would save some
+    start-up time but crash a traced benchmark run on the scenario workloads, which never reach them."""
+    code = "import sys, entrodyn.cli; print(sorted(m for m in ('entrodyn.invariants', 'entrodyn.sampling') if m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "['entrodyn.invariants', 'entrodyn.sampling']\n"
