@@ -267,8 +267,12 @@ def _stdout_to_devnull() -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:  # -h and --version print to stdout and exit inside parse_args
+            sys.stdout.flush()
+            raise
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code

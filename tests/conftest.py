@@ -1,5 +1,8 @@
+import ctypes
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -13,6 +16,29 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+def _openblas_core() -> str | None:
+    """The core a DYNAMIC_ARCH OpenBLAS bundled with numpy dispatched to (SkylakeX, Haswell, ...), when the
+    library exports scipy-openblas's ``scipy_openblas_get_corename64_``; None otherwise. Opening the
+    library numpy already loaded returns that same instance."""
+    for library in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(library)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def pytest_report_header(config):
+    # the bits of a solve (TestSolverBits) and the vector-state hazard (TestVectorState) follow the BLAS kernel
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = _openblas_core()
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}" + (
+        f", OpenBLAS core {core}" if core else ""
+    )
 
 
 @pytest.fixture

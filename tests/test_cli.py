@@ -1173,6 +1173,18 @@ class TestClosedStdout:
             os.close(writer)
         assert (done.returncode, done.stderr) == (2, b"error: cannot write stdout: [Errno 32] Broken pipe\n")
 
+    @pytest.mark.parametrize("flag", ["-h", "--version"])
+    def test_help_and_version_on_a_closed_pipe_are_input_errors(self, flag):
+        # argparse prints these and exits inside parse_args; main flushes what they printed there too
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            argv = [sys.executable, "-m", "entrodyn", flag]
+            done = subprocess.run(argv, stdout=writer, stderr=subprocess.PIPE, env=self.BUFFERED, timeout=60)
+        finally:
+            os.close(writer)
+        assert (done.returncode, done.stderr) == (2, b"error: cannot write stdout: [Errno 32] Broken pipe\n")
+
     @pytest.mark.parametrize("fails", ["write", "flush"])
     @pytest.mark.parametrize(
         "argv",

@@ -6,6 +6,8 @@ exponential routes cross-check each other.
 """
 
 import hashlib
+import statistics
+import time
 import tracemalloc
 import warnings
 
@@ -699,6 +701,47 @@ class TestPropagatorWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * stack.nbytes
+
+
+# np.float_power over these runs libm's pow, about 0.1 ms with the vector state clean
+POWER_BASES = np.linspace(0.1, 1.0, 6000)
+CLEAN_OPERAND = np.zeros(64)
+COMPLEX_FACTOR = random_hermitian(rng_for(75, 4), 4)
+
+
+def _power_after(ops: dict, reps: int = 21) -> dict:
+    """{name: median time of np.float_power over POWER_BASES just after ops[name]()}, the ops taken in
+    turn rep by rep, so that a change in the host's load falls on each alike."""
+    times = {name: [] for name in ops}
+    for _ in range(reps):
+        for name, op in ops.items():
+            op()
+            start = time.perf_counter()
+            np.float_power(POWER_BASES, 2.5)
+            times[name].append(time.perf_counter() - start)
+    return {name: statistics.median(seconds) for name, seconds in times.items()}
+
+
+class TestVectorState:
+    """An AVX-512 complex GEMM of OpenBLAS leaves the vector registers dirty, and libm's pow runs about
+    14 times slower until they are cleared (``linalg._clear_vector_state``). A BLAS whose complex GEMM
+    does not slow it 4 times skips; otherwise ``propagator``, which ends in a complex GEMM, must leave
+    pow within 2 times of its clean speed."""
+
+    SPECTRUM = hermitian_eig(random_hermitian(rng_for(76, 2), 2))
+
+    @pytest.mark.parametrize("times", [1.5, np.linspace(0.0, 100.0, 256)], ids=["one time", "256 times"])
+    def test_propagator_leaves_the_vector_state_clean(self, times):
+        medians = _power_after(
+            {
+                "clean": lambda: np.add(CLEAN_OPERAND, CLEAN_OPERAND),
+                "complex GEMM": lambda: COMPLEX_FACTOR @ COMPLEX_FACTOR,
+                "propagator": lambda: self.SPECTRUM.propagator(times),
+            }
+        )
+        if medians["complex GEMM"] < 4 * medians["clean"]:
+            pytest.skip("this BLAS's complex GEMM leaves the vector state clean")
+        assert medians["propagator"] <= 2 * medians["clean"], medians
 
 
 class TestPhaseTable:
