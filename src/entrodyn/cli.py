@@ -39,7 +39,7 @@ from .scenario import (
     EvolutionReport,
     ScenarioParseError,
     ScenarioValidationError,
-    _read_spec,
+    load_scenario,
     run_perturbation,
     run_scenario,
 )
@@ -130,10 +130,10 @@ def _output(flag: str, path: str):
 
 
 def _load(path: str):
-    """The spec of the scenario at ``path`` and the status of the file it was read from. Its references
-    are not resolved here: the run resolves them once, and that resolution validates the spec."""
+    """The spec of the scenario at ``path``, as ``load_scenario`` reads it, and the status of the file it
+    was read from. The run resolves its references once, and that resolution checks them."""
     try:
-        return _read_spec(path), os.stat(path)
+        return load_scenario(path), os.stat(path)
     except OSError as exc:
         raise _UsageError(f"cannot read scenario: {exc}") from None
 

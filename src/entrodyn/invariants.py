@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,6 +242,10 @@ def _check_eig_reconstruction(rng, dim):
     for rep, (h, (w, v)) in enumerate(zip(hs, spectra)):
         yield f"dim={dim} rep={rep} reconstruction", frobenius((v * w) @ v.conj().T - h) / frobenius(h)
         yield f"dim={dim} rep={rep} orthonormality", frobenius(v.conj().T @ v - identity(dim)) / dim
+        # the residuals above are ratios of frobenius, so a scaled norm cancels in them: compare it with a
+        # math.fsum of the squared entries, which shares no code with it
+        norm = math.sqrt(math.fsum(np.square((h.real, h.imag)).ravel()))
+        yield f"dim={dim} rep={rep} norm", abs(frobenius(h) - norm) / norm
 
 
 @_check("propagator-group-law", 1e-9, 4)
@@ -556,6 +561,8 @@ def run_invariant_suite(
     """Run every invariant check with reproducible randomness, once per dimension, all runs together by
     ``_run``.
 
+    ``seed`` and each dimension in ``dims`` must be integers: a float or a string
+    raises ValueError rather than being truncated.
     ``tolerance_scale`` multiplies every tolerance (useful when hunting for
     margins) and must be finite and positive; each dimension in ``dims`` lies
     between 2 and the scenario layer's MAX_DIMENSION, and none is repeated, so
@@ -564,7 +571,14 @@ def run_invariant_suite(
     non-unitary map into the entropy-invariance check as a negative control;
     the suite must then fail.
     """
-    dims = tuple(int(d) for d in dims)
+    try:
+        dims = tuple(operator.index(d) for d in dims)
+    except TypeError:
+        raise ValueError(f"dims must be integers, got {dims!r}") from None
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if not dims or not all(2 <= d <= MAX_DIMENSION for d in dims):
         raise ValueError(f"dims must lie between 2 and MAX_DIMENSION = {MAX_DIMENSION}, got {dims}")
     if sorted(set(dims)) != sorted(dims):
@@ -576,7 +590,7 @@ def run_invariant_suite(
         options = {"corrupt": corrupt_evolution} if check is _check_entropy_invariance else {}
         runs.extend(check.runs(rng_for(seed, check.stream), dims, **options))
     return SuiteReport(
-        seed=int(seed),
+        seed=seed,
         dims=dims,
         tolerance_scale=float(tolerance_scale),
         results=tuple(_run(runs, tolerance_scale)),

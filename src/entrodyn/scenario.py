@@ -15,6 +15,12 @@ transitions, an empty observables list) left out. A report's summary echoes
 it as it is. Each section's fields and defaults are written once: in a table
 of Fields, or in the one function that reads the section.
 
+A document has one reader: ``parse_scenario`` reads and checks every field
+of its text and resolves no reference, and ``load_scenario`` reads a file
+with it. References (a state, a basis, an index, a matrix's shape and
+Hermiticity) are checked by ``resolve_scenario`` as it builds the matrices:
+once in each run, or on its own to validate a spec without running it.
+
 What a system kind is lives in one table, SYSTEM_KINDS: its parameters, its
 dimension, its Hamiltonian, its named bases and its factors. Parsing, the
 dimension bound and resolution all read the same row.
@@ -499,8 +505,9 @@ OUTPUT_FIELDS = (
 )
 
 
-def _document_spec(text: str) -> dict:
-    """The spec of a scenario document: every field read and checked, no reference resolved yet."""
+def parse_scenario(text: str) -> dict:
+    """The spec of a scenario document: every field read and checked, no reference resolved. A run's
+    one resolution checks the references; ``resolve_scenario`` checks them without a run."""
     try:
         document = json.loads(text, parse_int=_json_integer, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
@@ -521,30 +528,16 @@ def _document_spec(text: str) -> dict:
     )
 
 
-def parse_scenario(text: str) -> dict:
-    """Parse and validate a scenario document; returns the spec, the document in its normal form."""
-    spec = _document_spec(text)
-    resolve_scenario(spec)  # validation: every reference must resolve
-    return spec
-
-
-def _read_spec(path) -> dict:
-    """The spec of the scenario file at ``path``, no reference resolved yet; ScenarioParseError when the
-    file is not UTF-8 text."""
+def load_scenario(path) -> dict:
+    """The spec of the scenario file at ``path``, as ``parse_scenario`` reads it; ScenarioParseError when
+    the file is not UTF-8 text."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start : exc.end].hex()
         raise ScenarioParseError(f"scenario is not UTF-8 text: {exc.reason} 0x{bad}") from None
-    return _document_spec(text)
-
-
-def load_scenario(path) -> dict:
-    """Read and validate the scenario file at ``path``; returns the spec."""
-    spec = _read_spec(path)
-    resolve_scenario(spec)  # validation: every reference must resolve
-    return spec
+    return parse_scenario(text)
 
 
 def serialize_scenario(spec: dict) -> str:

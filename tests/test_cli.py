@@ -32,6 +32,7 @@ from entrodyn.scenario import (
     ScenarioParseError,
     ScenarioValidationError,
     parse_scenario,
+    resolve_scenario,
 )
 from entrodyn.systems import SpinHalfSystem, spin_hamiltonian
 
@@ -305,6 +306,19 @@ class TestInvariantSuite:
         with pytest.raises(ValueError, match="tolerance_scale"):
             run_invariant_suite(dims=(2,), tolerance_scale=scale)
 
+    @pytest.mark.parametrize(
+        "argument, value", [("dims", (2.9,)), ("dims", "248"), ("dims", (2, 4.0)), ("seed", 1.7), ("seed", "1")]
+    )
+    def test_non_integer_arguments_raise(self, argument, value):
+        # refused, not truncated: (2.9,) is not dim 2, "248" is not dims 2, 4, 8, and 1.7 is not seed 1
+        with pytest.raises(ValueError, match=f"^{argument} must be"):
+            run_invariant_suite(**{argument: value})
+
+    def test_integer_like_arguments_are_accepted(self):
+        report = run_invariant_suite(seed=np.int64(1), dims=np.array([2]))
+        assert (report.seed, report.dims) == (1, (2,)) and type(report.seed) is int
+        assert report.format() == run_invariant_suite(seed=1, dims=(2,)).format()
+
     @pytest.mark.parametrize("dims", [(4, 4), (2, 8, 2)])
     def test_repeated_dims_raise(self, dims):
         with pytest.raises(ValueError, match="repeat"):
@@ -509,6 +523,16 @@ class TestEvolveCommand:
         code, out, _ = run_cli([command, str(SCENARIOS / "spin_rabi.json")], capsys)
         assert code == 0 and out.startswith("# entrodyn ")
         assert specs == [parse_scenario((SCENARIOS / "spin_rabi.json").read_text())]
+
+    @pytest.mark.parametrize("command", ["evolve", "perturb"])
+    def test_reads_through_the_module_level_parse(self, command, capsys, monkeypatch):
+        # the scenario file is parsed by entrodyn.scenario's parse_scenario as bound at the call, so a
+        # tracer's span around it times the CLI's reading
+        original = scenario.parse_scenario
+        texts = []
+        monkeypatch.setattr(scenario, "parse_scenario", lambda text: texts.append(text) or original(text))
+        code, _, _ = run_cli([command, str(SCENARIOS / "spin_rabi.json")], capsys)
+        assert code == 0 and texts == [(SCENARIOS / "spin_rabi.json").read_text()]
 
     @pytest.mark.parametrize("command", ["evolve", "perturb"])
     def test_a_run_resolves_its_document_once(self, command, capsys, monkeypatch):
@@ -937,7 +961,7 @@ class TestScenarioErrorTable:
         section, (error, exit_code), pattern = ERROR_CASES[case]
         text = json.dumps({**BASE_DOCUMENT, **section})
         with pytest.raises(error, match=f"^{pattern}"):
-            parse_scenario(text)
+            resolve_scenario(parse_scenario(text))
         path = tmp_path / "scenario.json"
         path.write_text(text)
         code, out, err = run_cli(["evolve", str(path)], capsys)

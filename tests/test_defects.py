@@ -111,7 +111,7 @@ DEFECTS = {
     "frobenius halved": (
         lambda: _rebound(FROBENIUS, lambda m: FROBENIUS(m) / 2),
         "verify",
-        set(),
+        {"eig-reconstruction"},
     ),
     "eigenvector columns 0 and 1 swapped in hermitian_eig": (
         lambda: _rebound(HERMITIAN_EIG, lambda h, basis=None: _columns_swapped(HERMITIAN_EIG(h, basis))),
@@ -122,7 +122,6 @@ DEFECTS = {
 
 # defects that no check catches yet, and why
 UNCAUGHT = {
-    "frobenius halved": "frobenius is the residual measure of six checks, so halving it only halves them",
     "eigenvector columns 0 and 1 swapped in hermitian_eig": (
         "a wrong but unitary eigenbasis keeps every spectrum, and entropy-constancy is a run's only check"
     ),

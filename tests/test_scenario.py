@@ -95,7 +95,7 @@ class TestParsing:
         document = json.loads(SPIN_DOC)
         document["initial"] = {"probabilities": [0.5, 0.6]}
         with pytest.raises(ScenarioValidationError, match="sum to 1"):
-            parse_scenario(json.dumps(document))
+            resolve_scenario(parse_scenario(json.dumps(document)))
 
     def test_composite_resolves_to_four_dimensions(self):
         document = {
@@ -159,7 +159,7 @@ class TestParsing:
             "time": {"start": 0.0, "stop": 1.0, "points": 2},
         }
         with pytest.raises(ScenarioValidationError, match="Hermitian"):
-            parse_scenario(json.dumps(document))
+            resolve_scenario(parse_scenario(json.dumps(document)))
 
     def test_explicit_matrix_with_complex_entries(self):
         document = {
@@ -184,19 +184,19 @@ class TestParsing:
             "observables": [{"name": "sigma_z"}],
         }
         with pytest.raises(ScenarioValidationError, match="two-level"):
-            parse_scenario(json.dumps(document))
+            resolve_scenario(parse_scenario(json.dumps(document)))
 
     def test_momentum_initial_requires_lattice(self):
         document = json.loads(SPIN_DOC)
         document["initial"] = {"state": "momentum", "index": 0}
         with pytest.raises(ScenarioValidationError, match="lattice"):
-            parse_scenario(json.dumps(document))
+            resolve_scenario(parse_scenario(json.dumps(document)))
 
     def test_transition_index_range(self):
         document = json.loads(RABI_DOC)
         document["outputs"]["transitions"] = {"source": 0, "targets": [7]}
         with pytest.raises(ScenarioValidationError, match="out of range"):
-            parse_scenario(json.dumps(document))
+            resolve_scenario(parse_scenario(json.dumps(document)))
 
     def test_point_budget(self):
         document = json.loads(SPIN_DOC)
@@ -208,7 +208,26 @@ class TestParsing:
         document = json.loads(SPIN_DOC)
         document["initial"] = {"amplitudes": [1.0, 1.0]}
         with pytest.raises(ScenarioValidationError, match="normalized"):
-            parse_scenario(json.dumps(document))
+            resolve_scenario(parse_scenario(json.dumps(document)))
+
+    @pytest.mark.parametrize("fixture", sorted(path.name for path in SCENARIOS.glob("*.json")))
+    def test_load_reads_what_parse_reads(self, fixture):
+        path = SCENARIOS / fixture
+        assert load_scenario(path) == parse_scenario(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "read",
+        [load_scenario, lambda path: parse_scenario(path.read_text(encoding="utf-8"))],
+        ids=["load_scenario", "parse_scenario"],
+    )
+    def test_a_library_run_resolves_its_document_once(self, read, monkeypatch):
+        # reading checks every field and resolves nothing: the run's one resolution checks the references
+        original = scenario.resolve_scenario
+        resolutions = []
+        monkeypatch.setattr(scenario, "resolve_scenario", lambda spec: resolutions.append(spec) or original(spec))
+        spec = read(SCENARIOS / "lattice_momentum.json")
+        assert resolutions == []
+        assert run_scenario(spec).passed and resolutions == [spec]
 
 
 class TestRoundTrip:
@@ -230,6 +249,7 @@ class TestRoundTrip:
             ],
         }
         spec = parse_scenario(json.dumps(document))
+        resolve_scenario(spec)
         assert parse_scenario(serialize_scenario(spec)) == spec
 
 
@@ -476,7 +496,7 @@ class TestColumnValidation:
         document = json.loads(RABI_DOC)
         document["outputs"]["transitions"] = {"source": 0, "targets": [1, 1]}
         with pytest.raises(ScenarioValidationError, match=r"^outputs.transitions.targets\[1\]: target 1 is repeated"):
-            parse_scenario(json.dumps(document))
+            resolve_scenario(parse_scenario(json.dumps(document)))
         assert _cli_exit(document, "evolve", tmp_path) == 1
         assert _cli_exit(document, "perturb", tmp_path) == 1
 
@@ -543,7 +563,7 @@ class TestResourceBounds:
         }
         start = time.perf_counter()
         with pytest.raises(ScenarioValidationError, match="^system.sites: .*MAX_DIMENSION"):
-            parse_scenario(json.dumps(document))
+            resolve_scenario(parse_scenario(json.dumps(document)))
         assert time.perf_counter() - start < 1.0
         assert _cli_exit(document, "evolve", tmp_path) == 1
 
@@ -631,7 +651,7 @@ class TestResourceBounds:
         }
         start = time.perf_counter()
         with pytest.raises(ScenarioValidationError, match="^time.points: .*MAX_GRID_CELLS"):
-            parse_scenario(json.dumps(document))
+            resolve_scenario(parse_scenario(json.dumps(document)))
         assert time.perf_counter() - start < 1.0
         assert _cli_exit(document, "evolve", tmp_path) == 1
 
@@ -654,7 +674,9 @@ class TestResourceBounds:
                 "transitions": {"source": 0, "targets": "all"},
             },
         }
-        assert parse_scenario(json.dumps(document))["time"]["points"] == 10**6
+        spec = parse_scenario(json.dumps(document))
+        resolve_scenario(spec)
+        assert spec["time"]["points"] == 10**6
 
     @pytest.mark.parametrize(
         "fixture",
@@ -667,7 +689,7 @@ class TestResourceBounds:
         ],
     )
     def test_fixtures_accepted(self, fixture):
-        load_scenario(SCENARIOS / fixture)
+        resolve_scenario(load_scenario(SCENARIOS / fixture))
 
 
 # A 2-level observable whose relative Hermiticity defect (~2e-11) passes
@@ -1032,7 +1054,7 @@ class TestBasisPopulations:
     def test_largest_lattice_parses_without_projectors(self):
         """At 128 sites one dense projector per column would hold 256 MB for the two entries."""
         text = json.dumps(_populations_document(MAX_DIMENSION))
-        assert _traced_peak(lambda: parse_scenario(text)) < 4 * 2**20
+        assert _traced_peak(lambda: resolve_scenario(parse_scenario(text))) < 4 * 2**20
 
 
 def _lattice_system(sites: int) -> dict:
@@ -1256,7 +1278,7 @@ class TestSubsystemEntropies:
         message = "observables[1]: subsystem_entropies needs a composite system"
         document = _composite_document([{"name": "energy"}, {"name": "subsystem_entropies"}], system)
         with pytest.raises(ScenarioValidationError, match=f"^{re.escape(message)}$"):
-            parse_scenario(json.dumps(document))
+            resolve_scenario(parse_scenario(json.dumps(document)))
         assert _cli_exit(document, "evolve", tmp_path) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -1577,7 +1599,7 @@ class TestOversizedNumbers:
             parse_scenario(_with_integer(document, 5001))
         # 401 digits still convert, so the dimension bound names them as before
         with pytest.raises(ScenarioValidationError, match="^system.sites: .*MAX_DIMENSION"):
-            parse_scenario(_with_integer(document, 401))
+            resolve_scenario(parse_scenario(_with_integer(document, 401)))
 
 
 # Spin-half splitting 1e308 over [0, 1e10]: w t overflows, so exp(-i w t) is nan.
@@ -1913,6 +1935,7 @@ class TestParserProperties:
         expected = _reference_entry(entry)
         try:
             spec = parse_scenario(json.dumps(document))
+            resolve_scenario(spec)
         except ScenarioParseError as exc:
             assert expected is None and str(exc).startswith("system.hamiltonian[0][0]")
         except ScenarioValidationError as exc:
@@ -1928,7 +1951,7 @@ class TestParserProperties:
         @given(_documents_of_any_kind(near=True))
         def parse(document):
             try:
-                parse_scenario(json.dumps(document))
+                resolve_scenario(parse_scenario(json.dumps(document)))
             except (ScenarioParseError, ScenarioValidationError):
                 outcomes.append(False)
             else:
@@ -1955,6 +1978,7 @@ class TestParserProperties:
     def test_any_json_parses_or_raises_a_scenario_error(self, document):
         try:
             spec = parse_scenario(json.dumps(document))
+            resolve_scenario(spec)
         except (ScenarioParseError, ScenarioValidationError):
             return
         assert isinstance(spec, dict)
