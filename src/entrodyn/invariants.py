@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -551,6 +552,13 @@ _CHECKS = (
 )
 
 
+def _integer(value) -> int:
+    """``value`` as an int: TypeError unless it is an integer other than a bool."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool")
+    return operator.index(value)
+
+
 def run_invariant_suite(
     seed: int = DEFAULT_SEED,
     dims=DEFAULT_DIMS,
@@ -561,28 +569,30 @@ def run_invariant_suite(
     """Run every invariant check with reproducible randomness, once per dimension, all runs together by
     ``_run``.
 
-    ``seed`` and each dimension in ``dims`` must be integers: a float or a string
-    raises ValueError rather than being truncated.
+    ``seed`` and each dimension in ``dims`` must be integers: a bool, a float or a
+    string raises ValueError rather than being truncated or read as 0 or 1.
     ``tolerance_scale`` multiplies every tolerance (useful when hunting for
-    margins) and must be finite and positive; each dimension in ``dims`` lies
-    between 2 and the scenario layer's MAX_DIMENSION, and none is repeated, so
-    each draw's label names it alone; a check that fixes its own sizes runs at
-    those instead. ``corrupt_evolution`` injects a
+    margins) and must be a finite positive real number (not a bool or a string);
+    each dimension in ``dims`` lies between 2 and the scenario layer's
+    MAX_DIMENSION, and none is repeated, so each draw's label names it alone; a
+    check that fixes its own sizes runs at those instead. ``corrupt_evolution`` injects a
     non-unitary map into the entropy-invariance check as a negative control;
     the suite must then fail.
     """
     try:
-        dims = tuple(operator.index(d) for d in dims)
+        dims = tuple(_integer(d) for d in dims)
     except TypeError:
         raise ValueError(f"dims must be integers, got {dims!r}") from None
     try:
-        seed = operator.index(seed)
+        seed = _integer(seed)
     except TypeError:
         raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if not dims or not all(2 <= d <= MAX_DIMENSION for d in dims):
         raise ValueError(f"dims must lie between 2 and MAX_DIMENSION = {MAX_DIMENSION}, got {dims}")
     if sorted(set(dims)) != sorted(dims):
         raise ValueError(f"dims must not repeat a dimension, got {dims}")
+    if isinstance(tolerance_scale, bool) or not isinstance(tolerance_scale, numbers.Real):
+        raise ValueError(f"tolerance_scale must be a real number, got {tolerance_scale!r}")
     if not (math.isfinite(tolerance_scale) and tolerance_scale > 0.0):
         raise ValueError(f"tolerance_scale must be finite and positive, got {tolerance_scale}")
     runs = []

@@ -1,4 +1,5 @@
 import ctypes
+import os
 import sys
 from pathlib import Path
 
@@ -7,6 +8,12 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from entrodyn import linalg
+
+# pyproject's pytest `pythonpath` puts src/ on this interpreter's sys.path only; the tests that start
+# `python -m entrodyn` or `python -c` children need it on theirs too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 settings.register_profile(
     "ci",

@@ -314,6 +314,20 @@ class TestInvariantSuite:
         with pytest.raises(ValueError, match=f"^{argument} must be"):
             run_invariant_suite(**{argument: value})
 
+    @pytest.mark.parametrize(
+        "argument, value",
+        [("seed", True), ("seed", False), ("dims", (4, True)), ("tolerance_scale", True), ("tolerance_scale", "1")],
+    )
+    def test_bool_and_string_arguments_raise(self, argument, value):
+        # refused, not read as a number: True is not seed 1 or scale 1.0, and "1" is not a TypeError
+        with pytest.raises(ValueError, match=f"^{argument} must be"):
+            run_invariant_suite(**{"dims": (2,), argument: value})
+
+    def test_real_tolerance_scales_are_accepted(self):
+        reference = run_invariant_suite(dims=(2,), tolerance_scale=2.0).format()
+        for scale in (2, np.float64(2.0), np.int64(2)):
+            assert run_invariant_suite(dims=(2,), tolerance_scale=scale).format() == reference
+
     def test_integer_like_arguments_are_accepted(self):
         report = run_invariant_suite(seed=np.int64(1), dims=np.array([2]))
         assert (report.seed, report.dims) == (1, (2,)) and type(report.seed) is int

@@ -24,7 +24,7 @@ from entrodyn.cli import main as cli_main
 from entrodyn.csvtext import CSV_BLOCK_CELLS, write_csv
 from entrodyn.dynamics import evolve_density
 from entrodyn.ensembles import spectrum_entropy, von_neumann_entropy
-from entrodyn.errors import NumericalError
+from entrodyn.errors import NumericalError, ShapeError
 from entrodyn.linalg import hermitian_eig, partial_trace
 from entrodyn.systems import LatticeFreeParticle, lattice_hamiltonian
 from entrodyn.scenario import (
@@ -1388,9 +1388,19 @@ class TestCsvStreaming:
         rng = np.random.default_rng(193)
         table = rng.random((2001, 193)) ** 3
         columns = [f"c{i}" for i in range(193)]
-        write_csv(_Discard(), "evolution", columns, table[:1])  # builds the cached pattern tables
+        write_csv(_Discard(), "evolution", columns, table[:1])  # builds the cached tables
         peaks = [_traced_peak(lambda: write_csv(_Discard(), "evolution", columns, table[:rows])) for rows in (201, 2001)]
         assert abs(peaks[1] - peaks[0]) <= CSV_BLOCK_CELLS * table.itemsize
+
+    def test_working_set_of_one_block(self):
+        """The traced peak of writing one 21 x 193 block and one 512 x 8 block, with the cached tables
+        built, stays at or below the 638,781 and 643,840 bytes read for the byte-gather assembly that
+        the word assembly replaced."""
+        rng = np.random.default_rng(193)
+        for table, bound in ((rng.random((21, 193)) ** 3, 638_781), (rng.random((512, 8)) ** 3, 643_840)):
+            columns = [f"c{i}" for i in range(table.shape[1])]
+            write_csv(_Discard(), "evolution", columns, table[:1])  # builds the cached tables
+            assert _traced_peak(lambda: write_csv(_Discard(), "evolution", columns, table)) <= bound
 
 
 # floats whose %.15g text is easy to get wrong: signed zeros, the subnormal and float64 extremes,
@@ -1507,6 +1517,34 @@ class TestCsvFormatting:
         handle = io.StringIO()
         write_csv(handle, "rabi", ("t", "pop_alpha", "pop_beta"), np.empty((0, 3)))
         assert handle.getvalue() == f"# entrodyn {__version__} rabi\nt,pop_alpha,pop_beta\n"
+
+    @pytest.mark.parametrize(
+        "columns, table, message",
+        [
+            (("t", "a"), np.ones((2, 3)), "2 column names for a table of width 3"),
+            (("t", "a", "b"), np.ones((0, 2)), "3 column names for a table of width 2"),
+            ((), np.ones((2, 0)), "0 column names for a table of width 0"),
+            (("t", "a"), np.ones(2), "2 column names for a table of width none"),
+            (("t",), np.ones((2, 1, 1)), "1 column names for a table of width none"),
+        ],
+    )
+    def test_table_that_does_not_fit_its_header_raises(self, columns, table, message):
+        handle = io.StringIO()
+        with pytest.raises(ShapeError, match=message):
+            write_csv(handle, "evolution", columns, table)
+        assert handle.getvalue() == ""  # refused before the banner
+
+    @pytest.mark.parametrize("table", [np.ones((2, 2), dtype=complex), np.array([["a", "b"]]), np.ones((1, 2), dtype=object)])
+    def test_table_that_is_not_real_raises(self, table):
+        with pytest.raises(ValueError, match="real numbers"):
+            write_csv(io.StringIO(), "evolution", ("t", "a"), table)
+
+    def test_integer_and_single_precision_tables_read_as_their_float64_values(self):
+        table = np.array([[1, -2], [3, 2**60 + 1]])
+        for cast in (table, table.astype(np.float32), table.astype(bool)):
+            handle = io.StringIO()
+            write_csv(handle, "evolution", ("t", "a"), cast)
+            assert handle.getvalue() == _value_by_value("evolution", ("t", "a"), cast.astype(np.float64))
 
 
 class TestCsvSlots:
